@@ -2,12 +2,18 @@
 
 ForgeError is the root; the CLI maps it to exit code 2 (bad input or
 unsatisfiable request), while verification failures are reported through
-return values, never exceptions.
+return values, never exceptions.  InternalError stands outside that root:
+it marks a broken invariant of forge itself, which must never be mistaken
+for bad input.
 """
 
 
 class ForgeError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class InternalError(Exception):
+    """An invariant of the exact computation failed: a bug, not bad input."""
 
 
 class BadParameter(ForgeError):

@@ -276,8 +276,11 @@ _BUILDERS = {
 
 
 def resolve_spec(spec: str) -> PointedGraph:
-    """Resolve a CLI target: a JSON graph file if it looks like a path,
-    otherwise a catalog fixture."""
+    """Resolve a CLI target: a catalog fixture if the head before the first
+    ":" names a family (so perm:dir/gens.txt stays a fixture), else a JSON
+    graph file if it looks like a path, else a catalog fixture."""
+    if spec.strip().split(":")[0] in _BUILDERS:
+        return catalog(spec)
     if spec.endswith(".json") or "/" in spec or os.path.isfile(spec):
         return load_graph_file(spec)
     return catalog(spec)

@@ -237,11 +237,6 @@ def sphere_at(pg: PointedGraph, v: int, n: int) -> tuple[int, ...]:
     return tuple(u for u, d in enumerate(dist) if d == n)
 
 
-def distance_between(pg: PointedGraph, u: int, v: int) -> int:
-    """Distance inside the stored graph (see bfs_distances for scope)."""
-    return bfs_distances(pg, u)[v]
-
-
 @dataclass(frozen=True)
 class AssumptionReport:
     """Verdicts for the three standing assumptions.
@@ -301,6 +296,13 @@ def check_assumptions(pg: PointedGraph) -> AssumptionReport:
     return AssumptionReport(simple, connected, locally_finite, verdict, witness)
 
 
+def _int_field(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParameter(f"graph JSON {what} must be an integer, got {value!r}") from exc
+
+
 def parse_graph_json(data: dict, name: str = "file") -> PointedGraph:
     """Build a pointed graph from the JSON object format:
     {"vertices": n, "edges": [[u,v],...], "base": b, "labels": {...}?}."""
@@ -309,25 +311,26 @@ def parse_graph_json(data: dict, name: str = "file") -> PointedGraph:
     for key in ("vertices", "edges", "base"):
         if key not in data:
             raise BadParameter(f"graph JSON missing {key!r}")
+    vertex_count = _int_field(data["vertices"], "vertices")
     labels = None
     if "labels" in data and data["labels"] is not None:
         raw = data["labels"]
         if not isinstance(raw, dict):
             raise BadParameter("labels must map vertex ids to strings")
-        labels = [str(v) for v in range(int(data["vertices"]))]
+        labels = [str(v) for v in range(vertex_count)]
         for k, text in raw.items():
-            idx = int(k)
-            if not 0 <= idx < int(data["vertices"]):
+            idx = _int_field(k, "label key")
+            if not 0 <= idx < vertex_count:
                 raise BadParameter(f"label for unknown vertex {idx}")
             labels[idx] = str(text)
     truncated = bool(data.get("truncated", False))
     exact_radius = data.get("exact_radius", INFINITE)
     if truncated:
-        exact_radius = int(exact_radius)
+        exact_radius = _int_field(exact_radius, "exact_radius")
     return build_graph(
         data["edges"],
         data["base"],
-        vertex_count=data["vertices"],
+        vertex_count=vertex_count,
         labels=labels,
         name=str(data.get("name", name)),
         truncated=truncated,

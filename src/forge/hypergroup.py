@@ -21,10 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     BadParameter,
     EmptySphere,
     IndexOutOfRange,
+    InternalError,
     NotFinite,
     RadiusExceeded,
 )
@@ -137,8 +140,10 @@ def product(pg: PointedGraph, i: int, j: int) -> ProbabilityVector:
             acc[k] = acc.get(k, Fraction(0)) + unit
     vec = ProbabilityVector.from_pairs(acc.items())
     lo, hi = abs(i - j), i + j
-    assert all(lo <= k <= hi for k in vec.support)
-    assert (vec.coefficient(0) != 0) == (i == j)
+    if not all(lo <= k <= hi for k in vec.support):
+        raise InternalError(f"x_{i} o x_{j} has support {vec.support} outside [{lo}, {hi}]")
+    if (vec.coefficient(0) != 0) != (i == j):
+        raise InternalError(f"x_{i} o x_{j} breaks hermiticity at index 0")
     return vec
 
 
@@ -221,8 +226,9 @@ def build_table(pg: PointedGraph, bound: int | None = None) -> StructureTable:
         for j in range(bound + 1):
             rows[(i, j)] = product(pg, i, j)
     for n in range(bound + 1):
-        assert rows[(0, n)] == ProbabilityVector.point(n)
-        assert rows[(n, 0)] == ProbabilityVector.point(n)
+        unit = ProbabilityVector.point(n)
+        if rows[(0, n)] != unit or rows[(n, 0)] != unit:
+            raise InternalError(f"x_0 is not the unit on row {n}")
     return StructureTable(pg, bound, rows)
 
 
@@ -456,8 +462,28 @@ class DRReport:
         }
 
 
+# float32 holds every integer count up to 2**24 exactly, so BLAS products
+# of 0/1 matrices on fewer vertices are exact integer counts.
+_FLOAT32_EXACT = 2**24
+
+
+def _pair_counts(rows, v: int, w: int) -> dict[tuple[int, int], int]:
+    """|{x : d(v,x)=i, d(x,w)=j}| keyed by (i, j), nonzero counts only."""
+    counts: dict[tuple[int, int], int] = {}
+    for key in zip(rows[v], rows[w]):
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def check_distance_regular(pg: PointedGraph) -> DRReport:
     """Are the counts |{x : d(v,x)=i, d(x,w)=j}| functions of d(v,w) alone?
+
+    Bose-Mesner test: with A_i the 0/1 distance-i matrix, (A_i A_j)[v, w]
+    is that count, so the graph is distance-regular iff every product is
+    constant on each class d(v,w) = k.  Each class is compared with its
+    first pair in row-major order, and the witness is the first failing
+    pair in that order.  Costs (diameter+1)^2 BLAS products of n x n
+    matrices; only the reported pairs are recounted in Python.
 
     Finite graphs only: the verdict on a truncated window would describe
     the window rather than the ambient graph.
@@ -465,44 +491,52 @@ def check_distance_regular(pg: PointedGraph) -> DRReport:
     if pg.truncated:
         raise NotFinite("distance regularity is only decided on finite graphs")
     n = pg.vertex_count
-    dist = [bfs_distances(pg, v) for v in range(n)]
-    diameter = max(max(row) for row in dist)
-    reference: dict[int, dict] = {}
-    ref_pair: dict[int, tuple] = {}
-    for v in range(n):
-        for w in range(n):
-            k = dist[v][w]
-            counts: dict[tuple[int, int], int] = {}
-            for x in range(n):
-                key = (dist[v][x], dist[x][w])
-                counts[key] = counts.get(key, 0) + 1
-            if k not in reference:
-                reference[k] = counts
-                ref_pair[k] = (v, w)
-                continue
-            if counts != reference[k]:
-                diff = sorted(set(counts) ^ set(reference[k]))
-                if not diff:
-                    diff = sorted(
-                        key for key in counts if counts[key] != reference[k][key]
-                    )
-                i, j = diff[0]
-                witness = (
-                    k,
-                    pg.label(ref_pair[k][0]),
-                    pg.label(ref_pair[k][1]),
-                    pg.label(v),
-                    pg.label(w),
-                    i,
-                    j,
-                    reference[k].get((i, j), 0),
-                    counts.get((i, j), 0),
-                )
-                return DRReport(False, diameter, None, witness)
+    rows = [bfs_distances(pg, v) for v in range(n)]
+    diameter = max(max(row) for row in rows)
+    dist = np.array(rows, dtype=np.min_scalar_type(diameter))
+    flat = dist.ravel()
+    # Connected, so every distance 0..diameter occurs; argmax finds the
+    # first pair of each class in row-major order.
+    ref_index = np.array([np.argmax(flat == k) for k in range(diameter + 1)])
+    dtype = np.float32 if n < _FLOAT32_EXACT else np.float64
+    first_bad = flat.size
+    for i in range(diameter + 1):
+        a_i = (dist == i).astype(dtype)
+        for j in range(diameter + 1):
+            counts = (a_i @ (dist == j).astype(dtype)).ravel()
+            bad = counts != counts[ref_index][flat]
+            if bad.any():
+                first_bad = min(first_bad, int(np.argmax(bad)))
+    refs = {}
+    for idx in sorted(int(r) for r in ref_index):
+        v, w = divmod(idx, n)
+        refs[rows[v][w]] = (v, w)
+    if first_bad < flat.size:
+        v, w = divmod(first_bad, n)
+        k = rows[v][w]
+        ref_v, ref_w = refs[k]
+        reference = _pair_counts(rows, ref_v, ref_w)
+        counts = _pair_counts(rows, v, w)
+        diff = sorted(set(counts) ^ set(reference))
+        if not diff:
+            diff = sorted(key for key in counts if counts[key] != reference[key])
+        i, j = diff[0]
+        witness = (
+            k,
+            pg.label(ref_v),
+            pg.label(ref_w),
+            pg.label(v),
+            pg.label(w),
+            i,
+            j,
+            reference.get((i, j), 0),
+            counts.get((i, j), 0),
+        )
+        return DRReport(False, diameter, None, witness)
     numbers = {
         (i, j, k): count
-        for k, counts in reference.items()
-        for (i, j), count in counts.items()
+        for k, (v, w) in refs.items()
+        for (i, j), count in _pair_counts(rows, v, w).items()
     }
     return DRReport(True, diameter, numbers, None)
 

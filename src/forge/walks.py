@@ -57,10 +57,6 @@ def validate_pattern(pattern, top_index: float) -> tuple[int, ...]:
     return pat
 
 
-def _table_top(table: StructureTable) -> int:
-    return table.bound
-
-
 def left_nested_product(
     table: StructureTable, pattern, extended: bool = False
 ) -> ProbabilityVector:
@@ -71,7 +67,7 @@ def left_nested_product(
     computed lazily as long as the graph can still certify them, which
     the permutation-invariance comparison needs.
     """
-    pat = validate_pattern(pattern, _table_top(table))
+    pat = validate_pattern(pattern, table.bound)
     acc = ProbabilityVector.point(pat[0])
     for t, i_t in enumerate(pat[1:], start=2):
         if not extended:
@@ -117,11 +113,6 @@ def jump_distribution(pg: PointedGraph, pattern) -> ProbabilityVector:
     return ProbabilityVector.from_pairs(pairs.items())
 
 
-def _window_for_pattern(cg: cy.CayleyGraph, pat) -> PointedGraph:
-    pg = cy.realize_window(cg, sum(pat) if pat else 0)
-    return pg
-
-
 def brute_force_conditional(
     cg: cy.CayleyGraph, pattern, cap: int = ENUMERATION_CAP
 ) -> ProbabilityVector:
@@ -129,7 +120,7 @@ def brute_force_conditional(
     if not isinstance(cg, cy.CayleyGraph):
         raise NotCayley("brute-force products need a Cayley graph")
     pat = tuple(int(i) for i in pattern)
-    pg = _window_for_pattern(cg, pat)
+    pg = cy.realize_window(cg, sum(pat))
     data = pg.cayley
     top = max(data.sphere_elements) if data.saturated else pg.exact_radius
     pat = validate_pattern(pat, top)
@@ -209,7 +200,7 @@ def monte_carlo_conditional(
     if trials < 1:
         raise BadParameter("trials must be >= 1")
     pat = tuple(int(i) for i in pattern)
-    pg = _window_for_pattern(cg, pat)
+    pg = cy.realize_window(cg, sum(pat))
     data = pg.cayley
     top = max(data.sphere_elements) if data.saturated else pg.exact_radius
     pat = validate_pattern(pat, top)
@@ -552,7 +543,7 @@ def permutation_invariance_check(table: StructureTable, pattern) -> PermutationR
     intersections; the result is informational when that hypothesis
     fails, and hypothesis_met records it.
     """
-    pat = validate_pattern(pattern, _table_top(table))
+    pat = validate_pattern(pattern, table.bound)
     if len(pat) > 8:
         raise BadParameter("permutation check capped at pattern length 8")
     hypothesis = False

@@ -227,3 +227,31 @@ def test_tsv_format(runner):
 def test_bad_cap_rejected(runner):
     result = run(runner, ["--cap-window", "0", "graph", "check", "cycle:4"])
     assert result.exit_code == 2
+
+
+def test_perm_fixture_with_generator_file_in_a_subdirectory(runner, tmp_path, monkeypatch):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "s5.txt").write_text("(0 1)\n(0 1 2 3 4)\n(0 4 3 2 1)\n")
+    monkeypatch.chdir(tmp_path)
+    result = run(runner, ["hyper", "conditions", "perm:d/s5.txt:r=2"])
+    assert result.exit_code == 0
+    data = payload(result)
+    assert data["graph"] == "perm:d/s5.txt:r=2"
+    assert data["S1"]["passed"] and data["S2"]["passed"]
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        {"vertices": "three", "edges": [[0, 1], [1, 2]], "base": 0},
+        {"vertices": 3, "edges": [[0, 1], [1, 2]], "base": 0, "labels": {"a": "x"}},
+        {"vertices": 3, "edges": [[0, 1], [1, 2]], "base": 0, "truncated": True},
+    ],
+    ids=["vertices-not-integer", "label-key-not-integer", "window-without-radius"],
+)
+def test_malformed_graph_json_exits_2(runner, tmp_path, graph):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(graph))
+    result = run(runner, ["graph", "check", str(path)])
+    assert result.exit_code == 2
+    assert "error: BadParameter:" in result.stderr

@@ -10,9 +10,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from forge import hypergroup
 from forge.errors import (
     BadParameter,
+    ForgeError,
     IndexOutOfRange,
+    InternalError,
     NotFinite,
     RadiusExceeded,
 )
@@ -185,6 +188,19 @@ def test_condition_reports_carry_scope_and_counts():
     report = check_S1(resolve_spec("lattice:1:r=6"))
     assert report.passed and report.checked > 0
     assert "6" in report.scope
+
+
+def test_broken_invariants_raise_internal_error(monkeypatch):
+    assert not issubclass(InternalError, ForgeError)
+    pg = resolve_spec("cycle:8")
+    with monkeypatch.context() as m:
+        m.setattr(hypergroup, "sphere_at", lambda pg, v, n: pg.spheres[4])
+        with pytest.raises(InternalError, match="support"):
+            product(pg, 0, 0)
+    with monkeypatch.context() as m:
+        m.setattr(hypergroup, "product", lambda pg, i, j: ProbabilityVector.point(0))
+        with pytest.raises(InternalError, match="unit"):
+            build_table(pg)
 
 
 def test_distance_regular_verdicts():
