@@ -112,13 +112,19 @@ def _alpha_arg(text: str):
         raise click.UsageError("alpha file must be a JSON object of index -> weight")
     alpha = {}
     for key, value in raw.items():
-        idx = int(key)
+        try:
+            idx = int(key)
+        except ValueError:
+            raise click.UsageError(f"alpha file key {key!r} is not an integer index")
         if isinstance(value, str):
             alpha[idx] = parse_frac(value)
         elif isinstance(value, int):
             alpha[idx] = Fraction(value)
         else:
-            alpha[idx] = Fraction(str(value))
+            try:
+                alpha[idx] = Fraction(str(value))
+            except ValueError:
+                raise click.UsageError(f"alpha weight {value!r} of index {idx} is not a rational")
     return alpha
 
 

@@ -161,10 +161,30 @@ def build_graph(
     """Build a pointed graph, rejecting loops, duplicate edges, and
     disconnection from the base."""
     graph = make_graph(edge_list, vertex_count, labels)
+    return point_graph(graph, base, name=name, truncated=truncated, exact_radius=exact_radius)
+
+
+def point_graph(
+    graph: Graph,
+    base: int,
+    bfs_cache: dict | None = None,
+    name: str = "graph",
+    truncated: bool = False,
+    exact_radius: float = INFINITE,
+) -> PointedGraph:
+    """Point a validated graph at base, rejecting disconnection from it.
+
+    Pointed graphs of one graph may share bfs_cache, the BFS rows by
+    start vertex, so each row is computed once whatever the base.
+    """
     base = int(base)
     if not 0 <= base < graph.vertex_count:
         raise BadParameter(f"base {base} outside vertex range 0..{graph.vertex_count - 1}")
-    dist = bfs_from(graph, base)
+    if bfs_cache is None:
+        bfs_cache = {}
+    if base not in bfs_cache:
+        bfs_cache[base] = bfs_from(graph, base)
+    dist = bfs_cache[base]
     if any(d < 0 for d in dist):
         missing = [v for v, d in enumerate(dist) if d < 0]
         raise DisconnectedGraph(
@@ -184,6 +204,7 @@ def build_graph(
         truncated=truncated,
         exact_radius=exact_radius,
         name=name,
+        _bfs_cache=bfs_cache,
     )
 
 

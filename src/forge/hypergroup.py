@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     BadParameter,
     EmptySphere,
@@ -490,6 +488,8 @@ def check_distance_regular(pg: PointedGraph) -> DRReport:
     """
     if pg.truncated:
         raise NotFinite("distance regularity is only decided on finite graphs")
+    import numpy as np
+
     n = pg.vertex_count
     rows = [bfs_distances(pg, v) for v in range(n)]
     diameter = max(max(row) for row in rows)

@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     HypothesisNotMet,
     IndexOutOfRange,
+    InternalError,
     NotFinite,
     RadiusExceeded,
     TruncatedMatrix,
@@ -91,8 +92,8 @@ def transition_matrix(table: StructureTable, k: int) -> TransitionMatrix:
         entries.append(row)
         complete.append(sum(row, ZERO) == 1)
     truncated = bool(table.pg is not None and table.pg.truncated)
-    if not truncated:
-        assert all(complete)
+    if not truncated and not all(complete):
+        raise InternalError(f"row {complete.index(False)} of P_{k} does not sum to 1")
     return TransitionMatrix(
         k,
         dim,
@@ -374,7 +375,8 @@ def norm_bounds(table: StructureTable, k: int, extra_vectors=None) -> NormBound:
     for j in cols:
         supp = p.support_col(j)
         col_supports[j] = supp
-        assert all(abs(j - k) <= i <= j + k for i in supp)
+        if not all(abs(j - k) <= i <= j + k for i in supp):
+            raise InternalError(f"column {j} of P_{k} breaks the support bound")
         total = sum((p.entries[i][j] ** 2 for i in supp), ZERO)
         c = max(c, total)
     row_supports = {}
@@ -383,7 +385,8 @@ def norm_bounds(table: StructureTable, k: int, extra_vectors=None) -> NormBound:
         supp = tuple(j for j in p.support_row(i) if j in col_set)
         if supp:
             row_supports[i] = supp
-            assert all(abs(i - k) <= j <= i + k for j in supp)
+            if not all(abs(i - k) <= j <= i + k for j in supp):
+                raise InternalError(f"row {i} of P_{k} breaks the support bound")
             d = max(d, len(supp))
     if not d or c == 0:
         raise RadiusExceeded(f"no certified rows/columns for k={k} at this bound")
@@ -407,7 +410,8 @@ def norm_bounds(table: StructureTable, k: int, extra_vectors=None) -> NormBound:
         if quotient > lower_sq:
             lower_sq, best = quotient, name
     upper_sq = c * d
-    assert lower_sq <= upper_sq
+    if lower_sq > upper_sq:
+        raise InternalError(f"lower bound {lower_sq} exceeds upper bound {upper_sq} for P_{k}")
     scope = (
         f"block of columns j <= {table.bound - k} (window-sup)"
         if truncated

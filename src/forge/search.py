@@ -2,71 +2,112 @@
 
 Connected graphs are generated by vertex augmentation with canonical
 dedup (color refinement plus an ordered minimum adjacency string), every
-admissible base point is tried, and each pointed graph that satisfies
-the two random-walk conditions is classified exactly.
+admissible base point is tried on one shared graph and its BFS rows, and
+each pointed graph that satisfies the two random-walk conditions is
+classified exactly.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .errors import EnumerationCapExceeded
-from .graphs import build_graph, check_assumptions
+from .errors import BadParameter, EnumerationCapExceeded, InternalError
+from .graphs import build_graph, check_assumptions, make_graph, point_graph
 from .hypergroup import build_table, check_S1, check_S2, classify
 
 DEFAULT_GRAPH_CAP = 100_000
 
 
 def _refine(neighbors, colors):
-    """One-dimensional color refinement to a stable partition."""
-    n = len(neighbors)
+    """One-dimensional color refinement to a stable partition.  From a
+    uniform coloring the first round ranks the vertices by degree."""
+    if colors and min(colors) == max(colors):
+        degrees = [len(nbrs) for nbrs in neighbors]
+        ranks = {d: r for r, d in enumerate(sorted(set(degrees)))}
+        new = [ranks[d] for d in degrees]
+        if new == colors:
+            return colors
+        colors = new
     while True:
-        signatures = []
-        for v in range(n):
-            hist = sorted(colors[w] for w in neighbors[v])
-            signatures.append((colors[v], tuple(hist)))
-        order = sorted(set(signatures))
-        ranks = {sig: r for r, sig in enumerate(order)}
-        new = [ranks[signatures[v]] for v in range(n)]
+        signatures = [
+            (colors[v], tuple(sorted([colors[w] for w in nbrs])))
+            for v, nbrs in enumerate(neighbors)
+        ]
+        ranks = {sig: r for r, sig in enumerate(sorted(set(signatures)))}
+        new = [ranks[sig] for sig in signatures]
         if new == colors:
             return colors
         colors = new
 
 
+@functools.lru_cache(maxsize=4096)
+def _row_tuple(length: int, row: int) -> tuple:
+    """The 0/1 tuple of a row bitmask, most significant bit first.  The
+    cache holds every row of graphs up to 12 vertices."""
+    return tuple(row >> (length - 1 - i) & 1 for i in range(length))
+
+
 def _canonical(neighbors, colors=None) -> tuple:
     """Minimum upper-triangle adjacency string over orderings compatible
-    with the refined coloring, plus one ordering attaining it."""
+    with the refined coloring, plus the first ordering (in vertex-index
+    DFS order) attaining it.
+
+    Row k of the string is vertex k's adjacency to the k vertices placed
+    before it, held as an int with the first-placed vertex as the most
+    significant bit, so rows of equal length order like 0/1 tuples.  Two
+    exact prunings: only vertices whose next row is the least among the
+    eligible ones are extended (every optimal ordering has that row
+    there), and a twin (same color, N(v) - {w} = N(w) - {v}) of a vertex
+    already tried at this depth is skipped (swapping the two fixes the
+    prefix, so its subtree repeats the same strings later).
+    """
     n = len(neighbors)
     colors = _refine(neighbors, list(colors) if colors else [0] * n)
+    adjacency = [sum(1 << w for w in nbrs) for nbrs in neighbors]
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    cell_at = [cells[c] for c in sorted(colors)]
     best: list | None = None
     best_order: tuple | None = None
 
-    def extend(prefix, used, rows):
+    def extend(prefix, used, rows, row_of):
+        # row_of[v]: v's adjacency row against the prefix.
         nonlocal best, best_order
         pos = len(prefix)
         if pos == n:
             if best is None or rows < best:
-                best = list(rows)
+                best = rows
                 best_order = tuple(prefix)
             return
-        eligible = [v for v in range(n) if v not in used]
-        min_color = min(colors[v] for v in eligible)
+        eligible = [v for v in cell_at[pos] if not used >> v & 1]
+        low = min([row_of[v] for v in eligible])
+        rows = rows + [low]
+        if best is not None and rows > best[: pos + 1]:
+            return
+        tried = []
         for v in eligible:
-            if colors[v] != min_color:
+            if row_of[v] != low:
                 continue
-            row = tuple(1 if prefix[i] in neighbors[v] else 0 for i in range(pos))
-            candidate = rows + [row]
-            if best is not None and candidate > best[: len(candidate)]:
+            nbrs = adjacency[v]
+            if any(not (nbrs ^ adjacency[u]) & ~(1 << u | 1 << v) for u in tried):
                 continue
+            tried.append(v)
             prefix.append(v)
-            used.add(v)
-            extend(prefix, used, candidate)
+            extend(
+                prefix,
+                used | 1 << v,
+                rows,
+                [row << 1 | adj >> v & 1 for row, adj in zip(row_of, adjacency)],
+            )
             prefix.pop()
-            used.remove(v)
 
-    extend([], set(), [])
-    assert best is not None and best_order is not None
-    key = (tuple(colors.count(c) for c in sorted(set(colors))), tuple(best))
+    extend([], 0, [], [0] * n)
+    if best_order is None:
+        raise InternalError("canonical labelling reached no leaf")
+    string = tuple(_row_tuple(pos, row) for pos, row in enumerate(best))
+    key = (tuple(len(cells[c]) for c in sorted(cells)), string)
     return key, best_order
 
 
@@ -178,6 +219,8 @@ def search_conjecture(
     tries only the first vertex of the canonical ordering."""
     if base_policy not in ("all", "canonical"):
         raise ValueError(f"unknown base policy {base_policy!r}")
+    if max_vertices < 1:
+        raise BadParameter(f"max_vertices must be >= 1, got {max_vertices}")
     graph_counts: dict[int, int] = {}
     examined = rejected_condition = rejected_walk = 0
     classified = []
@@ -188,9 +231,11 @@ def search_conjecture(
             bases = [canonical_base(neighbors)]
         else:
             bases = list(range(n))
+        graph = make_graph(edges, vertex_count=n)
+        bfs_rows: dict[int, tuple[int, ...]] = {}
         for base in bases:
             examined += 1
-            pg = build_graph(edges, base, vertex_count=n)
+            pg = point_graph(graph, base, bfs_rows)
             if not check_assumptions(pg).passed:
                 rejected_condition += 1
                 continue

@@ -15,14 +15,13 @@ from fractions import Fraction
 from itertools import permutations, product as iter_product
 from math import sqrt
 
-import numpy as np
-
 from . import cayley as cy
 from .errors import (
     BadParameter,
     EmptySphere,
     EnumerationCapExceeded,
     IndexOutOfRange,
+    InternalError,
     NotCayley,
     NotFinite,
     PatternCapExceeded,
@@ -183,7 +182,10 @@ class EmpiricalDistribution:
         }
 
 
-def _step_rng(seed: int, step: int) -> np.random.Generator:
+def _step_rng(seed: int, step: int):
+    """The numpy Generator of one pattern step."""
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, step])))
 
 
@@ -215,6 +217,8 @@ def monte_carlo_conditional(
 
 
 def _mc_vector(pg: PointedGraph, pat, trials: int, seed: int) -> dict:
+    import numpy as np
+
     data = pg.cayley
     kind = data.cg.kind
     mods = np.array(kind.mods, dtype=np.int64)
@@ -240,7 +244,8 @@ def _mc_vector(pg: PointedGraph, pat, trials: int, seed: int) -> dict:
     dist = np.array(pg.dist, dtype=np.int64)[order]
     codes = ((acc + offsets) * strides).sum(axis=1)
     pos = np.searchsorted(sorted_codes, codes)
-    assert (sorted_codes[pos] == codes).all()
+    if (pos == len(sorted_codes)).any() or (sorted_codes[pos] != codes).any():
+        raise InternalError("a sampled element lies outside the realized window")
     outcome = dist[pos]
     values, tallies = np.unique(outcome, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, tallies)}
@@ -380,7 +385,8 @@ def joint_distance_law(
         prefix: sum(dist_map.values(), Fraction(0))
         for prefix, dist_map in states.items()
     }
-    assert sum(law.values(), Fraction(0)) == 1
+    if sum(law.values(), Fraction(0)) != 1:
+        raise InternalError("the joint distance law does not sum to 1")
     return JointLaw(pg.name, depth, law, alpha, sphere_sizes(pg), pg.vertex_count)
 
 

@@ -5,6 +5,9 @@ failed, 2 means the request itself was unusable.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -255,3 +258,43 @@ def test_malformed_graph_json_exits_2(runner, tmp_path, graph):
     result = run(runner, ["graph", "check", str(path)])
     assert result.exit_code == 2
     assert "error: BadParameter:" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [{"a": "1/2"}, {"1": [1, 2]}],
+    ids=["key-not-integer", "weight-is-a-list"],
+)
+def test_malformed_alpha_file_exits_2(runner, tmp_path, alpha):
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(alpha))
+    result = run(runner, ["walk", "joint", "zmod:4", "--alpha", str(path)])
+    assert result.exit_code == 2
+    assert "Error: alpha" in result.stderr
+    assert "Traceback" not in result.output + result.stderr
+
+
+@pytest.mark.parametrize("max_vertices", ["0", "-3"])
+def test_search_max_vertices_below_one_exits_2(runner, max_vertices):
+    result = run(runner, ["search", "conjecture", "--max-vertices", max_vertices])
+    assert result.exit_code == 2
+    assert "error: BadParameter:" in result.stderr
+    assert result.stdout == ""
+
+
+def test_numpy_is_imported_only_when_needed():
+    script = (
+        "import sys\n"
+        "from click.testing import CliRunner\n"
+        "import forge.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "args = ['search', 'conjecture', '--max-vertices', '4']\n"
+        "result = CliRunner().invoke(forge.cli.main, args, catch_exceptions=False)\n"
+        "print(result.exit_code, 'numpy' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.split() == ["False", "0", "False"]

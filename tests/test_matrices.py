@@ -6,15 +6,18 @@ fully complete rows may feed mass-based arguments.  The rooted binary
 tree at bound 2 exercises both flags.
 """
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
+from forge import matrices
 from forge.cayley import parse_group_spec
 from forge.errors import (
     DimensionMismatch,
     HypothesisNotMet,
     IndexOutOfRange,
+    InternalError,
     RadiusExceeded,
     TruncatedMatrix,
 )
@@ -210,3 +213,19 @@ def test_maincoro_window_scope():
     assert verify_maincoro(table, (1, 2, 3)).passed
     with pytest.raises(RadiusExceeded):
         verify_maincoro(table, (3, 3, 1))
+
+
+def test_broken_invariants_raise_internal_error(monkeypatch):
+    table = build_table(resolve_spec("cycle:6"))
+    with monkeypatch.context() as m:
+        m.setattr(table, "entry", lambda k, i, j: F(0))
+        with pytest.raises(InternalError, match="sum to 1"):
+            transition_matrix(table, 1)
+    p1 = transition_matrix(table, 1)
+    entries = [list(row) for row in p1.entries]
+    entries[0][p1.dim - 1] = F(1)
+    broken = dataclasses.replace(p1, entries=tuple(tuple(row) for row in entries))
+    with monkeypatch.context() as m:
+        m.setattr(matrices, "transition_matrix", lambda table, k: broken)
+        with pytest.raises(InternalError, match="support bound"):
+            norm_bounds(table, 1)

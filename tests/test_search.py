@@ -3,11 +3,26 @@
 Connected-graph counts up to seven vertices (1, 1, 2, 6, 21, 112, 853)
 pin the canonical-form deduplication; the search itself is checked for
 its aggregate bookkeeping and for replayability of whatever it reports.
+
+The pruned canonical labelling is checked against two oracles: the
+unpruned search it replaced (kept here as reference_canonical), which
+must give the same certificate and the same first optimal ordering,
+and networkx.is_isomorphic on the graph atlas.
 """
 
-import pytest
+import hashlib
+import itertools
+import math
+import random
 
-from forge.errors import EnumerationCapExceeded
+import networkx as nx
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+
+from forge import search
+from forge.cli import main
+from forge.errors import BadParameter, EnumerationCapExceeded
 from forge.search import (
     build_graph,
     canonical_base,
@@ -16,6 +31,76 @@ from forge.search import (
     replay_counterexample,
     search_conjecture,
 )
+
+
+def reference_refine(neighbors, colors):
+    """Color refinement as first written: one round at a time from the
+    given coloring until the ranks stop changing."""
+    n = len(neighbors)
+    while True:
+        signatures = []
+        for v in range(n):
+            hist = sorted(colors[w] for w in neighbors[v])
+            signatures.append((colors[v], tuple(hist)))
+        order = sorted(set(signatures))
+        ranks = {sig: r for r, sig in enumerate(order)}
+        new = [ranks[signatures[v]] for v in range(n)]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def reference_canonical(neighbors, colors=None):
+    """The labelling as first written: a DFS over every ordering compatible
+    with the refined coloring, pruned only when its adjacency string is
+    already worse than the best found, keeping the first optimal leaf."""
+    n = len(neighbors)
+    colors = reference_refine(neighbors, list(colors) if colors else [0] * n)
+    best = None
+    best_order = None
+
+    def extend(prefix, used, rows):
+        nonlocal best, best_order
+        pos = len(prefix)
+        if pos == n:
+            if best is None or rows < best:
+                best = list(rows)
+                best_order = tuple(prefix)
+            return
+        eligible = [v for v in range(n) if v not in used]
+        min_color = min(colors[v] for v in eligible)
+        for v in eligible:
+            if colors[v] != min_color:
+                continue
+            row = tuple(1 if prefix[i] in neighbors[v] else 0 for i in range(pos))
+            candidate = rows + [row]
+            if best is not None and candidate > best[: len(candidate)]:
+                continue
+            prefix.append(v)
+            used.add(v)
+            extend(prefix, used, candidate)
+            prefix.pop()
+            used.remove(v)
+
+    extend([], set(), [])
+    key = (tuple(colors.count(c) for c in sorted(set(colors))), tuple(best))
+    return key, best_order
+
+
+def _neighbor_sets(n, edges):
+    neighbors = [set() for _ in range(n)]
+    for u, v in edges:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    return neighbors
+
+
+def _reference_leaves(neighbors, colors):
+    """Orderings the reference may visit: the product of the factorials
+    of the refined color classes."""
+    n = len(neighbors)
+    refined = reference_refine(neighbors, list(colors) if colors else [0] * n)
+    return math.prod(math.factorial(refined.count(c)) for c in set(refined))
 
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -100,3 +185,98 @@ def test_build_graph_from_entry_fields():
     entry = max(report.classified, key=lambda e: len(e.edges))
     pg = build_graph(entry.edges, entry.base, vertex_count=entry.vertices)
     assert pg.vertex_count == entry.vertices
+
+
+def test_max_vertices_below_one_is_rejected():
+    for bad in (0, -3):
+        with pytest.raises(BadParameter):
+            search_conjecture(max_vertices=bad)
+
+
+def test_canonical_matches_reference_on_enumerated_graphs(monkeypatch):
+    labelled = []
+
+    def recording_key(neighbors, colors=None):
+        labelled.append([set(s) for s in neighbors])
+        return canonical_key(neighbors, colors)
+
+    monkeypatch.setattr(search, "canonical_key", recording_key)
+    for _ in enumerate_connected_graphs(6):
+        pass
+    assert len(labelled) == 759
+    for neighbors in labelled:
+        assert search._canonical(neighbors) == reference_canonical(neighbors)
+
+
+@st.composite
+def colored_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    colors = draw(
+        st.none() | st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n)
+    )
+    return _neighbor_sets(n, edges), colors
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(colored_graphs())
+def test_canonical_matches_reference_on_random_colored_graphs(graph):
+    neighbors, colors = graph
+    # The reference may visit every compatible ordering (9! on the empty
+    # graph); larger symmetric cases are covered by the enumeration test.
+    if _reference_leaves(neighbors, colors) > math.factorial(7):
+        return
+    assert search._canonical(neighbors, colors) == reference_canonical(neighbors, colors)
+
+
+def test_canonical_matches_reference_on_symmetric_graphs():
+    cases = [
+        ("empty", 7, []),
+        ("complete", 7, list(itertools.combinations(range(7), 2))),
+        ("cycle", 9, [(v, (v + 1) % 9) for v in range(9)]),
+        ("K3,3", 6, [(u, v) for u in range(3) for v in range(3, 6)]),
+        ("petersen", 10, list(nx.petersen_graph().edges())),
+    ]
+    for name, n, edges in cases:
+        neighbors = _neighbor_sets(n, edges)
+        assert search._canonical(neighbors) == reference_canonical(neighbors), name
+
+
+def test_canonical_key_equality_is_isomorphism_on_the_atlas():
+    rng = random.Random(6)
+    graphs = []
+    for graph in nx.graph_atlas_g()[1:]:
+        n = graph.number_of_nodes()
+        if n > 6 or not nx.is_connected(graph):
+            continue
+        perm = list(range(n))
+        rng.shuffle(perm)
+        graphs.append(graph)
+        graphs.append(nx.relabel_nodes(graph, dict(enumerate(perm))))
+    assert len(graphs) == 2 * sum(CONNECTED_COUNTS[n] for n in range(1, 7))
+    buckets = {}
+    for graph in graphs:
+        n = graph.number_of_nodes()
+        key = canonical_key(_neighbor_sets(n, graph.edges()))
+        buckets.setdefault((n, graph.number_of_edges()), []).append((key, graph))
+    for bucket in buckets.values():
+        for (key_a, a), (key_b, b) in itertools.combinations(bucket, 2):
+            assert (key_a == key_b) == nx.is_isomorphic(a, b)
+
+
+# sha256 of `--format json search conjecture --max-vertices 6` as written
+# by the unpruned labelling that reference_canonical keeps.
+SEARCH_6_SHA256 = {
+    "all": "038853bb3e488fe2249dd6de7bb2bbe765db3a673048b7160710cbf81e758534",
+    "canonical": "81a3d6b30c8f32bed9a4b0b8d0720b4fc4969cf14afb0b13b5544b872dc19628",
+}
+
+
+@pytest.mark.parametrize("bases", sorted(SEARCH_6_SHA256))
+def test_search_report_bytes_are_pinned(bases):
+    args = ["--format", "json", "search", "conjecture", "--max-vertices", "6", "--bases", bases]
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.output.encode("utf-8")).hexdigest()
+    assert digest == SEARCH_6_SHA256[bases]

@@ -11,11 +11,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from forge import walks
 from forge.cayley import parse_group_spec
 from forge.errors import (
     BadParameter,
     EnumerationCapExceeded,
     IndexOutOfRange,
+    InternalError,
     NotCayley,
     NotFinite,
     PatternCapExceeded,
@@ -228,3 +230,12 @@ def test_permutation_invariance_fails_on_plane():
     assert not report.passed and not report.hypothesis_met
     pat_a, pat_b, k = report.witness
     assert sorted(pat_a) == sorted(pat_b) == [1, 1, 2]
+
+
+def test_joint_law_that_loses_mass_raises_internal_error(monkeypatch):
+    def half_mass(pg, alpha):
+        return {i: F(1, 8) for i in pg.spheres}
+
+    monkeypatch.setattr(walks, "validate_alpha", half_mass)
+    with pytest.raises(InternalError, match="sum to 1"):
+        joint_distance_law(parse_group_spec("zmod:4"), None, 2)
