@@ -9,7 +9,6 @@ classified exactly.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import BadParameter, EnumerationCapExceeded, InternalError
@@ -20,32 +19,19 @@ DEFAULT_GRAPH_CAP = 100_000
 
 
 def _refine(neighbors, colors):
-    """One-dimensional color refinement to a stable partition.  From a
-    uniform coloring the first round ranks the vertices by degree."""
-    if colors and min(colors) == max(colors):
-        degrees = [len(nbrs) for nbrs in neighbors]
-        ranks = {d: r for r, d in enumerate(sorted(set(degrees)))}
-        new = [ranks[d] for d in degrees]
-        if new == colors:
-            return colors
-        colors = new
+    """One-dimensional color refinement to a stable partition."""
+    n = len(neighbors)
     while True:
-        signatures = [
-            (colors[v], tuple(sorted([colors[w] for w in nbrs])))
-            for v, nbrs in enumerate(neighbors)
-        ]
-        ranks = {sig: r for r, sig in enumerate(sorted(set(signatures)))}
-        new = [ranks[sig] for sig in signatures]
+        signatures = []
+        for v in range(n):
+            hist = sorted(colors[w] for w in neighbors[v])
+            signatures.append((colors[v], tuple(hist)))
+        order = sorted(set(signatures))
+        ranks = {sig: r for r, sig in enumerate(order)}
+        new = [ranks[signatures[v]] for v in range(n)]
         if new == colors:
             return colors
         colors = new
-
-
-@functools.lru_cache(maxsize=4096)
-def _row_tuple(length: int, row: int) -> tuple:
-    """The 0/1 tuple of a row bitmask, most significant bit first.  The
-    cache holds every row of graphs up to 12 vertices."""
-    return tuple(row >> (length - 1 - i) & 1 for i in range(length))
 
 
 def _canonical(neighbors, colors=None) -> tuple:
@@ -63,7 +49,12 @@ def _canonical(neighbors, colors=None) -> tuple:
     prefix, so its subtree repeats the same strings later).
     """
     n = len(neighbors)
-    colors = _refine(neighbors, list(colors) if colors else [0] * n)
+    # Refining the uniform coloring splits it by degree first, so an
+    # uncolored graph starts from its degrees: a round depends only on the
+    # order of the colors, so this reaches the same stable coloring.
+    colors = _refine(
+        neighbors, list(colors) if colors else [len(nbrs) for nbrs in neighbors]
+    )
     adjacency = [sum(1 << w for w in nbrs) for nbrs in neighbors]
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
@@ -106,7 +97,10 @@ def _canonical(neighbors, colors=None) -> tuple:
     extend([], 0, [], [0] * n)
     if best_order is None:
         raise InternalError("canonical labelling reached no leaf")
-    string = tuple(_row_tuple(pos, row) for pos, row in enumerate(best))
+    string = tuple(
+        tuple(row >> (pos - 1 - i) & 1 for i in range(pos))
+        for pos, row in enumerate(best)
+    )
     key = (tuple(len(cells[c]) for c in sorted(cells)), string)
     return key, best_order
 

@@ -243,6 +243,19 @@ def test_canonical_matches_reference_on_symmetric_graphs():
         assert search._canonical(neighbors) == reference_canonical(neighbors), name
 
 
+def test_refining_from_degrees_matches_refining_from_uniform():
+    # _canonical starts an uncolored graph from its degrees; the stable
+    # coloring, numbering included, must be the one the uniform start gives.
+    rng = random.Random(17)
+    for _ in range(2000):
+        n = rng.randint(0, 12)
+        p = rng.random()
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        neighbors = _neighbor_sets(n, edges)
+        degrees = [len(nbrs) for nbrs in neighbors]
+        assert search._refine(neighbors, degrees) == reference_refine(neighbors, [0] * n)
+
+
 def test_canonical_key_equality_is_isomorphism_on_the_atlas():
     rng = random.Random(6)
     graphs = []
