@@ -484,14 +484,6 @@ class S3Report:
     witness: tuple | None
     scope: str
 
-    def to_jsonable(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checked": self.checked,
-            "witness": list(self.witness) if self.witness else None,
-            "scope": self.scope,
-        }
-
 
 def check_S3(cg: CayleyGraph, radius: int, sample_cap: int = 200_000) -> S3Report:
     """Cross-validate the translation identity against raw window BFS.

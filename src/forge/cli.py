@@ -6,7 +6,6 @@ Exit codes: 0 = result produced, 1 = a verified property failed,
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from fractions import Fraction
@@ -14,7 +13,7 @@ from fractions import Fraction
 import click
 
 from . import cayley as cy
-from .errors import ForgeError
+from .errors import BadParameter, ForgeError
 from .fixtures import resolve_spec
 from .graphs import check_assumptions, index_set
 from .hypergroup import (
@@ -61,7 +60,8 @@ def _tsv_rows(data, prefix=""):
         yield (prefix, "" if data is None else data)
 
 
-def _emit(ctx, payload) -> None:
+def _emit(ctx, payload, ok: bool = True) -> None:
+    """Write the report; exit 1 after it when a verified property failed."""
     cfg = ctx.obj
     data = jsonable(payload)
     if cfg["format"] == "json":
@@ -73,18 +73,19 @@ def _emit(ctx, payload) -> None:
             fh.write(text)
     else:
         click.echo(text, nl=False)
+    if not ok:
+        sys.exit(FAIL)
 
 
-def _forge_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _ForgeGroup(click.Group):
+    """The root group: any ForgeError from a subcommand exits 2 with one line."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except ForgeError as exc:
             click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
             sys.exit(USAGE)
-
-    return wrapper
 
 
 def _pattern_arg(text: str) -> tuple[int, ...]:
@@ -132,21 +133,21 @@ def _group_for(spec: str) -> cy.CayleyGraph:
     """A Cayley group from a group spec, or from a Cayley-backed fixture."""
     try:
         return cy.parse_group_spec(spec)
-    except ForgeError:
+    except BadParameter:
         pg = resolve_spec(spec)
         if pg.cayley is None:
             raise
         return pg.cayley.cg
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+@click.group(cls=_ForgeGroup, context_settings={"help_option_names": ["-h", "--help"]})
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report to a file instead of stdout.")
 @click.option("--format", "fmt", type=click.Choice(["json", "tsv"]), default="json", show_default=True, help="Report serialization.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Monte-Carlo seed.")
-@click.option("--cap-enumeration", type=int, default=None, help="Max tuples for brute-force products.")
-@click.option("--cap-pattern", type=int, default=None, help="Max pattern space for joint laws.")
-@click.option("--cap-graphs", type=int, default=None, help="Max graphs for the conjecture search.")
-@click.option("--cap-window", type=int, default=None, help="Max vertices in a realized window.")
+@click.option("--cap-enumeration", type=int, default=None, help="Max step tuples that `product brute` enumerates.")
+@click.option("--cap-pattern", type=int, default=None, help="Max distance patterns in the joint law of `walk joint` and `walk markov`.")
+@click.option("--cap-graphs", type=int, default=None, help="Max graphs that `search conjecture` enumerates.")
+@click.option("--cap-window", type=int, default=None, help="Max vertices that `cayley realize` builds; fixtures and other commands keep the 200000 default.")
 @click.pass_context
 def main(ctx, out, fmt, seed, cap_enumeration, cap_pattern, cap_graphs, cap_window):
     """Exact hypergroup products, walk laws, and operator bounds on pointed graphs."""
@@ -177,7 +178,6 @@ def graph():
 @graph.command("check")
 @click.argument("spec")
 @click.pass_context
-@_forge_errors
 def graph_check(ctx, spec):
     """Verify simplicity, connectivity, local finiteness, and condition (iii)."""
     pg = resolve_spec(spec)
@@ -191,9 +191,8 @@ def graph_check(ctx, spec):
             "index_set": {"indices": indices, "top": top},
             "assumptions": report,
         },
+        ok=report.passed,
     )
-    if not report.passed:
-        sys.exit(FAIL)
 
 
 @main.group()
@@ -205,7 +204,6 @@ def cayley():
 @click.argument("spec")
 @click.option("--radius", type=int, default=None, help="Window radius; omit to realize a finite group fully.")
 @click.pass_context
-@_forge_errors
 def cayley_realize(ctx, spec, radius):
     """Realize a group window as a pointed-graph JSON object."""
     cg = cy.parse_group_spec(spec)
@@ -222,13 +220,10 @@ def cayley_realize(ctx, spec, radius):
 @click.argument("spec")
 @click.option("--radius", type=int, required=True, help="Window radius for the translation identity check.")
 @click.pass_context
-@_forge_errors
 def cayley_s3(ctx, spec, radius):
     """Check d(v, vw) = |w| against raw window BFS."""
     report = cy.check_S3(cy.parse_group_spec(spec), radius)
-    _emit(ctx, report)
-    if not report.passed:
-        sys.exit(FAIL)
+    _emit(ctx, report, ok=report.passed)
 
 
 @main.group()
@@ -240,7 +235,6 @@ def hyper():
 @click.argument("spec")
 @click.option("--bound", type=int, default=None, help="Largest row index; defaults to the full/certifiable range.")
 @click.pass_context
-@_forge_errors
 def hyper_table(ctx, spec, bound):
     """The table of products x_i o x_j up to the bound."""
     _emit(ctx, build_table(resolve_spec(spec), bound=bound))
@@ -250,7 +244,6 @@ def hyper_table(ctx, spec, bound):
 @click.argument("spec")
 @click.option("--bound", type=int, default=None)
 @click.pass_context
-@_forge_errors
 def hyper_classify(ctx, spec, bound):
     """Hypergroup / PreHypergroupOnly verdict with the first witness."""
     _emit(ctx, classify(build_table(resolve_spec(spec), bound=bound)))
@@ -259,7 +252,6 @@ def hyper_classify(ctx, spec, bound):
 @hyper.command("conditions")
 @click.argument("spec")
 @click.pass_context
-@_forge_errors
 def hyper_conditions(ctx, spec):
     """Assumptions, both walk conditions, and (finite only) distance regularity."""
     pg = resolve_spec(spec)
@@ -269,9 +261,7 @@ def hyper_conditions(ctx, spec):
     payload = {"graph": pg.name, "assumptions": assumptions, "S1": s1, "S2": s2}
     if not pg.truncated:
         payload["distance_regular"] = check_distance_regular(pg)
-    _emit(ctx, payload)
-    if not (assumptions.passed and s1.passed and s2.passed):
-        sys.exit(FAIL)
+    _emit(ctx, payload, ok=assumptions.passed and s1.passed and s2.passed)
 
 
 @main.group()
@@ -284,7 +274,6 @@ def product():
 @click.option("--pattern", required=True)
 @click.option("--bound", type=int, default=None)
 @click.pass_context
-@_forge_errors
 def product_pl(ctx, spec, pattern, bound):
     """Left-nested product PL(i_1, ..., i_m)."""
     pat = _pattern_arg(pattern)
@@ -296,7 +285,6 @@ def product_pl(ctx, spec, pattern, bound):
 @click.argument("spec")
 @click.option("--pattern", required=True)
 @click.pass_context
-@_forge_errors
 def product_j(ctx, spec, pattern):
     """Jump distribution J(i_1, ..., i_m)."""
     pat = _pattern_arg(pattern)
@@ -307,7 +295,6 @@ def product_j(ctx, spec, pattern):
 @click.argument("spec")
 @click.option("--pattern", required=True)
 @click.pass_context
-@_forge_errors
 def product_brute(ctx, spec, pattern):
     """Exact conditional law by full enumeration (Cayley graphs)."""
     pat = _pattern_arg(pattern)
@@ -322,7 +309,6 @@ def product_brute(ctx, spec, pattern):
 @click.option("--pattern", required=True)
 @click.option("--trials", type=int, default=100_000, show_default=True)
 @click.pass_context
-@_forge_errors
 def product_mc(ctx, spec, pattern, trials):
     """Monte-Carlo estimate of the conditional law (Cayley graphs)."""
     pat = _pattern_arg(pattern)
@@ -340,7 +326,6 @@ def walk():
 @click.option("--alpha", default="uniform", show_default=True, help="'uniform' or a JSON file of index -> weight.")
 @click.option("--depth", type=int, default=2, show_default=True)
 @click.pass_context
-@_forge_errors
 def walk_joint(ctx, spec, alpha, depth):
     """Exact joint law of (Z_1, ..., Z_depth) for a finite Cayley walk."""
     cg = _group_for(spec)
@@ -354,7 +339,6 @@ def walk_joint(ctx, spec, alpha, depth):
 @click.option("--alpha", default="uniform", show_default=True)
 @click.option("--depth", type=int, default=3, show_default=True)
 @click.pass_context
-@_forge_errors
 def walk_markov(ctx, spec, alpha, depth):
     """Markov / i.i.d. verdicts for the distance process."""
     cg = _group_for(spec)
@@ -362,9 +346,7 @@ def walk_markov(ctx, spec, alpha, depth):
     kwargs = {"pattern_cap": cap} if cap else {}
     law = joint_distance_law(cg, _alpha_arg(alpha), depth, **kwargs)
     report = markov_check(law)
-    _emit(ctx, report)
-    if not report.is_markov:
-        sys.exit(FAIL)
+    _emit(ctx, report, ok=report.is_markov)
 
 
 @main.group()
@@ -377,7 +359,6 @@ def matrix():
 @click.option("--k", type=int, required=True)
 @click.option("--bound", type=int, default=None)
 @click.pass_context
-@_forge_errors
 def matrix_norms(ctx, spec, k, bound):
     """Exact c_k, d_k, and Rayleigh lower bounds for ||P_k||."""
     table = build_table(resolve_spec(spec), bound=bound)
@@ -387,7 +368,6 @@ def matrix_norms(ctx, spec, k, bound):
 @matrix.command("uniform-bound")
 @click.argument("spec")
 @click.pass_context
-@_forge_errors
 def matrix_uniform_bound(ctx, spec):
     """S = sup |S_k(v)| and the uniform bound S^2 on every ||P_k||."""
     _emit(ctx, uniform_norm_bound(resolve_spec(spec)))
@@ -397,38 +377,29 @@ def matrix_uniform_bound(ctx, spec):
 @click.argument("spec")
 @click.option("--bound", type=int, default=None)
 @click.pass_context
-@_forge_errors
 def matrix_commute(ctx, spec, bound):
     """Do all P_i P_j = P_j P_i? Cross-checked against classification."""
     report = commute_check(build_table(resolve_spec(spec), bound=bound))
-    _emit(ctx, report)
-    if not report.commutes:
-        sys.exit(FAIL)
+    _emit(ctx, report, ok=report.commutes)
 
 
 @matrix.command("regular-rep")
 @click.argument("spec")
 @click.option("--bound", type=int, default=None)
 @click.pass_context
-@_forge_errors
 def matrix_regular_rep(ctx, spec, bound):
     """Verify P_i P_j = sum_k p[i,j][k] P_k entrywise."""
     report = verify_regular_representation(build_table(resolve_spec(spec), bound=bound))
-    _emit(ctx, report)
-    if not report.passed:
-        sys.exit(FAIL)
+    _emit(ctx, report, ok=report.passed)
 
 
 @matrix.command("stationary")
 @click.argument("spec")
 @click.pass_context
-@_forge_errors
 def matrix_stationary(ctx, spec):
     """pi_G = (|S_0|, ..., |S_M|)/|G| as a fixed vector of every P_k."""
     report = stationary_check(_group_for(spec))
-    _emit(ctx, report)
-    if not report.passed:
-        sys.exit(FAIL)
+    _emit(ctx, report, ok=report.passed)
 
 
 @matrix.command("maincoro")
@@ -436,15 +407,12 @@ def matrix_stationary(ctx, spec):
 @click.option("--pattern", required=True)
 @click.option("--bound", type=int, default=None)
 @click.pass_context
-@_forge_errors
 def matrix_maincoro(ctx, spec, pattern, bound):
     """Check the product of transition matrices against the jump law."""
     pat = _pattern_arg(pattern)
     table = build_table(resolve_spec(spec), bound=bound)
     report = verify_maincoro(table, pat)
-    _emit(ctx, report)
-    if not report.passed:
-        sys.exit(FAIL)
+    _emit(ctx, report, ok=report.passed)
 
 
 @matrix.command("irreducible")
@@ -452,7 +420,6 @@ def matrix_maincoro(ctx, spec, pattern, bound):
 @click.option("--k", type=int, required=True)
 @click.option("--bound", type=int, default=None)
 @click.pass_context
-@_forge_errors
 def matrix_irreducible(ctx, spec, k, bound):
     """Communicating classes of P_k."""
     table = build_table(resolve_spec(spec), bound=bound)
@@ -468,7 +435,6 @@ def search():
 @click.option("--max-vertices", type=int, default=6, show_default=True)
 @click.option("--bases", type=click.Choice(["all", "canonical"]), default="all", show_default=True)
 @click.pass_context
-@_forge_errors
 def search_cmd(ctx, max_vertices, bases):
     """Scan for graphs that satisfy the walk conditions without being hypergroups."""
     if max_vertices > 10:
@@ -481,22 +447,17 @@ def search_cmd(ctx, max_vertices, bases):
         replayed = replay_counterexample(entry)[3]
         if replayed.verdict != entry.verdict:
             replay_ok = False
-    payload = report.to_jsonable()
+    payload = jsonable(report)
     payload["replay_verified"] = replay_ok
-    _emit(ctx, payload)
-    if not replay_ok:
-        sys.exit(FAIL)
+    _emit(ctx, payload, ok=replay_ok)
 
 
 @main.command("paper-regression")
 @click.pass_context
-@_forge_errors
 def paper_regression_cmd(ctx):
     """Recompute every published worked example; any mismatch fails the run."""
     report = paper_regression()
-    _emit(ctx, report)
-    if not report.passed:
-        sys.exit(FAIL)
+    _emit(ctx, report, ok=report.passed)
 
 
 if __name__ == "__main__":

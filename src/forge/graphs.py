@@ -282,16 +282,6 @@ class AssumptionReport:
             and self.condition_iii in ("pass", "vacuous")
         )
 
-    def to_jsonable(self) -> dict:
-        return {
-            "simple": self.simple,
-            "connected": self.connected,
-            "locally_finite": self.locally_finite,
-            "condition_iii": self.condition_iii,
-            "witness": self.witness,
-            "passed": self.passed,
-        }
-
 
 def check_assumptions(pg: PointedGraph) -> AssumptionReport:
     """Re-verify simplicity and connectivity, then test condition (iii):

@@ -96,25 +96,6 @@ def _validate_index(pg: PointedGraph, n: int, what: str) -> int:
     return n
 
 
-def structure_constant(pg: PointedGraph, i: int, j: int, k: int) -> Fraction:
-    """The exact coefficient p[i,j][k].
-
-    On truncated windows requires i + j <= exact_radius so every sphere
-    involved is ambient-exact.  Indices with k outside [|i-j|, i+j] give
-    0 by the triangle inequality without touching the graph.
-    """
-    _validate_index(pg, i, "i")
-    _validate_index(pg, j, "j")
-    _validate_index(pg, k, "k")
-    if k > i + j or k < abs(i - j):
-        return Fraction(0)
-    if pg.truncated and i + j > pg.exact_radius:
-        raise RadiusExceeded(
-            f"p[{i},{j}] needs i+j <= exact_radius={pg.exact_radius}"
-        )
-    return product(pg, i, j).coefficient(k)
-
-
 def product(pg: PointedGraph, i: int, j: int) -> ProbabilityVector:
     """The full product row x_i o x_j as a probability vector."""
     _validate_index(pg, i, "i")
@@ -237,14 +218,6 @@ class Violation:
     lhs: Fraction | None
     rhs: Fraction | None
 
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": self.kind,
-            "indices": list(self.indices),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
-
 
 @dataclass(frozen=True)
 class ClassificationReport:
@@ -260,16 +233,6 @@ class ClassificationReport:
     bound: int
     witness: Violation | None
     skipped_triples: int = 0
-
-    def to_jsonable(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "commutative": self.commutative,
-            "associative": self.associative,
-            "bound": self.bound,
-            "witness": self.witness,
-            "skipped_triples": self.skipped_triples,
-        }
 
 
 def _first_difference(lhs: ProbabilityVector, rhs: ProbabilityVector):
@@ -360,15 +323,6 @@ class ConditionReport:
     witness: tuple | None
     scope: str
     checked: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "condition": self.condition,
-            "passed": self.passed,
-            "witness": list(self.witness) if self.witness else None,
-            "scope": self.scope,
-            "checked": self.checked,
-        }
 
 
 def check_S1(pg: PointedGraph) -> ConditionReport:

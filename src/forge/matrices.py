@@ -200,16 +200,6 @@ class RegRepReport:
     pairs_skipped: int
     witness: tuple | None
 
-    def to_jsonable(self) -> dict:
-        return {
-            "passed": self.passed,
-            "hypothesis_met": self.hypothesis_met,
-            "pairs_checked": self.pairs_checked,
-            "rows_compared": self.rows_compared,
-            "pairs_skipped": self.pairs_skipped,
-            "witness": list(self.witness) if self.witness else None,
-        }
-
 
 def verify_regular_representation(table: StructureTable) -> RegRepReport:
     """Exact check of the regular-representation identity on all pairs
@@ -251,16 +241,6 @@ class CommuteReport:
     agrees_with_associative: bool
     rows_compared: int
     witness: tuple | None
-
-    def to_jsonable(self) -> dict:
-        return {
-            "commutes": self.commutes,
-            "classify_commutative": self.classify_commutative,
-            "classify_associative": self.classify_associative,
-            "agrees_with_associative": self.agrees_with_associative,
-            "rows_compared": self.rows_compared,
-            "witness": list(self.witness) if self.witness else None,
-        }
 
 
 def commute_check(table: StructureTable) -> CommuteReport:
@@ -430,9 +410,6 @@ class UniformBound:
     bound: int
     scope: str
 
-    def to_jsonable(self) -> dict:
-        return {"s": self.s, "bound": self.bound, "scope": self.scope}
-
 
 def uniform_norm_bound(pg: PointedGraph) -> UniformBound:
     s = 0
@@ -467,16 +444,6 @@ class StationaryReport:
     @property
     def passed(self) -> bool:
         return self.idempotent and self.pi_fixed and self.pi_fixed_all_k
-
-    def to_jsonable(self) -> dict:
-        return {
-            "pi": list(self.pi),
-            "idempotent": self.idempotent,
-            "pi_fixed": self.pi_fixed,
-            "pi_fixed_all_k": self.pi_fixed_all_k,
-            "witness_k": self.witness_k,
-            "passed": self.passed,
-        }
 
 
 def stationary_check(cg) -> StationaryReport:
@@ -516,12 +483,6 @@ def stationary_check(cg) -> StationaryReport:
 class IrreducibilityReport:
     irreducible: bool
     classes: tuple
-
-    def to_jsonable(self) -> dict:
-        return {
-            "irreducible": self.irreducible,
-            "classes": [list(c) for c in self.classes],
-        }
 
 
 def irreducibility(p: TransitionMatrix) -> IrreducibilityReport:
@@ -569,15 +530,6 @@ class MaincoroReport:
     pattern: tuple
     rows_compared: int
     witness: tuple | None
-
-    def to_jsonable(self) -> dict:
-        return {
-            "passed": self.passed,
-            "hypothesis_met": self.hypothesis_met,
-            "pattern": list(self.pattern),
-            "rows_compared": self.rows_compared,
-            "witness": list(self.witness) if self.witness else None,
-        }
 
 
 def verify_maincoro(

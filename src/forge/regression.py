@@ -47,15 +47,6 @@ class RegressionEntry:
     def match(self) -> bool:
         return self.expected == self.computed
 
-    def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "claim": self.claim,
-            "expected": self.expected,
-            "computed": self.computed,
-            "match": self.match,
-        }
-
 
 @dataclass(frozen=True)
 class RegressionReport:
@@ -74,7 +65,7 @@ class RegressionReport:
             "total": len(self.entries),
             "mismatching": len(self.mismatches),
             "passed": self.passed,
-            "entries": [e.to_jsonable() for e in self.entries],
+            "entries": list(self.entries),
         }
 
 

@@ -159,17 +159,6 @@ class SearchEntry:
     verdict: str
     witness: tuple | None
 
-    def to_jsonable(self) -> dict:
-        return {
-            "vertices": self.vertices,
-            "edges": [list(e) for e in self.edges],
-            "base": self.base,
-            "commutative": self.commutative,
-            "associative": self.associative,
-            "verdict": self.verdict,
-            "witness": list(self.witness) if self.witness else None,
-        }
-
 
 @dataclass(frozen=True)
 class SearchReport:
@@ -187,19 +176,6 @@ class SearchReport:
     @property
     def conjecture_holds(self) -> bool:
         return not self.counterexamples
-
-    def to_jsonable(self) -> dict:
-        return {
-            "max_vertices": self.max_vertices,
-            "base_policy": self.base_policy,
-            "graph_counts": {str(n): c for n, c in sorted(self.graph_counts.items())},
-            "pointed_examined": self.pointed_examined,
-            "rejected_condition": self.rejected_condition,
-            "rejected_walk": self.rejected_walk,
-            "classified": [e.to_jsonable() for e in self.classified],
-            "counterexamples": [e.to_jsonable() for e in self.counterexamples],
-            "conjecture_holds": self.conjecture_holds,
-        }
 
 
 def search_conjecture(

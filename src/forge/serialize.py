@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -25,11 +26,20 @@ def jsonable(obj):
 
     Fractions become "num/den" strings, tuples become lists, dict keys
     become strings, and objects exposing to_jsonable() delegate to it.
+    Any other dataclass instance becomes its fields in declaration
+    order, then the properties its own class defines, in definition
+    order; TSV rows follow that order.
     """
     if isinstance(obj, Fraction):
         return frac_str(obj)
     if hasattr(obj, "to_jsonable"):
         return jsonable(obj.to_jsonable())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        data = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        for name, attr in vars(type(obj)).items():
+            if isinstance(attr, property):
+                data[name] = getattr(obj, name)
+        return jsonable(data)
     if isinstance(obj, dict):
         return {_key(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -219,6 +220,67 @@ def test_paper_regression_reports_known_mismatches(runner):
     assert names == {"tree-j-112", "zline-rayleigh-geometric"}
 
 
+def tsv_fields(result):
+    return [line.split("\t")[0] for line in result.output.splitlines()]
+
+
+def test_tsv_rows_follow_report_field_order(runner):
+    result = run(runner, ["--format", "tsv", "hyper", "conditions", "prism:3"])
+    assert result.exit_code == 1
+    assert tsv_fields(result) == [
+        "field",
+        "graph",
+        "assumptions.simple",
+        "assumptions.connected",
+        "assumptions.locally_finite",
+        "assumptions.condition_iii",
+        "assumptions.witness",
+        "assumptions.passed",
+        "S1.condition",
+        "S1.passed",
+        "S1.witness",
+        "S1.scope",
+        "S1.checked",
+        "S2.condition",
+        "S2.passed",
+        *(f"S2.witness.{i}" for i in range(7)),
+        "S2.scope",
+        "S2.checked",
+        "distance_regular.passed",
+        "distance_regular.diameter",
+        "distance_regular.intersection_numbers",
+        *(f"distance_regular.witness.{i}" for i in range(9)),
+    ]
+
+
+def test_tsv_rows_of_a_search_follow_report_field_order(runner):
+    args = ["search", "conjecture", "--max-vertices", "4"]
+    entries = payload(run(runner, args))["classified"]
+    result = run(runner, ["--format", "tsv", *args])
+    assert result.exit_code == 0
+    expected = [
+        "field",
+        "max_vertices",
+        "base_policy",
+        *(f"graph_counts.{n}" for n in range(1, 5)),
+        "pointed_examined",
+        "rejected_condition",
+        "rejected_walk",
+    ]
+    for idx, entry in enumerate(entries):
+        row = f"classified.{idx}"
+        expected.append(f"{row}.vertices")
+        for e in range(len(entry["edges"])):
+            expected += [f"{row}.edges.{e}.0", f"{row}.edges.{e}.1"]
+        expected += [
+            f"{row}.{name}"
+            for name in ("base", "commutative", "associative", "verdict", "witness")
+        ]
+    expected += ["conjecture_holds", "replay_verified"]
+    assert len(entries) == 14
+    assert tsv_fields(result) == expected
+
+
 def test_tsv_format(runner):
     result = run(runner, ["--format", "tsv", "hyper", "classify", "cycle:4"])
     assert result.exit_code == 0
@@ -241,6 +303,50 @@ def test_perm_fixture_with_generator_file_in_a_subdirectory(runner, tmp_path, mo
     data = payload(result)
     assert data["graph"] == "perm:d/s5.txt:r=2"
     assert data["S1"]["passed"] and data["S2"]["passed"]
+
+
+def _leaf_commands(group, path=()):
+    for name, command in sorted(group.commands.items()):
+        if isinstance(command, click.Group):
+            yield from _leaf_commands(command, (*path, name))
+        else:
+            yield (*path, name), command
+
+
+def _unknown_spec_args(path, command):
+    """The command on an unknown fixture, with "1" for each required option."""
+    args = [*path, "nosuch:1"]
+    for param in command.params:
+        if isinstance(param, click.Option) and param.required:
+            args += [param.opts[0], "1"]
+    return args
+
+
+SPEC_COMMANDS = [
+    _unknown_spec_args(path, command)
+    for path, command in _leaf_commands(main)
+    if any(param.name == "spec" for param in command.params)
+]
+
+
+def test_every_spec_command_is_walked():
+    assert len(SPEC_COMMANDS) == 19
+
+
+@pytest.mark.parametrize(
+    "args",
+    [*SPEC_COMMANDS, ["search", "conjecture", "--max-vertices", "0"]],
+    ids=" ".join,
+)
+def test_bad_input_exits_2_with_one_error_line(runner, args):
+    """Exit-code contract: bad input is exit 2 with an `error:` line, no
+    report and no traceback (an uncaught exception would fail the run)."""
+    result = run(runner, args)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,6 @@ from forge.hypergroup import (
     product,
     q_to_p,
     sphere_sizes,
-    structure_constant,
 )
 
 
@@ -63,9 +62,10 @@ def test_combine_mixes_convexly():
 
 def test_structure_constants_on_one_dimensional_lattice():
     pg = resolve_spec("lattice:1:r=12")
-    assert structure_constant(pg, 1, 1, 0) == F(1, 2)
-    assert structure_constant(pg, 1, 1, 2) == F(1, 2)
-    assert structure_constant(pg, 1, 1, 1) == 0
+    row = product(pg, 1, 1)
+    assert row.coefficient(0) == F(1, 2)
+    assert row.coefficient(2) == F(1, 2)
+    assert row.coefficient(1) == 0
     assert product(pg, 2, 3).as_dict() == {1: F(1, 2), 5: F(1, 2)}
 
 

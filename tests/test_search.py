@@ -31,6 +31,7 @@ from forge.search import (
     replay_counterexample,
     search_conjecture,
 )
+from forge.serialize import jsonable
 
 
 def reference_refine(neighbors, colors):
@@ -175,7 +176,7 @@ def test_replay_reproduces_classification():
 
 def test_replay_accepts_jsonable_entry():
     report = search_conjecture(max_vertices=4)
-    entry = report.classified[-1].to_jsonable()
+    entry = jsonable(report.classified[-1])
     _, _, _, classification = replay_counterexample(entry)
     assert classification.verdict == entry["verdict"]
 

@@ -8,6 +8,7 @@ import pytest
 from forge.errors import BadParameter
 from forge.fixtures import resolve_spec
 from forge.hypergroup import build_table, classify
+from forge.search import SearchEntry, SearchReport
 from forge.serialize import dumps_json, dumps_tsv, frac_str, jsonable, parse_frac
 
 
@@ -31,6 +32,20 @@ def test_jsonable_handles_reports_and_fractions():
     assert data["verdict"] == "PreHypergroupOnly"
     assert data["witness"]["lhs"] == "1/5"
     json.dumps(data)
+
+
+def test_search_entry_with_a_violation_witness_serializes():
+    report = classify(build_table(resolve_spec("tree:binary:12")))
+    entry = SearchEntry(
+        3, ((0, 1), (1, 2)), 0, report.commutative, report.associative, report.verdict, report.witness
+    )
+    data = json.loads(dumps_json(entry))
+    assert data["witness"] == {"indices": [1, 2, 1], "kind": "commutativity", "lhs": "1/5", "rhs": "1/3"}
+    assert data["edges"] == [[0, 1], [1, 2]]
+    search = SearchReport(3, "all", {3: 1}, 3, 0, 2, (entry,), (entry,))
+    data = json.loads(dumps_json(search))
+    assert data["counterexamples"][0]["witness"]["kind"] == "commutativity"
+    assert data["conjecture_holds"] is False
 
 
 def test_dumps_json_is_stable():
