@@ -35,7 +35,6 @@ from .hypergroup import (
     check_distance_regular,
     classify,
     product,
-    q_to_p,
     sphere_sizes,
 )
 from .matrices import (
@@ -104,7 +103,6 @@ __all__ = [
     "parse_group_spec",
     "permutation_invariance_check",
     "product",
-    "q_to_p",
     "realize_full",
     "realize_window",
     "replay_counterexample",

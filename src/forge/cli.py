@@ -50,14 +50,13 @@ USAGE = 2
 
 
 def _tsv_rows(data, prefix=""):
-    if isinstance(data, dict):
-        for key in data:
-            yield from _tsv_rows(data[key], f"{prefix}.{key}" if prefix else str(key))
-    elif isinstance(data, list):
-        for idx, item in enumerate(data):
-            yield from _tsv_rows(item, f"{prefix}.{idx}" if prefix else str(idx))
+    """(field, value) rows; None and an empty list or dict give one empty value."""
+    if isinstance(data, (dict, list)) and data:
+        pairs = data.items() if isinstance(data, dict) else enumerate(data)
+        for key, item in pairs:
+            yield from _tsv_rows(item, f"{prefix}.{key}" if prefix else str(key))
     else:
-        yield (prefix, "" if data is None else data)
+        yield (prefix, "" if data is None or isinstance(data, (dict, list)) else data)
 
 
 def _emit(ctx, payload, ok: bool = True) -> None:
@@ -206,7 +205,7 @@ def cayley():
 @click.pass_context
 def cayley_realize(ctx, spec, radius):
     """Realize a group window as a pointed-graph JSON object."""
-    cg = cy.parse_group_spec(spec)
+    cg = _group_for(spec)
     cap = ctx.obj["cap_window"]
     kwargs = {"cap": cap} if cap else {}
     if radius is None:
@@ -222,7 +221,7 @@ def cayley_realize(ctx, spec, radius):
 @click.pass_context
 def cayley_s3(ctx, spec, radius):
     """Check d(v, vw) = |w| against raw window BFS."""
-    report = cy.check_S3(cy.parse_group_spec(spec), radius)
+    report = cy.check_S3(_group_for(spec), radius)
     _emit(ctx, report, ok=report.passed)
 
 

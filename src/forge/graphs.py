@@ -258,6 +258,20 @@ def sphere_at(pg: PointedGraph, v: int, n: int) -> tuple[int, ...]:
     return tuple(u for u, d in enumerate(dist) if d == n)
 
 
+def sphere_profile(pg: PointedGraph, v: int, n: int) -> dict[int, int]:
+    """The counts |S_n(v) ∩ S_k(base)| keyed by k, for the k that occur.
+
+    S_n(v) comes from sphere_at, under its scope rule; products and the
+    walk condition (S2) are reductions over these integer counts.
+    """
+    dist = pg.dist
+    profile: dict[int, int] = {}
+    for u in sphere_at(pg, v, n):
+        k = dist[u]
+        profile[k] = profile.get(k, 0) + 1
+    return profile
+
+
 @dataclass(frozen=True)
 class AssumptionReport:
     """Verdicts for the three standing assumptions.

@@ -11,9 +11,9 @@ the unit law, the support bound |i-j| <= k <= i+j, hermiticity
 associativity can fail, and classify() decides them within a bound.
 
 Separate checks cover the two sphere-regularity conditions (constant
-sphere sizes; constant sphere intersections), full distance regularity,
-and the translation from distance-regular intersection numbers to
-structure constants.
+sphere sizes; constant sphere intersections) and full distance
+regularity.  The products and (S2) both reduce over the integer counts
+|S_n(v) ∩ S_k| that graphs.sphere_profile returns.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     NotFinite,
     RadiusExceeded,
 )
-from .graphs import PointedGraph, bfs_distances, sphere_at
+from .graphs import PointedGraph, bfs_distances, sphere_at, sphere_profile
 
 
 @dataclass(frozen=True)
@@ -107,17 +107,22 @@ def product(pg: PointedGraph, i: int, j: int) -> ProbabilityVector:
     base_sphere = pg.spheres.get(i, ())
     if not base_sphere:
         raise EmptySphere(f"S_{i}(base) is empty")
-    size_i = len(base_sphere)
-    acc: dict[int, Fraction] = {}
+    # counts[s][k]: |S_j(v) ∩ S_k| summed over the v in S_i with |S_j(v)| = s
+    counts: dict[int, dict[int, int]] = {}
     for v in base_sphere:
-        ball = sphere_at(pg, v, j)
-        if not ball:
+        profile = sphere_profile(pg, v, j)
+        size = sum(profile.values())
+        if not size:
             raise EmptySphere(f"S_{j}({v}) is empty; the product is undefined")
-        unit = Fraction(1, size_i * len(ball))
-        for u in ball:
-            k = pg.dist[u]
-            acc[k] = acc.get(k, Fraction(0)) + unit
-    vec = ProbabilityVector.from_pairs(acc.items())
+        total = counts.setdefault(size, {})
+        for k, count in profile.items():
+            total[k] = total.get(k, 0) + count
+    size_i = len(base_sphere)
+    vec = ProbabilityVector.from_pairs(
+        (k, Fraction(count, size_i * size))
+        for size, total in counts.items()
+        for k, count in total.items()
+    )
     lo, hi = abs(i - j), i + j
     if not all(lo <= k <= hi for k in vec.support):
         raise InternalError(f"x_{i} o x_{j} has support {vec.support} outside [{lo}, {hi}]")
@@ -130,11 +135,10 @@ class StructureTable:
     """Cached products x_i o x_j for i, j up to a bound.
 
     Rows beyond the bound are computed lazily when the underlying graph
-    can still certify them; tables derived from intersection numbers have
-    no graph and serve only their precomputed rows.
+    can still certify them.
     """
 
-    def __init__(self, pg: PointedGraph | None, bound: int, rows: dict):
+    def __init__(self, pg: PointedGraph, bound: int, rows: dict):
         self.pg = pg
         self.bound = bound
         self.rows = rows
@@ -152,10 +156,6 @@ class StructureTable:
         key = (i, j)
         if key in self.rows:
             return self.rows[key]
-        if self.pg is None:
-            raise IndexOutOfRange(
-                f"row ({i},{j}) outside bound {self.bound} of a graph-free table"
-            )
         vec = product(self.pg, i, j)
         self.rows[key] = vec
         return vec
@@ -164,18 +164,10 @@ class StructureTable:
     def indices(self) -> range:
         return range(self.bound + 1)
 
-    def same_entries(self, other: "StructureTable") -> bool:
-        bound = min(self.bound, other.bound)
-        return all(
-            self.row(i, j) == other.row(i, j)
-            for i in range(bound + 1)
-            for j in range(bound + 1)
-        )
-
     def to_jsonable(self) -> dict:
         return {
             "bound": self.bound,
-            "graph": self.pg.name if self.pg is not None else None,
+            "graph": self.pg.name,
             "rows": {f"{i},{j}": self.rows[(i, j)] for (i, j) in sorted(self.rows)},
         }
 
@@ -362,26 +354,24 @@ def check_S2(pg: PointedGraph) -> ConditionReport:
         scope = "all index triples and vertices"
         k_range = sorted(pg.spheres)
     for k in k_range:
+        sphere = pg.spheres[k]
         i_range = (
             range(0, radius - k + 1) if pg.truncated else sorted(pg.spheres)
         )
         for i in i_range:
+            profiles = [sphere_profile(pg, v, i) for v in sphere]
             j_range = range(0, k + i + 1) if pg.truncated else sorted(pg.spheres)
             for j in j_range:
-                expected = None
-                ref_vertex = None
-                for v in pg.spheres[k]:
-                    ball = sphere_at(pg, v, i)
-                    count = sum(1 for u in ball if pg.dist[u] == j)
+                expected = profiles[0].get(j, 0)
+                for v, profile in zip(sphere, profiles):
+                    count = profile.get(j, 0)
                     checked += 1
-                    if expected is None:
-                        expected, ref_vertex = count, v
-                    elif count != expected:
+                    if count != expected:
                         witness = (
                             i,
                             j,
                             k,
-                            pg.label(ref_vertex),
+                            pg.label(sphere[0]),
                             expected,
                             pg.label(v),
                             count,
@@ -494,24 +484,3 @@ def check_distance_regular(pg: PointedGraph) -> DRReport:
     }
     return DRReport(True, diameter, numbers, None)
 
-
-def q_to_p(report: DRReport) -> StructureTable:
-    """Structure constants from distance-regular intersection numbers:
-    p[i,j][k] = Q[j,k | i] / Q[j,j | 0]."""
-    if not report.passed or report.intersection_numbers is None:
-        raise BadParameter("q_to_p needs a passing distance-regularity report")
-    q = report.intersection_numbers
-    d = report.diameter
-    rows = {}
-    for i in range(d + 1):
-        for j in range(d + 1):
-            den = q.get((j, j, 0), 0)
-            if den == 0:
-                raise BadParameter(f"no sphere of radius {j} in the intersection numbers")
-            pairs = []
-            for k in range(d + 1):
-                num = q.get((j, k, i), 0)
-                if num:
-                    pairs.append((k, Fraction(num, den)))
-            rows[(i, j)] = ProbabilityVector.from_pairs(pairs)
-    return StructureTable(None, d, rows)

@@ -536,8 +536,6 @@ def verify_maincoro(
     table: StructureTable, pattern, require_hypothesis: bool = False
 ) -> MaincoroReport:
     """Check the m-fold product of transition matrices against the jump law."""
-    if table.pg is None:
-        raise BadParameter("maincoro needs a graph-backed table")
     pat = tuple(int(i) for i in pattern)
     hypothesis = (
         check_S1(table.pg).passed

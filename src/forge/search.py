@@ -110,11 +110,6 @@ def canonical_key(neighbors, colors=None) -> tuple:
     return _canonical(neighbors, colors)[0]
 
 
-def canonical_base(neighbors) -> int:
-    """The vertex placed first by the canonical ordering."""
-    return _canonical(neighbors)[1][0]
-
-
 def _edges_from_neighbors(neighbors) -> tuple:
     return tuple(
         (u, v) for u in range(len(neighbors)) for v in neighbors[u] if u < v
@@ -122,29 +117,30 @@ def _edges_from_neighbors(neighbors) -> tuple:
 
 
 def enumerate_connected_graphs(max_vertices: int, cap: int = DEFAULT_GRAPH_CAP):
-    """Yield (n, neighbor-lists) for one representative per isomorphism
-    class of connected graphs on 1..max_vertices vertices."""
+    """Yield (n, neighbor-lists, first) for one representative per
+    isomorphism class of connected graphs on 1..max_vertices vertices;
+    first is the vertex its canonical ordering places first."""
     total = 1
-    level = [[set()]]
-    yield 1, [set()]
+    level = [([set()], 0)]
+    yield 1, [set()], 0
     for n in range(2, max_vertices + 1):
         seen = {}
-        for parent in level:
+        for parent, _ in level:
             for attach in range(1, 2 ** (n - 1)):
                 subset = {i for i in range(n - 1) if attach >> i & 1}
                 child = [set(s) for s in parent] + [set(subset)]
                 for w in subset:
                     child[w].add(n - 1)
-                key = canonical_key(child)
+                key, ordering = _canonical(child)
                 if key in seen:
                     continue
-                seen[key] = child
+                seen[key] = (child, ordering[0])
                 total += 1
                 if total > cap:
                     raise EnumerationCapExceeded(f"more than {cap} graphs")
         level = list(seen.values())
-        for child in level:
-            yield n, child
+        for child, first in level:
+            yield n, child, first
 
 
 @dataclass(frozen=True)
@@ -194,13 +190,10 @@ def search_conjecture(
     graph_counts: dict[int, int] = {}
     examined = rejected_condition = rejected_walk = 0
     classified = []
-    for n, neighbors in enumerate_connected_graphs(max_vertices, cap):
+    for n, neighbors, first in enumerate_connected_graphs(max_vertices, cap):
         graph_counts[n] = graph_counts.get(n, 0) + 1
         edges = _edges_from_neighbors(neighbors)
-        if base_policy == "canonical":
-            bases = [canonical_base(neighbors)]
-        else:
-            bases = list(range(n))
+        bases = [first] if base_policy == "canonical" else list(range(n))
         graph = make_graph(edges, vertex_count=n)
         bfs_rows: dict[int, tuple[int, ...]] = {}
         for base in bases:

@@ -4,6 +4,7 @@ Exit code 0 means a result was produced, 1 means a verified property
 failed, 2 means the request itself was unusable.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -79,6 +80,15 @@ def test_cayley_s3(runner):
     result = run(runner, ["cayley", "s3", "zmod:6", "--radius", "3"])
     assert result.exit_code == 0
     assert payload(result)["passed"] is True
+
+
+def test_cayley_commands_accept_cayley_backed_fixtures(runner):
+    result = run(runner, ["cayley", "s3", "cycle:5", "--radius", "2"])
+    assert result.exit_code == 0
+    assert payload(result)["passed"] is True
+    prism = run(runner, ["cayley", "realize", "prism:4"])
+    assert prism.exit_code == 0
+    assert prism.stdout == run(runner, ["cayley", "realize", "zmod:4,2"]).stdout
 
 
 def test_hyper_table_and_classify(runner):
@@ -270,15 +280,18 @@ def test_tsv_rows_of_a_search_follow_report_field_order(runner):
     for idx, entry in enumerate(entries):
         row = f"classified.{idx}"
         expected.append(f"{row}.vertices")
-        for e in range(len(entry["edges"])):
-            expected += [f"{row}.edges.{e}.0", f"{row}.edges.{e}.1"]
+        edges = [f"{row}.edges.{e}.{end}" for e in range(len(entry["edges"])) for end in (0, 1)]
+        # An empty list keeps one row with an empty value.
+        expected += edges or [f"{row}.edges"]
         expected += [
             f"{row}.{name}"
             for name in ("base", "commutative", "associative", "verdict", "witness")
         ]
-    expected += ["conjecture_holds", "replay_verified"]
+    expected += ["counterexamples", "conjecture_holds", "replay_verified"]
     assert len(entries) == 14
     assert tsv_fields(result) == expected
+    assert "counterexamples\t" in result.stdout.splitlines()
+    assert "classified.0.edges\t" in result.stdout.splitlines()
 
 
 def test_tsv_format(runner):
@@ -404,3 +417,209 @@ def test_numpy_is_imported_only_when_needed():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.split() == ["False", "0", "False"]
+
+
+# `--format json` reports pinned as (exit code, sha256 of stdout), taken
+# from the reports written before products and (S2) shared one kernel.
+GOLDEN_FIXTURES = [
+    "cycle:5",
+    "cycle:6",
+    "prism:3",
+    "prism:4",
+    "bipartite:2,3",
+    "odd:3",
+    "figure:3",
+    "figure:3:base=w0p",
+    "figure:4",
+    "tree:binary:12",
+    "lattice:1:r=12",
+    "lattice:2:r=9",
+    "ladder:r=5",
+    "free:2:r=3",
+    "zmod:3,2",
+]
+GOLDEN_COMMANDS = [
+    ("hyper conditions", ""),
+    ("hyper table", ""),
+    ("hyper classify", ""),
+    ("matrix norms", "--k 1"),
+    ("matrix commute", ""),
+    ("matrix regular-rep", ""),
+    ("matrix maincoro", "--pattern 1,1"),
+    ("matrix uniform-bound", ""),
+    ("product pl", "--pattern 1,1"),
+    ("product j", "--pattern 1,1"),
+]
+GOLDEN_JSON = {
+    "hyper conditions cycle:5": (0, "88b688366c2f737e7a5bd90f1a822a4fc2e0c3af6a75489363b043902ae39ae4"),
+    "hyper conditions cycle:6": (0, "24485a912b029196e6b32bd9d5a89ca71dc272848a07ce1d527a2a9a96f628a8"),
+    "hyper conditions prism:3": (1, "2767608d535cdf54ffc09e376d0e29ca4add7c75271ebc3f2fd82eac9f3af062"),
+    "hyper conditions prism:4": (0, "52cf643d731e7efa774481a328876c3db28c4d6b088a7e45c0d6392dcaa54313"),
+    "hyper conditions bipartite:2,3": (1, "9a909aac768d2ed09a76f6569d4bd001d11ab67ef375215a87c6b39dfdcf9c5f"),
+    "hyper conditions odd:3": (0, "f5de28e1e698b96ab5a896f95c3e81c1d768a03f23b2e907ce0ac424f7e65b2e"),
+    "hyper conditions figure:3": (0, "d0402c40bab893256a7797c9bd24195650560089f7e97d22e91a1f859d9c97a0"),
+    "hyper conditions figure:3:base=w0p": (1, "93e17ff125d8221ec5c2f15899971fdc200ae98e0084dad20625e85707e28ea3"),
+    "hyper conditions figure:4": (1, "6f54231fd1dad51f2410e119dede5adc28d847d54d87c6e236efdcbc3442bc63"),
+    "hyper conditions tree:binary:12": (1, "77bad6db9810f0295de555c9edba63e3417698134eb49cf82984e21b05155f8e"),
+    "hyper conditions lattice:1:r=12": (0, "efd88cafea25429164dce96a17d790420dd4dee594174e254dc26f03b137d1e4"),
+    "hyper conditions lattice:2:r=9": (1, "1768b0a79e22baf6972a6a233dc7c340d7e3f050beb6f5386729c7bfc159258c"),
+    "hyper conditions ladder:r=5": (1, "05cd2a4de62cb70de398182ee393569678cd2a4836025ad2a6860603f883b6e2"),
+    "hyper conditions free:2:r=3": (0, "12a46aa0f7097c91f9d53d6a54a5093bcef6edd7e63ab7fde9afac562e2bd9a8"),
+    "hyper conditions zmod:3,2": (1, "23b9df9f12f7ea57da3e6d647d39f442874afab05a4b6d3a2c5d1548dcd806ef"),
+    "hyper table cycle:5": (0, "357093b6c3728783b0f9c25a6e99899cc43d2fd1088a985ca4cb17f428ffcfce"),
+    "hyper table cycle:6": (0, "ac1775989f51eb52c16511a3fb12747d36c0e37cf60c65d046135d0843eebb9a"),
+    "hyper table prism:3": (0, "c9d93a1581165e7f299f2b1f8af532d63579050dd5424d39df37aa5c2d9894f4"),
+    "hyper table prism:4": (0, "93604aea709fb80ca3301d46ca427ff2dced0a9b1b30717520033e2a2ea5066c"),
+    "hyper table bipartite:2,3": (0, "f57f979cfa66f6a49b47b1e7cf59f2a0b61d737c509e0f70b89ae279d41cdb01"),
+    "hyper table odd:3": (0, "01029e5241606983a23a0b467f1333d0eeabf695e024872911c43115f603dc5d"),
+    "hyper table figure:3": (0, "5efd0d1dc16a9913da8bae1a7e16a27cf8d648eec75326825490f11bde9d2a96"),
+    "hyper table figure:3:base=w0p": (0, "b842bc8be5613ebfb3309070afe574e361e865b578ac506d7ed1d4af35b2c6f8"),
+    "hyper table figure:4": (0, "97e550533d603b355587c1020df40998baf4b170333a2e08994b7d37f3006d08"),
+    "hyper table tree:binary:12": (0, "002071788908c07dab68cad7a5d29eba1da8ece801fd0404912ac2693c35c4f3"),
+    "hyper table lattice:1:r=12": (0, "4db23e84f1dfbec3ad5105b64f7b76c49e6db26e76f90e429aa54655805cb0ea"),
+    "hyper table lattice:2:r=9": (0, "4655451330641cdbe7b162e1722d46ca666eeb6a4fafc8c55babbceb0ae91ec9"),
+    "hyper table ladder:r=5": (0, "35018f0e2c9423808435aa3a44a7606651f8ab2b3e4638dcef39ac61d2d4eea6"),
+    "hyper table free:2:r=3": (0, "8002db187adb589725066f30f0e0addcd057961be5a4a815643206d273c804ca"),
+    "hyper table zmod:3,2": (0, "7dcdc21d27aa1daeb5203c8b39d76f4b035d8963da6f149ac0279eedeaaa749c"),
+    "hyper classify cycle:5": (0, "851f65d8d79f4fa3e08badd85cbb759137c20184ae63a5a9777e5a7acd8bb33f"),
+    "hyper classify cycle:6": (0, "724bf6c35e3b5f1e1e9f74ff143fccb692c327f479f850b8c5f1b67a5233f45a"),
+    "hyper classify prism:3": (0, "851f65d8d79f4fa3e08badd85cbb759137c20184ae63a5a9777e5a7acd8bb33f"),
+    "hyper classify prism:4": (0, "724bf6c35e3b5f1e1e9f74ff143fccb692c327f479f850b8c5f1b67a5233f45a"),
+    "hyper classify bipartite:2,3": (0, "851f65d8d79f4fa3e08badd85cbb759137c20184ae63a5a9777e5a7acd8bb33f"),
+    "hyper classify odd:3": (0, "851f65d8d79f4fa3e08badd85cbb759137c20184ae63a5a9777e5a7acd8bb33f"),
+    "hyper classify figure:3": (0, "851f65d8d79f4fa3e08badd85cbb759137c20184ae63a5a9777e5a7acd8bb33f"),
+    "hyper classify figure:3:base=w0p": (0, "851f65d8d79f4fa3e08badd85cbb759137c20184ae63a5a9777e5a7acd8bb33f"),
+    "hyper classify figure:4": (0, "2f59293c63265897c56f1bf114cb3a2beb7b1535609cb49483cd98ca6879666c"),
+    "hyper classify tree:binary:12": (0, "b60def4ef6a929ac6d32fcc0f0f09f10012fc5aee65fc5385181416ebd9eacc6"),
+    "hyper classify lattice:1:r=12": (0, "3b8ed2767d27ca31bf611dbc5b7bb9cadab74d1776be030d8a1a1c4f4733af25"),
+    "hyper classify lattice:2:r=9": (0, "a26639b66b38e425ffa85a064ad36afc0d81a16629961dd14bd19a6745a753e9"),
+    "hyper classify ladder:r=5": (0, "0c2d4ea8f30cd6b31ab3be5bb3d649840b81fa78cf9bbeeb82e7e5adba06585b"),
+    "hyper classify free:2:r=3": (0, "2f59293c63265897c56f1bf114cb3a2beb7b1535609cb49483cd98ca6879666c"),
+    "hyper classify zmod:3,2": (0, "851f65d8d79f4fa3e08badd85cbb759137c20184ae63a5a9777e5a7acd8bb33f"),
+    "matrix norms cycle:5 --k 1": (0, "c061eb6dd00f8f2e315085f4c846143ddc79da54ea8df1d693b8bb8334ff63b0"),
+    "matrix norms cycle:6 --k 1": (0, "5dbeacf76dadec24c00cb81350254ec40ceb4f6c2699370d0a6d021f7cf4d1fc"),
+    "matrix norms prism:3 --k 1": (0, "2d45f5fcbd12259c3b2892eb7a2b083221d155cb5288dda2aba07f4f00abdece"),
+    "matrix norms prism:4 --k 1": (0, "2ad8819998df854ac2d9eb7a13614aaf860aa97676d4a7163effc7dcc67e3c7a"),
+    "matrix norms bipartite:2,3 --k 1": (0, "85aa2a48a8697fb551b27bc6ca875c5f51ab7f25523293ef37115262944da13b"),
+    "matrix norms odd:3 --k 1": (0, "32402d764d23636e7fbedc7050edba8be4f5821811071867f6f73f49a3b953e9"),
+    "matrix norms figure:3 --k 1": (0, "4cdff531f90bd710129e50ccf99eb27381a77b2293493e1b171cf5fa94d00f37"),
+    "matrix norms figure:3:base=w0p --k 1": (0, "ff4941c833a71a851a2e312715831856313c994c73fed90d4ff0ea0307acfe93"),
+    "matrix norms figure:4 --k 1": (0, "8a37117d4bb48d4151d305961939dd79fe06c5381276eeb54f1ffff342cb7b98"),
+    "matrix norms tree:binary:12 --k 1": (0, "1135b519473db6fc73d18185b488ef7b869cd130d9e8e48c2a5473355646df8a"),
+    "matrix norms lattice:1:r=12 --k 1": (0, "1a54c4f48cef30c150dd1a2e1784802c8a2ff18482d9b9f08c2367d263eb4ed6"),
+    "matrix norms lattice:2:r=9 --k 1": (0, "522e19438ec2b7288d488f05608c2888380fbf70ca5115c56b2cb9947fb086c4"),
+    "matrix norms ladder:r=5 --k 1": (0, "ed1e016defaf3e500a626234f2c496c5116b3663e36fdeadebb7dfeb72e48c4f"),
+    "matrix norms free:2:r=3 --k 1": (0, "526c7bb783996d6b5541fd6086810a61431a086b3349aaed8c5c30e87f597ca7"),
+    "matrix norms zmod:3,2 --k 1": (0, "2d45f5fcbd12259c3b2892eb7a2b083221d155cb5288dda2aba07f4f00abdece"),
+    "matrix commute cycle:5": (0, "807ef7c5fac1d364997d24fb1ed8af75a751846ed1c51041f963146bb0656149"),
+    "matrix commute cycle:6": (0, "23862d1963bb1ab07e8e2a5e19a7a4f8449d1508ffa7f05cc6c2208a9a8eb4fd"),
+    "matrix commute prism:3": (0, "807ef7c5fac1d364997d24fb1ed8af75a751846ed1c51041f963146bb0656149"),
+    "matrix commute prism:4": (0, "23862d1963bb1ab07e8e2a5e19a7a4f8449d1508ffa7f05cc6c2208a9a8eb4fd"),
+    "matrix commute bipartite:2,3": (0, "807ef7c5fac1d364997d24fb1ed8af75a751846ed1c51041f963146bb0656149"),
+    "matrix commute odd:3": (0, "807ef7c5fac1d364997d24fb1ed8af75a751846ed1c51041f963146bb0656149"),
+    "matrix commute figure:3": (0, "807ef7c5fac1d364997d24fb1ed8af75a751846ed1c51041f963146bb0656149"),
+    "matrix commute figure:3:base=w0p": (0, "807ef7c5fac1d364997d24fb1ed8af75a751846ed1c51041f963146bb0656149"),
+    "matrix commute figure:4": (0, "1cdf04e89ca8a60eeca9665684010c29f1994d13806f66faef94519783310851"),
+    "matrix commute tree:binary:12": (1, "d2e5fc24cba32f2e4f56e1d13d05c7e40f8b4bd7ddecb74c59fa4a58f35495e7"),
+    "matrix commute lattice:1:r=12": (0, "4fb863d6889e3976fd93da7bf4ac3072b450fd95612d8bc0c3e6306a56d778f1"),
+    "matrix commute lattice:2:r=9": (1, "4c73e436e18eeb6f7fe06e719097f70d784d8a60ee75741ec39cc0657abadab9"),
+    "matrix commute ladder:r=5": (0, "c2e56136d8eb8fa8f8147f541d6dcdac87d1556e9c3db0a2b117025750320cda"),
+    "matrix commute free:2:r=3": (0, "cd7a1c6837620d418090c94eb36fe345be7e05bab81b7ad796d210a3777aa9e9"),
+    "matrix commute zmod:3,2": (0, "807ef7c5fac1d364997d24fb1ed8af75a751846ed1c51041f963146bb0656149"),
+    "matrix regular-rep cycle:5": (0, "647489b369a13a7b26870501d4541da0de7356b9058850872438f3d2eb15f183"),
+    "matrix regular-rep cycle:6": (0, "c6d8f4c27b7d217f69b7c1ff032bfdec8c1ca825b05c79cd95b238a678c2d319"),
+    "matrix regular-rep prism:3": (0, "647489b369a13a7b26870501d4541da0de7356b9058850872438f3d2eb15f183"),
+    "matrix regular-rep prism:4": (0, "c6d8f4c27b7d217f69b7c1ff032bfdec8c1ca825b05c79cd95b238a678c2d319"),
+    "matrix regular-rep bipartite:2,3": (0, "647489b369a13a7b26870501d4541da0de7356b9058850872438f3d2eb15f183"),
+    "matrix regular-rep odd:3": (0, "647489b369a13a7b26870501d4541da0de7356b9058850872438f3d2eb15f183"),
+    "matrix regular-rep figure:3": (0, "647489b369a13a7b26870501d4541da0de7356b9058850872438f3d2eb15f183"),
+    "matrix regular-rep figure:3:base=w0p": (0, "647489b369a13a7b26870501d4541da0de7356b9058850872438f3d2eb15f183"),
+    "matrix regular-rep figure:4": (0, "b6be3330dcf050686e9edab45a8fcdb7ba7ee192f5874ba3fd74c05f567abc5e"),
+    "matrix regular-rep tree:binary:12": (1, "de8d4af765def72856becebfbee33901177e8421f9dafea03af26cb558e11cf5"),
+    "matrix regular-rep lattice:1:r=12": (0, "87591c2a1cfa9f5f344ebc688d147e151bfc57b8fb3bc042a3f1462ef3782930"),
+    "matrix regular-rep lattice:2:r=9": (1, "a6dd81f1f11c57e8ad897e15debecb6832a3abaa9f941c91506c0d349cdc145b"),
+    "matrix regular-rep ladder:r=5": (0, "04fdfe77dc60d9bb26112fa13cf8da9b8c1263b4a45a596c8eee719850d583e6"),
+    "matrix regular-rep free:2:r=3": (0, "4d268f0a8e0a367add6c23984938c8ee08ab1e0951fd0b7e3a0c4e45a6eea07e"),
+    "matrix regular-rep zmod:3,2": (0, "647489b369a13a7b26870501d4541da0de7356b9058850872438f3d2eb15f183"),
+    "matrix maincoro cycle:5 --pattern 1,1": (0, "71957028d25b4716e3b7bad866d0a455a52b1f0c3a3e1c75132edb65a8720cc8"),
+    "matrix maincoro cycle:6 --pattern 1,1": (0, "fbdc3ed91be986bc72ec3ec55547c6b0978ee21453eb6ae949a88ea24ef25caa"),
+    "matrix maincoro prism:3 --pattern 1,1": (0, "97c9b82c4ff59ac4d2fc73ffae359c567c5c4a7d98bd64ea34e1378c8929035a"),
+    "matrix maincoro prism:4 --pattern 1,1": (0, "fbdc3ed91be986bc72ec3ec55547c6b0978ee21453eb6ae949a88ea24ef25caa"),
+    "matrix maincoro bipartite:2,3 --pattern 1,1": (0, "97c9b82c4ff59ac4d2fc73ffae359c567c5c4a7d98bd64ea34e1378c8929035a"),
+    "matrix maincoro odd:3 --pattern 1,1": (0, "71957028d25b4716e3b7bad866d0a455a52b1f0c3a3e1c75132edb65a8720cc8"),
+    "matrix maincoro figure:3 --pattern 1,1": (0, "71957028d25b4716e3b7bad866d0a455a52b1f0c3a3e1c75132edb65a8720cc8"),
+    "matrix maincoro figure:3:base=w0p --pattern 1,1": (0, "97c9b82c4ff59ac4d2fc73ffae359c567c5c4a7d98bd64ea34e1378c8929035a"),
+    "matrix maincoro figure:4 --pattern 1,1": (0, "2565789b596cc8b796187fd6eab0966121e1f4a803aa4ec5f1cbcedfd799eb35"),
+    "matrix maincoro tree:binary:12 --pattern 1,1": (1, "64ab13c6fadd2feb414035886bb867261dcd9b277ca650e3fd878f156fd0b36d"),
+    "matrix maincoro lattice:1:r=12 --pattern 1,1": (0, "3ed14b0df9e2c202aa1e84e075776b3ce0bed7da348b15f49956bbe0e98ceada"),
+    "matrix maincoro lattice:2:r=9 --pattern 1,1": (1, "dbf6c4ddbab1b500f668e6bd54a4afa958fe8f4ed3c4f22e70746d87dc75b52d"),
+    "matrix maincoro ladder:r=5 --pattern 1,1": (0, "2565789b596cc8b796187fd6eab0966121e1f4a803aa4ec5f1cbcedfd799eb35"),
+    "matrix maincoro free:2:r=3 --pattern 1,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "matrix maincoro zmod:3,2 --pattern 1,1": (0, "97c9b82c4ff59ac4d2fc73ffae359c567c5c4a7d98bd64ea34e1378c8929035a"),
+    "matrix uniform-bound cycle:5": (0, "cf92a14f2315e84866a25905cca4a966e585464f54ae0d9e910edaef05252b14"),
+    "matrix uniform-bound cycle:6": (0, "cf92a14f2315e84866a25905cca4a966e585464f54ae0d9e910edaef05252b14"),
+    "matrix uniform-bound prism:3": (0, "031136a5924cab93a11d306c53d63b5504995e54de8e1437892907d3561b62c7"),
+    "matrix uniform-bound prism:4": (0, "031136a5924cab93a11d306c53d63b5504995e54de8e1437892907d3561b62c7"),
+    "matrix uniform-bound bipartite:2,3": (0, "031136a5924cab93a11d306c53d63b5504995e54de8e1437892907d3561b62c7"),
+    "matrix uniform-bound odd:3": (0, "5ebd434b3d056447a3e8876f6d31ec750c183529942413b257d66f4c5c51427e"),
+    "matrix uniform-bound figure:3": (0, "3e84d09c5cda15da1c43d9bdab470b19f168a17300e88cf651521f7970fcd104"),
+    "matrix uniform-bound figure:3:base=w0p": (0, "3e84d09c5cda15da1c43d9bdab470b19f168a17300e88cf651521f7970fcd104"),
+    "matrix uniform-bound figure:4": (0, "031136a5924cab93a11d306c53d63b5504995e54de8e1437892907d3561b62c7"),
+    "matrix uniform-bound tree:binary:12": (0, "1374fe4a159342d2a9b4bc8176392832219a4ba3127381c184ae9d7fe210977d"),
+    "matrix uniform-bound lattice:1:r=12": (0, "d3f5d62b7ea3c98879aa942c9f552bdfef71c23620a7c3b7f282f64a90c1562c"),
+    "matrix uniform-bound lattice:2:r=9": (0, "94154381c8a1390e2c75418e40d26040b7307b6d93f72eab87e8b2ea76304dbf"),
+    "matrix uniform-bound ladder:r=5": (0, "c56f0c22d66a3c432b07c08693854d21d28af04a1c6ff62b98b9dd99b7dde849"),
+    "matrix uniform-bound free:2:r=3": (0, "f2c71e436e2819119bb18547bd1c624f31cfed74256bb6d9907ce68c253c12af"),
+    "matrix uniform-bound zmod:3,2": (0, "031136a5924cab93a11d306c53d63b5504995e54de8e1437892907d3561b62c7"),
+    "product pl cycle:5 --pattern 1,1": (0, "dc6bbb110de6975e3ea9fd2c104249a7db97ea6bcb0039a6167c2281593d0186"),
+    "product pl cycle:6 --pattern 1,1": (0, "dc6bbb110de6975e3ea9fd2c104249a7db97ea6bcb0039a6167c2281593d0186"),
+    "product pl prism:3 --pattern 1,1": (0, "6d017fc90365bc10ee9990db07e90598a91c1d05c4968ec2bf8de2e4650748a8"),
+    "product pl prism:4 --pattern 1,1": (0, "c9428d4a52b0d20388273b4a82b209b3a767a583bdc12dcb0b4bdc5049c39f20"),
+    "product pl bipartite:2,3 --pattern 1,1": (0, "dc6bbb110de6975e3ea9fd2c104249a7db97ea6bcb0039a6167c2281593d0186"),
+    "product pl odd:3 --pattern 1,1": (0, "c9428d4a52b0d20388273b4a82b209b3a767a583bdc12dcb0b4bdc5049c39f20"),
+    "product pl figure:3 --pattern 1,1": (0, "a1d4ad9c3687cf277cf2e49a8fc7376d11302b5b9b7b72c963621099e459d538"),
+    "product pl figure:3:base=w0p --pattern 1,1": (0, "418bd62fbc579d21d821f88285315eb155836eaee9cc9dd9ec367a2f62204e65"),
+    "product pl figure:4 --pattern 1,1": (0, "0dd77940a9fab52965d82da2cc0cdbfbf72c572eca09d756aa994c7343b344ad"),
+    "product pl tree:binary:12 --pattern 1,1": (0, "c9428d4a52b0d20388273b4a82b209b3a767a583bdc12dcb0b4bdc5049c39f20"),
+    "product pl lattice:1:r=12 --pattern 1,1": (0, "dc6bbb110de6975e3ea9fd2c104249a7db97ea6bcb0039a6167c2281593d0186"),
+    "product pl lattice:2:r=9 --pattern 1,1": (0, "a3212dfe2226b75ccfd5aa3d8340a2f7720fa431ad7b3ee2df9ce860b1380ac7"),
+    "product pl ladder:r=5 --pattern 1,1": (0, "c9428d4a52b0d20388273b4a82b209b3a767a583bdc12dcb0b4bdc5049c39f20"),
+    "product pl free:2:r=3 --pattern 1,1": (0, "a3212dfe2226b75ccfd5aa3d8340a2f7720fa431ad7b3ee2df9ce860b1380ac7"),
+    "product pl zmod:3,2 --pattern 1,1": (0, "6d017fc90365bc10ee9990db07e90598a91c1d05c4968ec2bf8de2e4650748a8"),
+    "product j cycle:5 --pattern 1,1": (0, "dc6bbb110de6975e3ea9fd2c104249a7db97ea6bcb0039a6167c2281593d0186"),
+    "product j cycle:6 --pattern 1,1": (0, "dc6bbb110de6975e3ea9fd2c104249a7db97ea6bcb0039a6167c2281593d0186"),
+    "product j prism:3 --pattern 1,1": (0, "6d017fc90365bc10ee9990db07e90598a91c1d05c4968ec2bf8de2e4650748a8"),
+    "product j prism:4 --pattern 1,1": (0, "c9428d4a52b0d20388273b4a82b209b3a767a583bdc12dcb0b4bdc5049c39f20"),
+    "product j bipartite:2,3 --pattern 1,1": (0, "dc6bbb110de6975e3ea9fd2c104249a7db97ea6bcb0039a6167c2281593d0186"),
+    "product j odd:3 --pattern 1,1": (0, "c9428d4a52b0d20388273b4a82b209b3a767a583bdc12dcb0b4bdc5049c39f20"),
+    "product j figure:3 --pattern 1,1": (0, "a1d4ad9c3687cf277cf2e49a8fc7376d11302b5b9b7b72c963621099e459d538"),
+    "product j figure:3:base=w0p --pattern 1,1": (0, "418bd62fbc579d21d821f88285315eb155836eaee9cc9dd9ec367a2f62204e65"),
+    "product j figure:4 --pattern 1,1": (0, "0dd77940a9fab52965d82da2cc0cdbfbf72c572eca09d756aa994c7343b344ad"),
+    "product j tree:binary:12 --pattern 1,1": (0, "c9428d4a52b0d20388273b4a82b209b3a767a583bdc12dcb0b4bdc5049c39f20"),
+    "product j lattice:1:r=12 --pattern 1,1": (0, "dc6bbb110de6975e3ea9fd2c104249a7db97ea6bcb0039a6167c2281593d0186"),
+    "product j lattice:2:r=9 --pattern 1,1": (0, "a3212dfe2226b75ccfd5aa3d8340a2f7720fa431ad7b3ee2df9ce860b1380ac7"),
+    "product j ladder:r=5 --pattern 1,1": (0, "c9428d4a52b0d20388273b4a82b209b3a767a583bdc12dcb0b4bdc5049c39f20"),
+    "product j free:2:r=3 --pattern 1,1": (0, "a3212dfe2226b75ccfd5aa3d8340a2f7720fa431ad7b3ee2df9ce860b1380ac7"),
+    "product j zmod:3,2 --pattern 1,1": (0, "6d017fc90365bc10ee9990db07e90598a91c1d05c4968ec2bf8de2e4650748a8"),
+}
+
+
+def test_golden_pins_cover_every_command_and_fixture():
+    assert list(GOLDEN_JSON) == [
+        " ".join(filter(None, (command, spec, options)))
+        for command, options in GOLDEN_COMMANDS
+        for spec in GOLDEN_FIXTURES
+    ]
+
+
+@pytest.mark.parametrize("command", [command for command, _ in GOLDEN_COMMANDS])
+def test_json_reports_are_pinned(runner, command):
+    changed = []
+    for line, pin in GOLDEN_JSON.items():
+        if not line.startswith(command + " "):
+            continue
+        result = run(runner, ["--format", "json", *line.split()])
+        digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+        if (result.exit_code, digest) != pin:
+            changed.append(line)
+    assert changed == []

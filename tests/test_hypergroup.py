@@ -29,7 +29,6 @@ from forge.hypergroup import (
     check_distance_regular,
     classify,
     product,
-    q_to_p,
     sphere_sizes,
 )
 
@@ -194,7 +193,7 @@ def test_broken_invariants_raise_internal_error(monkeypatch):
     assert not issubclass(InternalError, ForgeError)
     pg = resolve_spec("cycle:8")
     with monkeypatch.context() as m:
-        m.setattr(hypergroup, "sphere_at", lambda pg, v, n: pg.spheres[4])
+        m.setattr(hypergroup, "sphere_profile", lambda pg, v, n: {4: 2})
         with pytest.raises(InternalError, match="support"):
             product(pg, 0, 0)
     with monkeypatch.context() as m:
@@ -217,9 +216,24 @@ def test_distance_regular_needs_finite_graph():
 
 
 def test_intersection_numbers_reproduce_structure_constants():
-    pet = resolve_spec("odd:3")
-    report = check_distance_regular(pet)
-    assert q_to_p(report).same_entries(build_table(pet))
+    # On a distance-regular graph p[i,j][k] = Q[j,k | i] / Q[j,j | 0], where
+    # Q[a,b | c] counts the x with d(v,x) = a and d(x,w) = b for any pair
+    # at distance d(v,w) = c (Brouwer, Cohen and Neumaier 1989).
+    for spec in ("odd:3", "odd:4", "cycle:7", "prism:4", "zmod:3,3,3"):
+        pg = resolve_spec(spec)
+        report = check_distance_regular(pg)
+        assert report.passed, spec
+        q = report.intersection_numbers
+        table = build_table(pg)
+        assert table.bound == report.diameter, spec
+        for i in table.indices:
+            for j in table.indices:
+                expected = {
+                    k: F(q[(j, k, i)], q[(j, j, 0)])
+                    for k in table.indices
+                    if q.get((j, k, i))
+                }
+                assert table.row(i, j).as_dict() == expected, (spec, i, j)
 
 
 def test_sphere_sizes():

@@ -25,7 +25,6 @@ from forge.cli import main
 from forge.errors import BadParameter, EnumerationCapExceeded
 from forge.search import (
     build_graph,
-    canonical_base,
     canonical_key,
     enumerate_connected_graphs,
     replay_counterexample,
@@ -109,7 +108,7 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 def test_connected_graph_counts():
     seen = {}
-    for n, _neighbors in enumerate_connected_graphs(6):
+    for n, _neighbors, _first in enumerate_connected_graphs(6):
         seen[n] = seen.get(n, 0) + 1
     assert seen == {n: CONNECTED_COUNTS[n] for n in range(1, 7)}
 
@@ -129,8 +128,12 @@ def test_canonical_key_is_labeling_invariant():
 
 
 def test_canonical_base_is_deterministic():
-    square = [(1, 3), (0, 2), (1, 3), (0, 2)]
-    assert canonical_base(square) == canonical_base(list(square))
+    # Each graph comes with the vertex its canonical ordering places first,
+    # the one base that --bases canonical tries.
+    graphs = list(enumerate_connected_graphs(6))
+    assert graphs == list(enumerate_connected_graphs(6))
+    for _n, neighbors, first in graphs:
+        assert first == search._canonical(neighbors)[1][0]
 
 
 def test_search_bookkeeping_all_bases():
@@ -196,14 +199,16 @@ def test_max_vertices_below_one_is_rejected():
 
 def test_canonical_matches_reference_on_enumerated_graphs(monkeypatch):
     labelled = []
+    canonical = search._canonical
 
-    def recording_key(neighbors, colors=None):
+    def recording_canonical(neighbors, colors=None):
         labelled.append([set(s) for s in neighbors])
-        return canonical_key(neighbors, colors)
+        return canonical(neighbors, colors)
 
-    monkeypatch.setattr(search, "canonical_key", recording_key)
-    for _ in enumerate_connected_graphs(6):
-        pass
+    with monkeypatch.context() as m:
+        m.setattr(search, "_canonical", recording_canonical)
+        for _ in enumerate_connected_graphs(6):
+            pass
     assert len(labelled) == 759
     for neighbors in labelled:
         assert search._canonical(neighbors) == reference_canonical(neighbors)
