@@ -383,7 +383,12 @@ def full_group(cg: CayleyGraph, cap: int = CLOSURE_CAP) -> list[GroupElement]:
 
 @dataclass(eq=False)
 class WindowData:
-    """Cayley bookkeeping attached to a realized window."""
+    """Cayley bookkeeping attached to a realized window.
+
+    right[v][s] is the index of elements[v] * generators[s], or -1 outside
+    the window.  via[v] = (u, s), the pair whose product first reached v
+    in the BFS, so following via from v back to 0 spells a geodesic word.
+    """
 
     cg: CayleyGraph
     elements: tuple[GroupElement, ...]
@@ -391,6 +396,8 @@ class WindowData:
     sphere_elements: dict
     saturated: bool
     radius: int
+    right: list
+    via: list
 
 
 def realize_window(cg: CayleyGraph, radius: int, cap: int = WINDOW_CAP) -> PointedGraph:
@@ -406,38 +413,36 @@ def realize_window(cg: CayleyGraph, radius: int, cap: int = WINDOW_CAP) -> Point
     layers = [[ident]]
     index = {ident: 0}
     elements = [ident]
-    saturated = False
-    for _ in range(radius):
-        frontier = set()
-        for g in layers[-1]:
-            for s in cg.generators:
-                h = multiply(g, s)
-                if h not in index:
-                    frontier.add(h)
-        if not frontier:
-            saturated = True
-            break
-        if len(elements) + len(frontier) > cap:
-            raise WindowOverflow(
-                f"window would exceed {cap} vertices at radius {len(layers)}"
-            )
-        layer = sorted(frontier, key=GroupElement.sort_key)
-        for h in layer:
-            index[h] = len(elements)
-            elements.append(h)
-        layers.append(layer)
-    if not saturated:
-        saturated = not any(
-            multiply(g, s) not in index for g in layers[-1] for s in cg.generators
-        )
-    edges = []
-    for g in elements:
-        u = index[g]
-        for s in cg.generators:
-            h = multiply(g, s)
-            v = index.get(h)
-            if v is not None and u < v:
-                edges.append((u, v))
+    via = [None]
+    right = []
+    # Each pass multiplies the newest layer by every generator once: while
+    # the radius allows, new products form the next layer, and the rows
+    # of right are filled after that.
+    while len(right) < len(elements):
+        frontier = {}
+        products = []
+        for u in range(len(right), len(elements)):
+            row = [multiply(elements[u], s) for s in cg.generators]
+            if len(layers) <= radius:
+                for s, h in enumerate(row):
+                    if h not in index:
+                        frontier.setdefault(h, (u, s))
+            products.append(row)
+        if frontier:
+            if len(elements) + len(frontier) > cap:
+                raise WindowOverflow(
+                    f"window would exceed {cap} vertices at radius {len(layers)}"
+                )
+            layer = sorted(frontier, key=GroupElement.sort_key)
+            for h in layer:
+                index[h] = len(elements)
+                elements.append(h)
+                via.append(frontier[h])
+            layers.append(layer)
+        rows = [tuple([index.get(h, -1) for h in row]) for row in products]
+        right.extend(rows)
+    saturated = not any(-1 in row for row in rows)
+    edges = [(u, v) for u, row in enumerate(right) for v in row if u < v]
     labels = [element_str(g) for g in elements]
     truncated = not saturated
     pg = build_graph(
@@ -450,7 +455,9 @@ def realize_window(cg: CayleyGraph, radius: int, cap: int = WINDOW_CAP) -> Point
         exact_radius=radius if truncated else INFINITE,
     )
     sphere_elements = {n: tuple(layer) for n, layer in enumerate(layers)}
-    data = WindowData(cg, tuple(elements), index, sphere_elements, saturated, radius)
+    data = WindowData(
+        cg, tuple(elements), index, sphere_elements, saturated, radius, right, via
+    )
     pg.cayley = data
 
     def translated_sphere(v: int, n: int) -> tuple[int, ...]:

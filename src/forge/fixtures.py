@@ -40,10 +40,25 @@ def catalog(spec: str) -> PointedGraph:
         raise BadParameter("empty fixture spec")
     parts = spec.split(":")
     head, params = parts[0], parts[1:]
+    if head in _GROUPS:
+        cg, radius = _GROUPS[head](spec, params)
+        pg = cy.realize_full(cg) if radius is None else cy.realize_window(cg, radius)
+        pg.name = spec
+        return pg
     builder = _BUILDERS.get(head)
     if builder is None:
         raise UnknownFixture(f"no fixture named {head!r}")
     return builder(spec, params)
+
+
+def fixture_group(spec: str) -> cy.CayleyGraph | None:
+    """The group of a Cayley-backed catalog fixture, without realizing
+    its window; None when the spec's head names no such family."""
+    spec = spec.strip()
+    head, *params = spec.split(":")
+    if head not in _GROUPS:
+        return None
+    return _GROUPS[head](spec, params)[0]
 
 
 def _split_params(params):
@@ -83,29 +98,20 @@ def _expect(spec, positional, count, what):
     return positional
 
 
-def _realized(cg, spec, radius):
-    if radius is None:
-        pg = cy.realize_full(cg)
-    else:
-        pg = cy.realize_window(cg, radius)
-    pg.name = spec
-    return pg
-
-
-def _build_cycle(spec, params):
+def _cycle_group(spec, params):
     positional, keyed = _split_params(params)
     (n,) = _expect(spec, positional, 1, "one parameter: cycle:<n>")
     n = _int_param(spec, n, 3, "n")
     _expect(spec, list(keyed), 0, "no keyword parameters")
-    return _realized(cy.parse_group_spec(f"zmod:{n}"), spec, None)
+    return cy.parse_group_spec(f"zmod:{n}"), None
 
 
-def _build_prism(spec, params):
+def _prism_group(spec, params):
     positional, keyed = _split_params(params)
     (n,) = _expect(spec, positional, 1, "one parameter: prism:<n>")
     n = _int_param(spec, n, 3, "n")
     _expect(spec, list(keyed), 0, "no keyword parameters")
-    return _realized(cy.parse_group_spec(f"zmod:{n},2"), spec, None)
+    return cy.parse_group_spec(f"zmod:{n},2"), None
 
 
 def _build_bipartite(spec, params):
@@ -141,43 +147,43 @@ def _build_odd(spec, params):
     return build_graph(edges, base=0, vertex_count=len(subsets), labels=labels, name=spec)
 
 
-def _build_lattice(spec, params):
+def _lattice_group(spec, params):
     positional, keyed = _split_params(params)
     (d,) = _expect(spec, positional, 1, "lattice:<d>:r=<R>")
     d = _int_param(spec, d, 1, "dimension")
     radius = _radius(spec, keyed)
-    return _realized(cy.parse_group_spec(f"lattice:{d}"), spec, radius)
+    return cy.parse_group_spec(f"lattice:{d}"), radius
 
 
-def _build_free(spec, params):
+def _free_group(spec, params):
     positional, keyed = _split_params(params)
     (n,) = _expect(spec, positional, 1, "free:<n>:r=<R>")
     n = _int_param(spec, n, 1, "rank")
     radius = _radius(spec, keyed)
-    return _realized(cy.parse_group_spec(f"free:{n}"), spec, radius)
+    return cy.parse_group_spec(f"free:{n}"), radius
 
 
-def _build_ladder(spec, params):
+def _ladder_group(spec, params):
     positional, keyed = _split_params(params)
     _expect(spec, positional, 0, "ladder:r=<R>")
     radius = _radius(spec, keyed)
-    return _realized(cy.parse_group_spec("ladder"), spec, radius)
+    return cy.parse_group_spec("ladder"), radius
 
 
-def _build_zmod(spec, params):
+def _zmod_group(spec, params):
     positional, keyed = _split_params(params)
     (mods,) = _expect(spec, positional, 1, "zmod:<m1>[,<m2>...][:r=<R>]")
     radius = _radius(spec, keyed, required=False)
-    return _realized(cy.parse_group_spec(f"zmod:{mods}"), spec, radius)
+    return cy.parse_group_spec(f"zmod:{mods}"), radius
 
 
-def _build_perm(spec, params):
+def _perm_group(spec, params):
     positional, keyed = _split_params(params)
     if not positional:
         raise BadParameter(f"{spec!r}: perm:<file>[:r=<R>]")
     radius = _radius(spec, keyed, required=False)
     path = ":".join(positional)
-    return _realized(cy.parse_group_spec(f"perm:{path}"), spec, radius)
+    return cy.parse_group_spec(f"perm:{path}"), radius
 
 
 def _build_tree(spec, params):
@@ -260,18 +266,22 @@ def _resolve_base(data, base_arg, spec):
     return vid
 
 
+# Cayley-backed families: each parser returns (group, window radius),
+# with radius None for the whole finite group.
+_GROUPS = {
+    "cycle": _cycle_group,
+    "prism": _prism_group,
+    "lattice": _lattice_group,
+    "free": _free_group,
+    "ladder": _ladder_group,
+    "zmod": _zmod_group,
+    "perm": _perm_group,
+}
 _BUILDERS = {
-    "cycle": _build_cycle,
-    "prism": _build_prism,
     "bipartite": _build_bipartite,
     "odd": _build_odd,
-    "lattice": _build_lattice,
-    "free": _build_free,
-    "ladder": _build_ladder,
     "tree": _build_tree,
     "figure": _build_figure,
-    "zmod": _build_zmod,
-    "perm": _build_perm,
 }
 
 
@@ -279,7 +289,8 @@ def resolve_spec(spec: str) -> PointedGraph:
     """Resolve a CLI target: a catalog fixture if the head before the first
     ":" names a family (so perm:dir/gens.txt stays a fixture), else a JSON
     graph file if it looks like a path, else a catalog fixture."""
-    if spec.strip().split(":")[0] in _BUILDERS:
+    head = spec.strip().split(":")[0]
+    if head in _GROUPS or head in _BUILDERS:
         return catalog(spec)
     if spec.endswith(".json") or "/" in spec or os.path.isfile(spec):
         return load_graph_file(spec)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product as iter_product
-from math import sqrt
+from math import lcm, sqrt
 
 from . import cayley as cy
 from .errors import (
@@ -112,24 +112,30 @@ def jump_distribution(pg: PointedGraph, pattern) -> ProbabilityVector:
     return ProbabilityVector.from_pairs(pairs.items())
 
 
+def _pattern_window(cg: cy.CayleyGraph, pattern):
+    """The window of radius sum(pattern) and the validated pattern."""
+    pat = tuple(int(i) for i in pattern)
+    pg = cy.realize_window(cg, sum(pat))
+    data = pg.cayley
+    top = max(data.sphere_elements) if data.saturated else pg.exact_radius
+    pat = validate_pattern(pat, top)
+    for i in pat:
+        if not data.sphere_elements.get(i, ()):
+            raise EmptySphere(f"S_{i}(identity) is empty")
+    return pg, pat
+
+
 def brute_force_conditional(
     cg: cy.CayleyGraph, pattern, cap: int = ENUMERATION_CAP
 ) -> ProbabilityVector:
     """The conditional law by full enumeration of generator-sphere tuples."""
     if not isinstance(cg, cy.CayleyGraph):
         raise NotCayley("brute-force products need a Cayley graph")
-    pat = tuple(int(i) for i in pattern)
-    pg = cy.realize_window(cg, sum(pat))
+    pg, pat = _pattern_window(cg, pattern)
     data = pg.cayley
-    top = max(data.sphere_elements) if data.saturated else pg.exact_radius
-    pat = validate_pattern(pat, top)
-    spheres = []
+    spheres = [data.sphere_elements[i] for i in pat]
     total = 1
-    for i in pat:
-        elems = data.sphere_elements.get(i, ())
-        if not elems:
-            raise EmptySphere(f"S_{i}(identity) is empty")
-        spheres.append(elems)
+    for elems in spheres:
         total *= len(elems)
         if total > cap:
             raise EnumerationCapExceeded(f"{total} tuples exceed the cap {cap}")
@@ -201,70 +207,30 @@ def monte_carlo_conditional(
         raise NotCayley("Monte-Carlo products need a Cayley graph")
     if trials < 1:
         raise BadParameter("trials must be >= 1")
-    pat = tuple(int(i) for i in pattern)
-    pg = cy.realize_window(cg, sum(pat))
+    pg, pat = _pattern_window(cg, pattern)
     data = pg.cayley
-    top = max(data.sphere_elements) if data.saturated else pg.exact_radius
-    pat = validate_pattern(pat, top)
-    for i in pat:
-        if not data.sphere_elements.get(i, ()):
-            raise EmptySphere(f"S_{i}(identity) is empty")
-    if cg.kind.family == "vector":
-        counts = _mc_vector(pg, pat, trials, seed)
-    else:
-        counts = _mc_generic(pg, pat, trials, seed)
-    return EmpiricalDistribution(counts, trials, seed, pat)
-
-
-def _mc_vector(pg: PointedGraph, pat, trials: int, seed: int) -> dict:
     import numpy as np
 
-    data = pg.cayley
-    kind = data.cg.kind
-    mods = np.array(kind.mods, dtype=np.int64)
-    torsion = mods > 0
-    dims = len(kind.mods)
-    acc = np.zeros((trials, dims), dtype=np.int64)
+    # One row per window element plus a row of -1 at the end, so that a
+    # product that left the window (index -1) stays at -1.
+    table = np.array(data.right + [(-1,) * len(cg.generators)], dtype=np.intp)
+    pos = np.zeros(trials, dtype=np.intp)
     for step, i in enumerate(pat):
-        elems = np.array([g.data for g in data.sphere_elements[i]], dtype=np.int64)
-        idx = _step_rng(seed, step).integers(0, len(elems), size=trials)
-        acc += elems[idx]
-        if torsion.any():
-            acc[:, torsion] %= mods[torsion]
-    span = sum(pat)
-    offsets = np.where(torsion, 0, span)
-    sizes = np.where(torsion, mods, 2 * span + 1)
-    strides = np.ones(dims, dtype=np.int64)
-    for d in range(dims - 2, -1, -1):
-        strides[d] = strides[d + 1] * sizes[d + 1]
-    window = np.array([g.data for g in data.elements], dtype=np.int64)
-    window_codes = ((window + offsets) * strides).sum(axis=1)
-    order = np.argsort(window_codes)
-    sorted_codes = window_codes[order]
-    dist = np.array(pg.dist, dtype=np.int64)[order]
-    codes = ((acc + offsets) * strides).sum(axis=1)
-    pos = np.searchsorted(sorted_codes, codes)
-    if (pos == len(sorted_codes)).any() or (sorted_codes[pos] != codes).any():
+        sphere = data.sphere_elements[i]
+        # letters[e]: the geodesic word of sphere element e, read back along via.
+        letters = np.empty((len(sphere), i), dtype=np.intp)
+        for e, g in enumerate(sphere):
+            v = data.index[g]
+            for j in reversed(range(i)):
+                v, letters[e, j] = data.via[v]
+        draws = _step_rng(seed, step).integers(0, len(sphere), size=trials)
+        for j in range(i):
+            pos = table[pos, letters[draws, j]]
+    if (pos < 0).any():
         raise InternalError("a sampled element lies outside the realized window")
-    outcome = dist[pos]
-    values, tallies = np.unique(outcome, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, tallies)}
-
-
-def _mc_generic(pg: PointedGraph, pat, trials: int, seed: int) -> dict:
-    data = pg.cayley
-    draws = [
-        _step_rng(seed, step).integers(0, len(data.sphere_elements[i]), size=trials)
-        for step, i in enumerate(pat)
-    ]
-    counts: dict[int, int] = {}
-    for t in range(trials):
-        g = data.sphere_elements[pat[0]][draws[0][t]]
-        for step in range(1, len(pat)):
-            g = cy.multiply(g, data.sphere_elements[pat[step]][draws[step][t]])
-        k = pg.dist[data.index[g]]
-        counts[k] = counts.get(k, 0) + 1
-    return counts
+    values, tallies = np.unique(np.array(pg.dist)[pos], return_counts=True)
+    counts = {int(v): int(c) for v, c in zip(values, tallies)}
+    return EmpiricalDistribution(counts, trials, seed, pat)
 
 
 def uniform_distribution(pg: PointedGraph) -> dict[int, Fraction]:
@@ -361,32 +327,46 @@ def joint_distance_law(
         )
     data = pg.cayley
     n = pg.vertex_count
-    mult = [
-        [data.index[cy.multiply(data.elements[v], data.elements[g])] for g in range(n)]
-        for v in range(n)
+    dist = pg.dist
+    # rows[v][g] is the index of elements[v] * elements[g], composed along
+    # g's generator word: elements[g] = elements[u] * generators[s].
+    rows = []
+    for v in range(n):
+        row = [v]
+        for u, s in data.via[1:]:
+            row.append(data.right[row[u]][s])
+        rows.append(row)
+    # Masses are integer numerators: the mass of a path of t steps is
+    # its integer weight over scale**t.
+    scale = lcm(*(w.denominator for w in alpha.values()))
+    weighted = [
+        (g, int(alpha[dist[g]] * scale))
+        for g in range(n)
+        if alpha.get(dist[g])
     ]
-    weights = [alpha.get(pg.dist[g], Fraction(0)) for g in range(n)]
-    states: dict[tuple, dict[int, Fraction]] = {(): {pg.base: Fraction(1)}}
+    states: dict[tuple, dict[int, int]] = {(): {pg.base: 1}}
     for _ in range(depth):
-        nxt: dict[tuple, dict[int, Fraction]] = {}
-        for prefix, dist_map in states.items():
-            for v, mass in dist_map.items():
-                row = mult[v]
-                for g in range(n):
-                    w = weights[g]
-                    if not w:
-                        continue
+        nxt: dict[tuple, dict[int, int]] = {}
+        for prefix, masses in states.items():
+            acc = [0] * n
+            # Buckets follow the order in which targets are first reached;
+            # that order fixes the law's pattern order (and its TSV rows).
+            reached = []
+            for v, mass in masses.items():
+                row = rows[v]
+                for g, w in weighted:
                     target = row[g]
-                    key = prefix + (pg.dist[target],)
-                    bucket = nxt.setdefault(key, {})
-                    bucket[target] = bucket.get(target, Fraction(0)) + mass * w
+                    if not acc[target]:
+                        reached.append(target)
+                    acc[target] += mass * w
+            for target in reached:
+                nxt.setdefault(prefix + (dist[target],), {})[target] = acc[target]
         states = nxt
-    law = {
-        prefix: sum(dist_map.values(), Fraction(0))
-        for prefix, dist_map in states.items()
-    }
-    if sum(law.values(), Fraction(0)) != 1:
+    denominator = scale**depth
+    numerators = {prefix: sum(masses.values()) for prefix, masses in states.items()}
+    if sum(numerators.values()) != denominator:
         raise InternalError("the joint distance law does not sum to 1")
+    law = {prefix: Fraction(num, denominator) for prefix, num in numerators.items()}
     return JointLaw(pg.name, depth, law, alpha, sphere_sizes(pg), pg.vertex_count)
 
 

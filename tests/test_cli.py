@@ -623,3 +623,79 @@ def test_json_reports_are_pinned(runner, command):
         if (result.exit_code, digest) != pin:
             changed.append(line)
     assert changed == []
+
+
+# Walk-law reports pinned as (exit code, sha256 of `--format json`
+# stdout), taken from the reports of the element-by-element samplers and
+# the Fraction DP.  `product mc` runs with `--seed 5`; the files are
+# written by `walk_files` into the working directory.
+WALK_FILES = {
+    "s5.txt": "(0 1)\n(0 1 2 3 4)\n(0 4 3 2 1)\n",
+    "skew4.json": json.dumps({"0": "1/2", "1": "1/8", "2": "1/4"}),
+    "skew32.json": json.dumps({"0": "1/4", "1": "1/6", "2": "1/8"}),
+    # alpha_i = (i + 1)/755 on S5, whose spheres have 1, 3, 6, 10, 16,
+    # 24, 29, 21, 6, 3, 1 elements under these generators.
+    "skew_s5.json": json.dumps({str(i): f"{i + 1}/755" for i in range(11)}),
+}
+WALK_JSON = {
+    "product mc zmod:6,6 --pattern 1,2,3 --trials 20000": (0, "53c17f5b3400df3b93c97abbe740455483cd7ce14a252806ed1d0a075826afe1"),
+    "product mc lattice:2 --pattern 1,2,1 --trials 20000": (0, "7be00cd50a6f5da26766a88f2d51a076199d529c2cc81e9732774caff571336f"),
+    "product mc ladder --pattern 2,1 --trials 20000": (0, "06e7b4e2ed77d85409a2fd81358c5118c060a65e15baf9daeb28a26214f62c74"),
+    "product mc free:2 --pattern 2,2,2 --trials 20000": (0, "13e85eae767d37a9ebc938596a04f45d369d63d352d913e54683fa6c243ea65d"),
+    "product mc perm:s5.txt --pattern 1,2,3 --trials 20000": (0, "3a9de6d25e4102267a21f1ead5054bce7ee543835e057fc0d07d488101836548"),
+    "product mc free:2:r=3 --pattern 3,1 --trials 20000": (0, "2dc04a55cbcc3796ff1afcb3168d93ab246db995dddcd3e4491e813ba7f7a2f2"),
+    "walk joint zmod:3,2 --depth 3": (0, "75c7892a70e9f0a6c044ea74a8c5d87697ee027c32d2988537c3f0a510b965ea"),
+    "walk joint zmod:3,2 --alpha skew32.json --depth 3": (0, "9b2f38be818c9d83dd7354d48d9404c4f41ef1a257cd764f75fc573ae9ed2614"),
+    "walk joint perm:s5.txt --depth 2": (0, "1cdd6df0b3b46c8679e1200a2dcda15da0afc7ad37ebbce1af42b9cdfa720f78"),
+    "walk joint perm:s5.txt --alpha skew_s5.json --depth 2": (0, "53dc7f54e1948927652bf99d71693f339a8dae237cd702a589cd22420962b4ce"),
+    "walk markov zmod:3,2": (0, "b48e6b6dd7a0e75fc68f151197b093fb806bfb09d0afc5d967337bd60d5a7549"),
+    "walk markov zmod:3,2 --alpha skew32.json": (1, "d2df152a0caf52d1aeb48a0026ce7599520e43ebfe1d0b8d1273ffcaaa0632c0"),
+    "walk markov zmod:4 --alpha skew4.json": (0, "45407e2408456963883436bffa89cb243314abd1e8a070c032f2874bd4ac543f"),
+    "walk markov perm:s5.txt --alpha skew_s5.json --depth 3": (1, "01a8f1076d96f4dafac5a9dffba471f607d12b6916a07ba7b7fec12b88222596"),
+}
+
+
+@pytest.fixture()
+def walk_files(tmp_path, monkeypatch):
+    for name, text in WALK_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("line", list(WALK_JSON))
+def test_walk_reports_are_pinned(runner, walk_files, line):
+    seed = ["--seed", "5"] if line.startswith("product") else []
+    result = run(runner, ["--format", "json", *seed, *line.split()])
+    digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+    assert (result.exit_code, digest) == WALK_JSON[line]
+
+
+def test_fixture_group_is_read_without_realizing_its_window(runner):
+    """free:2:r=11 would realize more vertices than the window cap; its
+    group is all a walk command needs."""
+    args = ["product", "mc", "--pattern", "1", "--trials", "10"]
+    fixture = run(runner, [*args[:2], "free:2:r=11", *args[2:]])
+    group = run(runner, [*args[:2], "free:2", *args[2:]])
+    assert fixture.exit_code == 0
+    assert fixture.stdout == group.stdout
+
+
+@pytest.mark.parametrize(
+    "spec,line",
+    [
+        ("free:2:r=x", "error: BadParameter: 'free:2:r=x': radius r must be an integer"),
+        ("free:x:r=2", "error: BadParameter: 'free:x:r=2': rank must be an integer"),
+        ("lattice:0:r=2", "error: BadParameter: 'lattice:0:r=2': dimension must be >= 1"),
+        ("cycle:2", "error: BadParameter: 'cycle:2': n must be >= 3"),
+        ("prism:x", "error: BadParameter: 'prism:x': n must be an integer"),
+        ("zmod:4:r=-1", "error: BadParameter: 'zmod:4:r=-1': radius r must be >= 0"),
+        ("ladder:x:r=2", "error: BadParameter: 'ladder:x:r=2': expected ladder:r=<R>"),
+        ("odd:3", "error: BadParameter: unknown group spec 'odd:3'"),
+        ("nosuch:1", "error: UnknownFixture: no fixture named 'nosuch'"),
+    ],
+)
+def test_malformed_group_fixture_keeps_its_error_line(runner, spec, line):
+    result = run(runner, ["product", "mc", spec, "--pattern", "1", "--trials", "10"])
+    assert result.exit_code == 2
+    assert result.stderr == line + "\n"
+    assert result.stdout == ""
