@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     BadParameter,
@@ -51,18 +52,32 @@ class ProbabilityVector:
         return cls(items)
 
     @classmethod
+    def from_numerators(cls, row) -> "ProbabilityVector":
+        """The vector of an integer row (d, ((k, n_k), ...)): entries n_k / d."""
+        den, entries = row
+        return cls(tuple((k, Fraction(n, den)) for k, n in entries))
+
+    @classmethod
     def point(cls, k: int) -> "ProbabilityVector":
         return cls(((k, Fraction(1)),))
 
     @staticmethod
     def combine(terms) -> "ProbabilityVector":
         """Convex combination: terms is an iterable of (weight, vector)."""
-        pairs = []
-        for w, vec in terms:
-            if not w:
-                continue
-            pairs.extend((k, w * c) for k, c in vec.items)
-        return ProbabilityVector.from_pairs(pairs)
+        terms = [(Fraction(w), vec) for w, vec in terms if w]
+        den = lcm(*(w.denominator for w, _ in terms))
+        return ProbabilityVector.from_numerators(
+            convex_combination(
+                den,
+                [(w.numerator * (den // w.denominator), vec.numerators()) for w, vec in terms],
+            )
+        )
+
+    def numerators(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The integer row (d, ((k, n_k), ...)) with d the lcm of the
+        denominators and entries n_k / d."""
+        den = lcm(*(w.denominator for _, w in self.items))
+        return den, tuple((k, w.numerator * (den // w.denominator)) for k, w in self.items)
 
     def coefficient(self, k: int) -> Fraction:
         for idx, w in self.items:
@@ -79,6 +94,30 @@ class ProbabilityVector:
 
     def to_jsonable(self) -> dict:
         return {str(k): w for k, w in self.items}
+
+
+def convex_combination(den: int, terms):
+    """The mixture sum of (a / den) * row over a list of terms (a, row),
+    exactly.
+
+    A row is an integer row (d, ((k, n_k), ...)) with entries n_k / d,
+    sorted by k.  The mixture is summed on integer numerators over
+    den * lcm(d) and returned in lowest terms, so two mixtures are equal
+    vectors iff they are equal tuples.  The numerators must sum to the
+    denominator: the weights and every row are probability vectors.
+    """
+    scale = lcm(*(d for _, (d, _) in terms))
+    acc: dict[int, int] = {}
+    for a, (d, entries) in terms:
+        a *= scale // d
+        for k, n in entries:
+            acc[k] = acc.get(k, 0) + a * n
+    total = den * scale
+    mass = sum(acc.values())
+    if mass != total:
+        raise InternalError(f"convex combination has mass {mass}/{total}, not 1")
+    g = gcd(total, *acc.values())
+    return total // g, tuple(sorted((k, n // g) for k, n in acc.items()))
 
 
 def sphere_sizes(pg: PointedGraph) -> tuple[int, ...]:
@@ -142,6 +181,7 @@ class StructureTable:
         self.pg = pg
         self.bound = bound
         self.rows = rows
+        self._numerators: dict = {}
 
     def row(self, i: int, j: int) -> ProbabilityVector:
         if i > self.bound or j > self.bound or i < 0 or j < 0:
@@ -159,6 +199,14 @@ class StructureTable:
         vec = product(self.pg, i, j)
         self.rows[key] = vec
         return vec
+
+    def numerators(self, i: int, j: int):
+        """row_extended(i, j) as an integer row, converted once."""
+        key = (i, j)
+        row = self._numerators.get(key)
+        if row is None:
+            row = self._numerators[key] = self.row_extended(i, j).numerators()
+        return row
 
     @property
     def indices(self) -> range:
@@ -227,24 +275,40 @@ class ClassificationReport:
     skipped_triples: int = 0
 
 
-def _first_difference(lhs: ProbabilityVector, rhs: ProbabilityVector):
-    for k in sorted(set(lhs.support) | set(rhs.support)):
-        if lhs.coefficient(k) != rhs.coefficient(k):
-            return k
+def _first_difference(left, right):
+    """(k, lhs, rhs) at the least index where two integer rows differ,
+    with both entries as Fractions; None when they are equal."""
+    if left == right:
+        return None
+    (dl, nl), (dr, nr) = left, right
+    lhs, rhs = dict(nl), dict(nr)
+    for k in sorted(lhs.keys() | rhs.keys()):
+        a, b = lhs.get(k, 0), rhs.get(k, 0)
+        if a * dr != b * dl:
+            return k, Fraction(a, dl), Fraction(b, dr)
     return None
+
+
+def _associativity_sides(table: StructureTable, h: int, i: int, j: int):
+    """Both sides of (x_h o x_i) o x_j = x_h o (x_i o x_j) as integer rows.
+
+    The left side is formed first, and each side reads its rows in the
+    order of its outer row's support, so a side past a window's exact
+    radius raises RadiusExceeded after the same rows were computed.
+    """
+    den, weights = table.numerators(h, i)
+    left = convex_combination(den, [(a, table.numerators(l, j)) for l, a in weights])
+    den, weights = table.numerators(i, j)
+    right = convex_combination(den, [(a, table.numerators(h, l)) for l, a in weights])
+    return left, right
 
 
 def associativity_defect(table: StructureTable, h: int, i: int, j: int):
     """Both sides of (x_h o x_i) o x_j = x_h o (x_i o x_j)."""
-    left = ProbabilityVector.combine(
-        (table.entry(h, i, l), table.row_extended(l, j))
-        for l in table.row(h, i).support
-    )
-    right = ProbabilityVector.combine(
-        (table.entry(i, j, l), table.row_extended(h, l))
-        for l in table.row(i, j).support
-    )
-    return left, right
+    table.row(h, i)  # both outer rows lie inside the bound
+    table.row(i, j)
+    left, right = _associativity_sides(table, h, i, j)
+    return ProbabilityVector.from_numerators(left), ProbabilityVector.from_numerators(right)
 
 
 def classify(table: StructureTable) -> ClassificationReport:
@@ -253,7 +317,8 @@ def classify(table: StructureTable) -> ClassificationReport:
     Scans are lexicographic and the first violation of the first failing
     axiom (commutativity scanned first) becomes the witness.  On windows,
     associativity triples whose sums leave the exact region are skipped
-    and counted instead of silently passing.
+    and counted instead of silently passing.  Both sides of every triple
+    are compared on integer numerators; only a witness forms Fractions.
     """
     witness = None
     commutative = True
@@ -261,16 +326,10 @@ def classify(table: StructureTable) -> ClassificationReport:
         for j in table.indices:
             if i >= j:
                 continue
-            k = _first_difference(table.row(i, j), table.row(j, i))
-            if k is not None:
+            diff = _first_difference(table.numerators(i, j), table.numerators(j, i))
+            if diff is not None:
                 commutative = False
-                if witness is None:
-                    witness = Violation(
-                        "commutativity",
-                        (i, j, k),
-                        table.entry(i, j, k),
-                        table.entry(j, i, k),
-                    )
+                witness = Violation("commutativity", (i, j, diff[0]), diff[1], diff[2])
                 break
         if not commutative:
             break
@@ -281,20 +340,16 @@ def classify(table: StructureTable) -> ClassificationReport:
         for i in table.indices:
             for j in table.indices:
                 try:
-                    left, right = associativity_defect(table, h, i, j)
+                    left, right = _associativity_sides(table, h, i, j)
                 except RadiusExceeded:
                     skipped += 1
                     continue
-                k = _first_difference(left, right)
-                if k is not None:
+                diff = _first_difference(left, right)
+                if diff is not None:
                     associative = False
-                    if assoc_witness is None:
-                        assoc_witness = Violation(
-                            "associativity",
-                            (h, i, j, k),
-                            left.coefficient(k),
-                            right.coefficient(k),
-                        )
+                    assoc_witness = Violation(
+                        "associativity", (h, i, j, diff[0]), diff[1], diff[2]
+                    )
                     break
             if not associative:
                 break

@@ -34,6 +34,7 @@ from .hypergroup import (
     StructureTable,
     build_table,
     check_S2,
+    convex_combination,
     sphere_sizes,
 )
 
@@ -67,19 +68,19 @@ def left_nested_product(
     the permutation-invariance comparison needs.
     """
     pat = validate_pattern(pattern, table.bound)
-    acc = ProbabilityVector.point(pat[0])
+    den, weights = 1, ((pat[0], 1),)
     for t, i_t in enumerate(pat[1:], start=2):
         if not extended:
-            for l in acc.support:
+            for l, _ in weights:
                 if l > table.bound:
                     raise RadiusExceeded(
                         f"intermediate support index {l} exceeds bound {table.bound} "
                         f"before step {t}"
                     )
-        acc = ProbabilityVector.combine(
-            (acc.coefficient(l), table.row_extended(l, i_t)) for l in acc.support
+        den, weights = convex_combination(
+            den, [(a, table.numerators(l, i_t)) for l, a in weights]
         )
-    return acc
+    return ProbabilityVector.from_numerators((den, weights))
 
 
 def jump_distribution(pg: PointedGraph, pattern) -> ProbabilityVector:

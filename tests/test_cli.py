@@ -655,6 +655,23 @@ WALK_JSON = {
 }
 
 
+# The benchmark's slowest inputs to `classify`, `commute_check` and PL,
+# pinned like GOLDEN_JSON, taken from the reports of the Fraction scan.
+CLASSIFY_JSON = {
+    "hyper classify ladder:r=30": (0, "4c749429cb03630b24493aa404593dba0b626905aaf8d0bd0ebc7fbc39d271b2"),
+    "hyper classify free:2:r=7": (0, "e6075c3c358d51fff22752b6f516cf14e10b0d073a865dd1d14af609985fa6ab"),
+    "matrix commute lattice:2:r=12": (1, "02732b06c8142a5655630b8984629b16d7c87c4fe324e0fa3ff32dc4ab588348"),
+    "product pl free:2:r=6 --pattern 3,3": (0, "c5536c47580e6775e5830d1715350743a4e5d8d7cb5efa80540766c4e36ddc3b"),
+}
+
+
+@pytest.mark.parametrize("line", list(CLASSIFY_JSON))
+def test_classify_reports_are_pinned(runner, line):
+    result = run(runner, ["--format", "json", *line.split()])
+    digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+    assert (result.exit_code, digest) == CLASSIFY_JSON[line]
+
+
 @pytest.fixture()
 def walk_files(tmp_path, monkeypatch):
     for name, text in WALK_FILES.items():

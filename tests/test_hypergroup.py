@@ -202,6 +202,20 @@ def test_broken_invariants_raise_internal_error(monkeypatch):
             build_table(pg)
 
 
+def test_combination_mass_is_an_internal_invariant(monkeypatch):
+    """A row that is not a probability vector breaks the mass of every
+    convex combination that reads it: an internal error, not bad input."""
+    table = build_table(resolve_spec("prism:3"))
+    broken = ProbabilityVector(((1, F(1, 2)), (2, F(1, 4))))
+    monkeypatch.setitem(table.rows, (1, 2), broken)
+    with pytest.raises(InternalError, match="mass"):
+        classify(table)
+    with pytest.raises(InternalError, match="mass"):
+        associativity_defect(table, 0, 1, 2)
+    with pytest.raises(InternalError, match="mass"):
+        ProbabilityVector.combine([(F(1, 2), ProbabilityVector.point(0))])
+
+
 def test_distance_regular_verdicts():
     assert check_distance_regular(resolve_spec("odd:3")).passed
     assert check_distance_regular(resolve_spec("cycle:6")).passed
