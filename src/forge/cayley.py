@@ -6,15 +6,16 @@ permutation groups given by generator files (family "perm"), and free
 groups on the standard symmetric basis (family "free").
 
 realize_window produces a PointedGraph for the ball of a chosen radius
-around the identity.  Because Cayley graphs satisfy the translation
-identity d(u, v) = |u^-1 v|, window spheres are served exactly out to the
-full radius by translating base spheres; check_S3 cross-validates that
-identity against raw BFS.
+around the identity and an integer table of its products by generators.
+By the translation identity d(u, v) = |u^-1 v|, its sphere oracle serves
+window spheres exactly out to the full radius by translating the base
+ball through that table; check_S3 cross-validates it against raw BFS.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -22,13 +23,14 @@ from .errors import (
     BadParameter,
     CapExceeded,
     ContainsIdentity,
+    InternalError,
     KindMismatch,
     NotFinite,
     NotGenerating,
     NotSymmetric,
     WindowOverflow,
 )
-from .graphs import INFINITE, PointedGraph, build_graph
+from .graphs import INFINITE, PointedGraph, bfs_distances, build_graph
 
 WINDOW_CAP = 200_000
 CLOSURE_CAP = 100_000
@@ -388,12 +390,12 @@ class WindowData:
     right[v][s] is the index of elements[v] * generators[s], or -1 outside
     the window.  via[v] = (u, s), the pair whose product first reached v
     in the BFS, so following via from v back to 0 spells a geodesic word.
+    Elements are in BFS order: each base ball B_n is a prefix of them.
     """
 
     cg: CayleyGraph
     elements: tuple[GroupElement, ...]
     index: dict
-    sphere_elements: dict
     saturated: bool
     radius: int
     right: list
@@ -454,20 +456,19 @@ def realize_window(cg: CayleyGraph, radius: int, cap: int = WINDOW_CAP) -> Point
         truncated=truncated,
         exact_radius=radius if truncated else INFINITE,
     )
-    sphere_elements = {n: tuple(layer) for n, layer in enumerate(layers)}
-    data = WindowData(
-        cg, tuple(elements), index, sphere_elements, saturated, radius, right, via
-    )
-    pg.cayley = data
+    pg.cayley = WindowData(cg, tuple(elements), index, saturated, radius, right, via)
+    dist = pg.dist
 
-    def translated_sphere(v: int, n: int) -> tuple[int, ...]:
-        base_sphere = data.sphere_elements.get(n)
-        if base_sphere is None:
-            return ()
-        g = data.elements[v]
-        return tuple(sorted(data.index[multiply(g, u)] for u in base_sphere))
+    def sphere_oracle(v: int, top: int) -> list[int]:
+        """The index of elements[v] * g for each g in B_top, in order."""
+        ball = [v]
+        for u, s in via[1 : bisect_right(dist, top)]:
+            ball.append(right[ball[u]][s])
+        if -1 in ball:
+            raise InternalError(f"B_{top} translated to vertex {v} leaves the window")
+        return ball
 
-    pg._sphere_oracle = translated_sphere
+    pg._sphere_oracle = sphere_oracle
     return pg
 
 
@@ -493,32 +494,31 @@ class S3Report:
 
 
 def check_S3(cg: CayleyGraph, radius: int, sample_cap: int = 200_000) -> S3Report:
-    """Cross-validate the translation identity against raw window BFS.
+    """Cross-validate the sphere oracle's vw against raw window BFS.
 
     Covers every pair (v, w) with |v| + |w| <= radius, where geodesics
     cannot leave the window; beyond sample_cap pairs a deterministic
     stride sample is used and the scope says so.
     """
-    from .graphs import bfs_distances
-
     pg = realize_window(cg, radius)
-    data = pg.cayley
-    pairs = []
-    for v in range(pg.vertex_count):
-        budget = radius - pg.dist[v]
-        for n in range(1, budget + 1):
-            for w in data.sphere_elements.get(n, ()):
-                pairs.append((v, n, w))
+    dist = pg.dist
+    pairs = [
+        (v, w)
+        for v in range(pg.vertex_count)
+        for w in range(1, bisect_right(dist, radius - dist[v]))
+    ]
     stride = max(1, -(-len(pairs) // sample_cap))
     scope = f"pairs with |v|+|w| <= {radius}"
     if stride > 1:
         scope += f", stride-{stride} sample"
     checked = 0
-    for v, n, w in pairs[::stride]:
-        target = data.index[multiply(data.elements[v], w)]
-        actual = bfs_distances(pg, v)[target]
+    ball_of = None
+    for v, w in pairs[::stride]:
+        if ball_of != v:
+            ball_of, ball = v, pg._sphere_oracle(v, radius - dist[v])
+        actual = bfs_distances(pg, v)[ball[w]]
         checked += 1
-        if actual != n:
-            witness = (pg.label(v), element_str(w), n, actual)
+        if actual != dist[w]:
+            witness = (pg.label(v), pg.label(w), dist[w], actual)
             return S3Report(False, checked, witness, scope)
     return S3Report(True, checked, None, scope)

@@ -1,9 +1,13 @@
-"""Pointed graphs: construction, BFS spheres, and the standing assumptions.
+"""Pointed graphs: construction, spheres, and the standing assumptions.
 
 A pointed graph is a simple connected locally finite graph with a chosen
 base vertex.  Everything downstream is built from the sphere map
 S_n(v) = {u : d(u, v) = n}; for the base vertex the spheres partition the
 vertex set and their indices form the index set I of the graph.
+
+One kernel, sphere_counts, counts |S_n(v) ∩ S_k(base)| for every n at
+once, and sphere_at reads single spheres from the same source: the base
+ball translated by pg._sphere_oracle on Cayley graphs, else a BFS row.
 
 Truncated windows (finite pieces of infinite graphs) carry an exactness
 radius: spheres S_n(v) are only served when |v| + n stays within it, so
@@ -75,6 +79,7 @@ class PointedGraph:
     meta: dict = field(default_factory=dict)
     _sphere_oracle: object = field(default=None, repr=False)
     _bfs_cache: dict = field(default_factory=dict, repr=False)
+    _count_cache: dict = field(default_factory=dict, repr=False)
     cayley: object = field(default=None, repr=False)
 
     @property
@@ -234,42 +239,61 @@ def bfs_distances(pg: PointedGraph, v: int) -> tuple[int, ...]:
     return pg._bfs_cache[v]
 
 
-def sphere_at(pg: PointedGraph, v: int, n: int) -> tuple[int, ...]:
-    """The sorted sphere S_n(v).
+def _reach(pg: PointedGraph, v: int, top: int | None):
+    """(top, ns, us): ns[t] = d(v, us[t]), over every vertex within top of v.
 
-    On truncated windows requires |v| + n <= exact_radius so the answer
-    agrees with the ambient graph; Cayley windows serve spheres by
-    translating base spheres, everything else falls back to BFS.
+    Cayley graphs translate the base ball B_top; other graphs read the
+    cached BFS row, which may run past top.  top=None means the largest
+    index v certifies: exact_radius - |v| on windows, else its eccentricity.
     """
     if not 0 <= v < pg.vertex_count:
         raise BadParameter(f"vertex {v} outside range 0..{pg.vertex_count - 1}")
-    if n < 0:
-        raise BadParameter(f"sphere index {n} is negative")
-    if pg.truncated and pg.dist[v] + n > pg.exact_radius:
-        raise RadiusExceeded(
-            f"S_{n}({v}) reaches outside the exact region "
-            f"(|v|={pg.dist[v]}, exact_radius={pg.exact_radius})"
-        )
-    if v == pg.base:
-        return pg.spheres.get(n, ())
+    if top is not None and top < 0:
+        raise BadParameter(f"sphere index {top} is negative")
+    if pg.truncated:
+        limit = int(pg.exact_radius) - pg.dist[v]
+        top = max(limit, 0) if top is None else top
+        if top > limit:
+            raise RadiusExceeded(
+                f"S_{top}({v}) reaches outside the exact region "
+                f"(|v|={pg.dist[v]}, exact_radius={pg.exact_radius})"
+            )
     if pg._sphere_oracle is not None:
-        return pg._sphere_oracle(v, n)
-    dist = bfs_distances(pg, v)
-    return tuple(u for u, d in enumerate(dist) if d == n)
+        top = max(pg.spheres) if top is None else top
+        ball = pg._sphere_oracle(v, top)
+        return top, pg.dist[: len(ball)], ball
+    row = bfs_distances(pg, v)
+    return max(row) if top is None else top, row, range(pg.vertex_count)
 
 
-def sphere_profile(pg: PointedGraph, v: int, n: int) -> dict[int, int]:
-    """The counts |S_n(v) ∩ S_k(base)| keyed by k, for the k that occur.
+def sphere_at(pg: PointedGraph, v: int, n: int) -> tuple[int, ...]:
+    """The sorted sphere S_n(v), from the source of sphere_counts."""
+    _, ns, us = _reach(pg, v, n)
+    return tuple(sorted(u for d, u in zip(ns, us) if d == n))
 
-    S_n(v) comes from sphere_at, under its scope rule; products and the
-    walk condition (S2) are reductions over these integer counts.
+
+def sphere_counts(pg: PointedGraph, v: int, top: int | None = None) -> list[dict[int, int]]:
+    """counts[n][k] = |S_n(v) ∩ S_k(base)| for n = 0..top, nonzero k only.
+
+    Every per-vertex sphere check reduces over these counts.  top defaults
+    to the largest index v certifies; past a window's radius it raises
+    RadiusExceeded, past the eccentricity of v the spheres are empty.
+    Counts from BFS rows are cached like the rows: do not modify them.
     """
-    dist = pg.dist
-    profile: dict[int, int] = {}
-    for u in sphere_at(pg, v, n):
-        k = dist[u]
-        profile[k] = profile.get(k, 0) + 1
-    return profile
+    top, ns, us = _reach(pg, v, top)
+    bfs = pg._sphere_oracle is None
+    if bfs and (v, top) in pg._count_cache:
+        return pg._count_cache[(v, top)]
+    # A BFS row lists every vertex in order, so its base distances are pg.dist.
+    ks = pg.dist if bfs else map(pg.dist.__getitem__, us)
+    counts: list[dict[int, int]] = [{} for _ in range(top + 1)]
+    for n, k in zip(ns, ks):
+        if n <= top:
+            sphere = counts[n]
+            sphere[k] = sphere.get(k, 0) + 1
+    if bfs:
+        pg._count_cache[(v, top)] = counts
+    return counts
 
 
 @dataclass(frozen=True)
@@ -314,7 +338,7 @@ def check_assumptions(pg: PointedGraph) -> AssumptionReport:
     top = max(pg.spheres)
     witness = None
     for v in range(graph.vertex_count):
-        if max(bfs_distances(pg, v)) < top:
+        if not sphere_counts(pg, v, top)[top]:
             witness = v
             break
     verdict = "pass" if witness is None else "fail"

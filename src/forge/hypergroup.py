@@ -12,8 +12,8 @@ associativity can fail, and classify() decides them within a bound.
 
 Separate checks cover the two sphere-regularity conditions (constant
 sphere sizes; constant sphere intersections) and full distance
-regularity.  The products and (S2) both reduce over the integer counts
-|S_n(v) ∩ S_k| that graphs.sphere_profile returns.
+regularity.  The products, (S1) and (S2) reduce over the integer counts
+|S_n(v) ∩ S_k| that graphs.sphere_counts returns, read once per vertex.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     NotFinite,
     RadiusExceeded,
 )
-from .graphs import PointedGraph, bfs_distances, sphere_at, sphere_profile
+from .graphs import PointedGraph, bfs_distances, sphere_counts
 
 
 @dataclass(frozen=True)
@@ -140,34 +140,40 @@ def product(pg: PointedGraph, i: int, j: int) -> ProbabilityVector:
     _validate_index(pg, i, "i")
     _validate_index(pg, j, "j")
     if pg.truncated and i + j > pg.exact_radius:
-        raise RadiusExceeded(
-            f"x_{i} o x_{j} needs i+j <= exact_radius={pg.exact_radius}"
-        )
+        raise RadiusExceeded(f"x_{i} o x_{j} needs i+j <= exact_radius={pg.exact_radius}")
+    return _product_rows(pg, i, (j,))[0]
+
+
+def _product_rows(pg: PointedGraph, i: int, js) -> list[ProbabilityVector]:
+    """The rows x_i o x_j for each j in js, reading each v in S_i once."""
     base_sphere = pg.spheres.get(i, ())
     if not base_sphere:
         raise EmptySphere(f"S_{i}(base) is empty")
-    # counts[s][k]: |S_j(v) ∩ S_k| summed over the v in S_i with |S_j(v)| = s
-    counts: dict[int, dict[int, int]] = {}
-    for v in base_sphere:
-        profile = sphere_profile(pg, v, j)
-        size = sum(profile.values())
-        if not size:
-            raise EmptySphere(f"S_{j}({v}) is empty; the product is undefined")
-        total = counts.setdefault(size, {})
-        for k, count in profile.items():
-            total[k] = total.get(k, 0) + count
+    profiles = [sphere_counts(pg, v, max(js)) for v in base_sphere]
     size_i = len(base_sphere)
-    vec = ProbabilityVector.from_pairs(
-        (k, Fraction(count, size_i * size))
-        for size, total in counts.items()
-        for k, count in total.items()
-    )
-    lo, hi = abs(i - j), i + j
-    if not all(lo <= k <= hi for k in vec.support):
-        raise InternalError(f"x_{i} o x_{j} has support {vec.support} outside [{lo}, {hi}]")
-    if (vec.coefficient(0) != 0) != (i == j):
-        raise InternalError(f"x_{i} o x_{j} breaks hermiticity at index 0")
-    return vec
+    rows = []
+    for j in js:
+        # counts[s][k]: |S_j(v) ∩ S_k| summed over the v in S_i with |S_j(v)| = s
+        counts: dict[int, dict[int, int]] = {}
+        for v, profile in zip(base_sphere, profiles):
+            size = sum(profile[j].values())
+            if not size:
+                raise EmptySphere(f"S_{j}({v}) is empty; the product is undefined")
+            total = counts.setdefault(size, {})
+            for k, count in profile[j].items():
+                total[k] = total.get(k, 0) + count
+        vec = ProbabilityVector.from_pairs(
+            (k, Fraction(count, size_i * size))
+            for size, total in counts.items()
+            for k, count in total.items()
+        )
+        lo, hi = abs(i - j), i + j
+        if not all(lo <= k <= hi for k in vec.support):
+            raise InternalError(f"x_{i} o x_{j} has support {vec.support} outside [{lo}, {hi}]")
+        if (vec.coefficient(0) != 0) != (i == j):
+            raise InternalError(f"x_{i} o x_{j} breaks hermiticity at index 0")
+        rows.append(vec)
+    return rows
 
 
 class StructureTable:
@@ -241,9 +247,9 @@ def build_table(pg: PointedGraph, bound: int | None = None) -> StructureTable:
     elif bound > max(pg.spheres):
         raise IndexOutOfRange(f"bound {bound} exceeds the top index {max(pg.spheres)}")
     rows = {}
-    for i in range(bound + 1):
-        for j in range(bound + 1):
-            rows[(i, j)] = product(pg, i, j)
+    indices = range(bound + 1)
+    for i in indices:
+        rows.update(zip([(i, j) for j in indices], _product_rows(pg, i, indices)))
     for n in range(bound + 1):
         unit = ProbabilityVector.point(n)
         if rows[(0, n)] != unit or rows[(n, 0)] != unit:
@@ -381,15 +387,18 @@ def check_S1(pg: PointedGraph) -> ConditionReport:
         scope = f"i >= 1, vertices with |v| + i <= {radius}"
         indices = range(1, radius + 1)
     else:
-        radius = None
         scope = "all vertices, every index"
         indices = sorted(pg.spheres)
+    top = None if pg.truncated else max(pg.spheres)
+    sizes: dict[int, list[int]] = {}
     for i in indices:
         expected = len(pg.spheres.get(i, ()))
         for v in range(pg.vertex_count):
-            if pg.truncated and pg.dist[v] + i > radius:
+            if pg.dist[v] + i > pg.exact_radius:
                 continue
-            size = len(sphere_at(pg, v, i))
+            if v not in sizes:
+                sizes[v] = [sum(counts.values()) for counts in sphere_counts(pg, v, top)]
+            size = sizes[v][i]
             checked += 1
             if size != expected:
                 witness = (i, pg.label(v), size, expected)
@@ -405,32 +414,22 @@ def check_S2(pg: PointedGraph) -> ConditionReport:
         scope = f"triples with k + i <= {radius}, j <= k + i"
         k_range = [n for n in sorted(pg.spheres) if n <= radius]
     else:
-        radius = None
         scope = "all index triples and vertices"
         k_range = sorted(pg.spheres)
     for k in k_range:
         sphere = pg.spheres[k]
-        i_range = (
-            range(0, radius - k + 1) if pg.truncated else sorted(pg.spheres)
-        )
+        i_range = range(0, radius - k + 1) if pg.truncated else sorted(pg.spheres)
+        profiles = [sphere_counts(pg, v, i_range[-1]) for v in sphere]
         for i in i_range:
-            profiles = [sphere_profile(pg, v, i) for v in sphere]
             j_range = range(0, k + i + 1) if pg.truncated else sorted(pg.spheres)
             for j in j_range:
-                expected = profiles[0].get(j, 0)
+                expected = profiles[0][i].get(j, 0)
                 for v, profile in zip(sphere, profiles):
-                    count = profile.get(j, 0)
+                    count = profile[i].get(j, 0)
                     checked += 1
                     if count != expected:
-                        witness = (
-                            i,
-                            j,
-                            k,
-                            pg.label(sphere[0]),
-                            expected,
-                            pg.label(v),
-                            count,
-                        )
+                        first = pg.label(sphere[0])
+                        witness = (i, j, k, first, expected, pg.label(v), count)
                         return ConditionReport("S2", False, witness, scope, checked)
     return ConditionReport("S2", True, None, scope, checked)
 

@@ -23,7 +23,7 @@ from .errors import (
     RadiusExceeded,
     TruncatedMatrix,
 )
-from .graphs import PointedGraph, bfs_distances, sphere_at
+from .graphs import PointedGraph, sphere_counts
 from .hypergroup import (
     StructureTable,
     build_table,
@@ -413,21 +413,12 @@ class UniformBound:
 
 def uniform_norm_bound(pg: PointedGraph) -> UniformBound:
     s = 0
+    for v in range(pg.vertex_count):
+        if pg.dist[v] <= pg.exact_radius:
+            s = max(s, *(sum(counts.values()) for counts in sphere_counts(pg, v)))
+    scope = "all vertices and indices"
     if pg.truncated:
-        radius = int(pg.exact_radius)
-        scope = f"vertices and indices with |v| + k <= {radius}"
-        for v in range(pg.vertex_count):
-            if pg.dist[v] > radius:
-                continue
-            for k in range(radius - pg.dist[v] + 1):
-                s = max(s, len(sphere_at(pg, v, k)))
-    else:
-        scope = "all vertices and indices"
-        for v in range(pg.vertex_count):
-            counts: dict[int, int] = {}
-            for d in bfs_distances(pg, v):
-                counts[d] = counts.get(d, 0) + 1
-            s = max(s, max(counts.values()))
+        scope = f"vertices and indices with |v| + k <= {int(pg.exact_radius)}"
     return UniformBound(s, s * s, scope)
 
 

@@ -117,11 +117,9 @@ def _pattern_window(cg: cy.CayleyGraph, pattern):
     """The window of radius sum(pattern) and the validated pattern."""
     pat = tuple(int(i) for i in pattern)
     pg = cy.realize_window(cg, sum(pat))
-    data = pg.cayley
-    top = max(data.sphere_elements) if data.saturated else pg.exact_radius
-    pat = validate_pattern(pat, top)
+    pat = validate_pattern(pat, pg.exact_radius if pg.truncated else max(pg.spheres))
     for i in pat:
-        if not data.sphere_elements.get(i, ()):
+        if not pg.spheres.get(i, ()):
             raise EmptySphere(f"S_{i}(identity) is empty")
     return pg, pat
 
@@ -134,7 +132,7 @@ def brute_force_conditional(
         raise NotCayley("brute-force products need a Cayley graph")
     pg, pat = _pattern_window(cg, pattern)
     data = pg.cayley
-    spheres = [data.sphere_elements[i] for i in pat]
+    spheres = [[data.elements[u] for u in pg.spheres[i]] for i in pat]
     total = 1
     for elems in spheres:
         total *= len(elems)
@@ -217,11 +215,10 @@ def monte_carlo_conditional(
     table = np.array(data.right + [(-1,) * len(cg.generators)], dtype=np.intp)
     pos = np.zeros(trials, dtype=np.intp)
     for step, i in enumerate(pat):
-        sphere = data.sphere_elements[i]
+        sphere = pg.spheres[i]
         # letters[e]: the geodesic word of sphere element e, read back along via.
         letters = np.empty((len(sphere), i), dtype=np.intp)
-        for e, g in enumerate(sphere):
-            v = data.index[g]
+        for e, v in enumerate(sphere):
             for j in reversed(range(i)):
                 v, letters[e, j] = data.via[v]
         draws = _step_rng(seed, step).integers(0, len(sphere), size=trials)
@@ -326,17 +323,10 @@ def joint_distance_law(
         raise PatternCapExceeded(
             f"(M+1)^depth = {(top + 1) ** depth} exceeds the cap {pattern_cap}"
         )
-    data = pg.cayley
     n = pg.vertex_count
     dist = pg.dist
-    # rows[v][g] is the index of elements[v] * elements[g], composed along
-    # g's generator word: elements[g] = elements[u] * generators[s].
-    rows = []
-    for v in range(n):
-        row = [v]
-        for u, s in data.via[1:]:
-            row.append(data.right[row[u]][s])
-        rows.append(row)
+    # rows[v][g] is the index of elements[v] * elements[g]: B_top is the group.
+    rows = [pg._sphere_oracle(v, top) for v in range(n)]
     # Masses are integer numerators: the mass of a path of t steps is
     # its integer weight over scale**t.
     scale = lcm(*(w.denominator for w in alpha.values()))

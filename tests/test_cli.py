@@ -687,6 +687,25 @@ def test_walk_reports_are_pinned(runner, walk_files, line):
     assert (result.exit_code, digest) == WALK_JSON[line]
 
 
+# (S3) reports pinned like GOLDEN_JSON, taken from the reports written
+# while the check still multiplied group elements.
+S3_JSON = {
+    "cayley s3 free:2 --radius 4": (0, "628d0cf32d944ac3b24562cc348d644345cf1e0d4e344a1ffd68f13479db3a22"),
+    "cayley s3 lattice:2 --radius 5": (0, "f9a75d5cc537fd18de75ef09210ce757b9d5ffa4ab801bf7ab787142ef10b726"),
+    "cayley s3 ladder --radius 6": (0, "c9884bb1f12604492734d311a74bc9bf8ecbf1c29e5a6c5f9e4a48b17ebc7627"),
+    "cayley s3 zmod:4,3 --radius 5": (0, "990438d6ee32bc1ad17597c396b78cd5cf27fb2f8177d5d4aec0d40116bd4717"),
+    "cayley s3 cycle:5 --radius 2": (0, "cebda59a34e643882f96f56f487f0d29fe2ebf73ad0faecaf0e3fdb211137aca"),
+    "cayley s3 perm:s5.txt --radius 3": (0, "96c5e72b94c4cee3ecf96e3fd9d00e18e240cee322147b367b51da686b76ede8"),
+}
+
+
+@pytest.mark.parametrize("line", list(S3_JSON))
+def test_s3_reports_are_pinned(runner, walk_files, line):
+    result = run(runner, ["--format", "json", *line.split()])
+    digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+    assert (result.exit_code, digest) == S3_JSON[line]
+
+
 def test_fixture_group_is_read_without_realizing_its_window(runner):
     """free:2:r=11 would realize more vertices than the window cap; its
     group is all a walk command needs."""

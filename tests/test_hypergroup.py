@@ -193,11 +193,13 @@ def test_broken_invariants_raise_internal_error(monkeypatch):
     assert not issubclass(InternalError, ForgeError)
     pg = resolve_spec("cycle:8")
     with monkeypatch.context() as m:
-        m.setattr(hypergroup, "sphere_profile", lambda pg, v, n: {4: 2})
+        m.setattr(hypergroup, "sphere_counts", lambda pg, v, top: [{4: 2}] * (top + 1))
         with pytest.raises(InternalError, match="support"):
             product(pg, 0, 0)
     with monkeypatch.context() as m:
-        m.setattr(hypergroup, "product", lambda pg, i, j: ProbabilityVector.point(0))
+        m.setattr(
+            hypergroup, "_product_rows", lambda pg, i, js: [ProbabilityVector.point(0)] * len(js)
+        )
         with pytest.raises(InternalError, match="unit"):
             build_table(pg)
 

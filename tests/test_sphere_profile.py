@@ -1,12 +1,16 @@
-"""The sphere-profile kernel and the two checks that reduce over it.
+"""The sphere-count kernel and the checks that reduce over it.
 
-graphs.sphere_profile counts |S_n(v) ∩ S_k(base)| by k.  It is checked
-against networkx distances, and product and check_S2, which now reduce
-over it, are checked against their first versions (kept here as
-reference_product and reference_check_S2), which scan every sphere
-element in Fractions: equal rows, equal reports (witness, count and
-scope), and the same errors, on seeded random graphs, on the finite
-catalog fixtures and on windows of infinite graphs.
+graphs.sphere_counts(pg, v, top) returns counts[n][k] = |S_n(v) ∩ S_k(base)|
+for n = 0..top, from one source per graph: the base ball translated by the
+window's integer generator table on Cayley graphs, the cached BFS row
+otherwise.  It is checked against networkx distances, and the Cayley
+translation against `cayley.multiply`.  product, check_S1, check_S2 and
+uniform_norm_bound, which reduce over it, are checked against their
+earlier versions (kept here as reference_product, reference_check_S1,
+reference_check_S2 and reference_uniform_norm_bound), which read one
+sphere at a time: equal rows, equal reports (witness, count and scope),
+and the same errors, on seeded random graphs, on the finite catalog
+fixtures and on windows of infinite graphs.
 """
 
 import random
@@ -15,7 +19,9 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
+from forge import cayley as cy
 from forge import hypergroup
+from forge.cayley import multiply, parse_group_spec, realize_full, realize_window
 from forge.errors import (
     DisconnectedGraph,
     EmptySphere,
@@ -24,8 +30,20 @@ from forge.errors import (
     RadiusExceeded,
 )
 from forge.fixtures import resolve_spec
-from forge.graphs import build_graph, sphere_at, sphere_profile
-from forge.hypergroup import ConditionReport, ProbabilityVector, check_S2, product
+from forge.graphs import bfs_distances, build_graph, check_assumptions, sphere_at, sphere_counts
+from forge.hypergroup import (
+    ConditionReport,
+    ProbabilityVector,
+    build_table,
+    check_S1,
+    check_S2,
+    classify,
+    product,
+)
+from forge.matrices import UniformBound, uniform_norm_bound
+from forge.walks import joint_distance_law, jump_distribution
+
+S4_GENERATORS = "(0 1)\n(1 2)\n(2 3)\n"
 
 
 def reference_product(pg, i, j):
@@ -58,6 +76,30 @@ def reference_product(pg, i, j):
     return vec
 
 
+def reference_check_S1(pg):
+    """(S1) as first written: one sphere_at per (index, vertex)."""
+    checked = 0
+    if pg.truncated:
+        radius = int(pg.exact_radius)
+        scope = f"i >= 1, vertices with |v| + i <= {radius}"
+        indices = range(1, radius + 1)
+    else:
+        radius = None
+        scope = "all vertices, every index"
+        indices = sorted(pg.spheres)
+    for i in indices:
+        expected = len(pg.spheres.get(i, ()))
+        for v in range(pg.vertex_count):
+            if pg.truncated and pg.dist[v] + i > radius:
+                continue
+            size = len(sphere_at(pg, v, i))
+            checked += 1
+            if size != expected:
+                witness = (i, pg.label(v), size, expected)
+                return ConditionReport("S1", False, witness, scope, checked)
+    return ConditionReport("S1", True, None, scope, checked)
+
+
 def reference_check_S2(pg):
     """(S2) as first written: S_i(v) fetched and rescanned for every j."""
     checked = 0
@@ -86,6 +128,27 @@ def reference_check_S2(pg):
                         witness = (i, j, k, pg.label(ref_vertex), expected, pg.label(v), count)
                         return ConditionReport("S2", False, witness, scope, checked)
     return ConditionReport("S2", True, None, scope, checked)
+
+
+def reference_uniform_norm_bound(pg):
+    """sup |S_k(v)| as first written: sphere_at on windows, BFS rows else."""
+    s = 0
+    if pg.truncated:
+        radius = int(pg.exact_radius)
+        scope = f"vertices and indices with |v| + k <= {radius}"
+        for v in range(pg.vertex_count):
+            if pg.dist[v] > radius:
+                continue
+            for k in range(radius - pg.dist[v] + 1):
+                s = max(s, len(sphere_at(pg, v, k)))
+    else:
+        scope = "all vertices and indices"
+        for v in range(pg.vertex_count):
+            counts = {}
+            for d in bfs_distances(pg, v):
+                counts[d] = counts.get(d, 0) + 1
+            s = max(s, max(counts.values()))
+    return UniformBound(s, s * s, scope)
 
 
 def outcome(fn, *args):
@@ -142,6 +205,8 @@ def assert_same_as_reference(pg):
             i,
             j,
         )
+    assert check_S1(pg) == reference_check_S1(pg), pg.name
+    assert uniform_norm_bound(pg) == reference_uniform_norm_bound(pg), pg.name
     report = check_S2(pg)
     assert report == reference_check_S2(pg), pg.name
     return report
@@ -158,32 +223,146 @@ def test_kernel_matches_reference_on_fixtures(spec):
     assert_same_as_reference(resolve_spec(spec))
 
 
-def test_sphere_profile_counts_by_base_distance():
-    for pg in random_pointed_graphs(count=10, seed=7) + [resolve_spec("odd:4")]:
-        graph = nx.Graph(pg.graph.edges())
-        graph.add_nodes_from(range(pg.vertex_count))
-        lengths = dict(nx.all_pairs_shortest_path_length(graph))
-        for v in range(pg.vertex_count):
-            for n in range(max(pg.spheres) + 2):
-                expected = {}
-                for u, d in lengths[v].items():
-                    if d == n:
-                        k = lengths[pg.base][u]
-                        expected[k] = expected.get(k, 0) + 1
-                assert sphere_profile(pg, v, n) == expected, (v, n)
+def test_build_table_rows_equal_single_products():
+    for spec in ["odd:4", "figure:4", "prism:5", "zmod:4,2", "free:2:r=6", "tree:binary:12"]:
+        pg = resolve_spec(spec)
+        table = build_table(pg)
+        assert table.rows == {(i, j): product(pg, i, j) for i, j in table.rows}, spec
 
 
-def test_sphere_profile_on_a_window_keeps_the_scope_rule():
-    # Inside the exact region, window BFS distances are the ambient ones.
-    pg = resolve_spec("free:2:r=6")
+def networkx_graph(pg):
     graph = nx.Graph(pg.graph.edges())
-    for v in range(0, pg.vertex_count, 7):
-        lengths = nx.single_source_shortest_path_length(graph, v)
-        for n in range(0, 7 - pg.dist[v]):
-            expected = {}
-            for u, d in lengths.items():
-                if d == n:
-                    expected[pg.dist[u]] = expected.get(pg.dist[u], 0) + 1
-            assert sphere_profile(pg, v, n) == expected, (v, n)
-        with pytest.raises(RadiusExceeded):
-            sphere_profile(pg, v, 7 - pg.dist[v])
+    graph.add_nodes_from(range(pg.vertex_count))
+    return graph
+
+
+def networkx_counts(pg, graph, v, top, cutoff=None):
+    """counts[n][k] for n = 0..top from networkx distances in graph."""
+    counts = [{} for _ in range(top + 1)]
+    for u, d in nx.single_source_shortest_path_length(graph, v, cutoff=cutoff).items():
+        if d <= top:
+            k = pg.dist[u]
+            counts[d][k] = counts[d].get(k, 0) + 1
+    return counts
+
+
+def test_sphere_counts_count_by_base_distance():
+    """Every vertex and index of finite graphs, with the spheres past the
+    eccentricity of v empty."""
+    specs = FINITE_FIXTURES + ["odd:4"]
+    graphs = random_pointed_graphs(count=10, seed=7) + [resolve_spec(s) for s in specs]
+    for pg in graphs:
+        graph = networkx_graph(pg)
+        top = max(pg.spheres) + 1
+        for v in range(pg.vertex_count):
+            counts = networkx_counts(pg, graph, v, top)
+            eccentricity = max(n for n, sphere in enumerate(counts) if sphere)
+            assert sphere_counts(pg, v) == counts[: eccentricity + 1], (pg.name, v)
+            assert sphere_counts(pg, v, top) == counts, (pg.name, v)
+
+
+def test_sphere_counts_on_windows_keep_the_scope_rule():
+    """Inside the exact region, window distances are the ambient ones;
+    a window serves n <= R - |v| and raises RadiusExceeded past it."""
+    for spec in ["free:2:r=6", "lattice:2:r=8", "ladder:r=12", "tree:binary:12"]:
+        pg = resolve_spec(spec)
+        graph = networkx_graph(pg)
+        radius = int(pg.exact_radius)
+        for v in range(pg.vertex_count):
+            limit = radius - pg.dist[v]
+            if limit < 0:
+                with pytest.raises(RadiusExceeded):
+                    sphere_counts(pg, v)
+                continue
+            expected = networkx_counts(pg, graph, v, limit, cutoff=limit)
+            assert sphere_counts(pg, v) == expected, (spec, v)
+            assert sphere_counts(pg, v, limit // 2) == expected[: limit // 2 + 1]
+            with pytest.raises(RadiusExceeded):
+                sphere_counts(pg, v, limit + 1)
+            with pytest.raises(RadiusExceeded):
+                sphere_at(pg, v, limit + 1)
+
+
+def test_sphere_counts_on_full_groups(tmp_path):
+    s4 = tmp_path / "s4.txt"
+    s4.write_text(S4_GENERATORS)
+    for pg in [resolve_spec("zmod:3,3,3"), realize_full(parse_group_spec(f"perm:{s4}"))]:
+        assert pg._sphere_oracle is not None and not pg.truncated
+        graph = networkx_graph(pg)
+        top = max(pg.spheres)
+        for v in range(pg.vertex_count):
+            assert sphere_counts(pg, v) == networkx_counts(pg, graph, v, top), (pg.name, v)
+            for n in range(top + 2):
+                assert sphere_at(pg, v, n) == tuple(
+                    sorted(u for u, d in enumerate(bfs_distances(pg, v)) if d == n)
+                )
+
+
+def test_uniform_bound_drops_bfs_distances_past_the_scope():
+    """tree:binary:12 is a BFS window (no Cayley oracle) with exact radius
+    4: the distances its BFS rows reach past R - |v| must not count."""
+    pg = resolve_spec("tree:binary:12")
+    assert pg._sphere_oracle is None and pg.exact_radius == 4 and max(pg.spheres) == 12
+    assert uniform_norm_bound(pg) == UniformBound(
+        16, 256, "vertices and indices with |v| + k <= 4"
+    )
+
+
+@pytest.mark.parametrize(
+    "spec,radius",
+    [("free:2", 5), ("lattice:2", 6), ("ladder", 8), ("s5", 3), ("zmod:4,3", None), ("s4", None)],
+)
+def test_oracle_translates_the_base_ball(tmp_path, spec, radius):
+    """oracle(v, top)[g] = index[elements[v] * elements[g]] for every g in
+    B_top, top = R - |v| on windows and the diameter on full groups."""
+    path = tmp_path / "gens.txt"
+    path.write_text({"s5": "(0 1)\n(0 1 2 3 4)\n(0 4 3 2 1)\n", "s4": S4_GENERATORS}.get(spec, ""))
+    cg = parse_group_spec(f"perm:{path}" if spec in ("s4", "s5") else spec)
+    pg = realize_full(cg) if radius is None else realize_window(cg, radius)
+    data = pg.cayley
+    for v in range(pg.vertex_count):
+        top = radius - pg.dist[v] if pg.truncated else max(pg.spheres)
+        ball = pg._sphere_oracle(v, top)
+        assert len(ball) == sum(1 for d in pg.dist if d <= top)
+        assert ball == [
+            data.index[multiply(data.elements[v], data.elements[g])] for g in range(len(ball))
+        ]
+
+
+def test_oracle_reports_a_translation_that_leaves_the_window():
+    pg = realize_window(parse_group_spec("lattice:1"), 4)
+    rim = pg.spheres[4][0]
+    with pytest.raises(InternalError, match="leaves the window"):
+        pg._sphere_oracle(rim, 1)
+
+
+def test_window_checks_run_without_group_multiplication(monkeypatch):
+    """After realize_window, every sphere reader uses the integer table."""
+    window = realize_window(parse_group_spec("free:2"), 6)
+    group = parse_group_spec("zmod:3,2")
+    full = realize_full(group)
+
+    def run_all():
+        return (
+            check_S1(window),
+            check_S2(window),
+            check_assumptions(window),
+            build_table(window).rows,
+            classify(build_table(window)),
+            uniform_norm_bound(window),
+            jump_distribution(window, (2, 1, 3)),
+            cy.check_S3(parse_group_spec("free:2"), 6),
+            check_assumptions(full),
+            check_S1(full),
+            joint_distance_law(group, None, 2).law,
+        )
+
+    expected = run_all()
+
+    def no_multiply(g, h):
+        raise AssertionError("multiply called after realize_window")
+
+    monkeypatch.setattr(cy, "realize_window", lambda cg, radius: window)
+    monkeypatch.setattr(cy, "realize_full", lambda cg: full)
+    monkeypatch.setattr(cy, "multiply", no_multiply)
+    assert run_all() == expected

@@ -56,7 +56,7 @@ def reference_monte_carlo(cg, pattern, trials, seed):
     pat = tuple(int(i) for i in pattern)
     pg = realize_window(cg, sum(pat))
     data = pg.cayley
-    top = max(data.sphere_elements) if data.saturated else pg.exact_radius
+    top = max(pg.spheres) if data.saturated else pg.exact_radius
     pat = validate_pattern(pat, top)
     if cg.kind.family == "vector":
         return reference_mc_vector(pg, pat, trials, seed)
@@ -71,7 +71,7 @@ def reference_mc_vector(pg, pat, trials, seed):
     dims = len(kind.mods)
     acc = np.zeros((trials, dims), dtype=np.int64)
     for step, i in enumerate(pat):
-        elems = np.array([g.data for g in data.sphere_elements[i]], dtype=np.int64)
+        elems = np.array([data.elements[u].data for u in pg.spheres[i]], dtype=np.int64)
         idx = _step_rng(seed, step).integers(0, len(elems), size=trials)
         acc += elems[idx]
         if torsion.any():
@@ -97,15 +97,16 @@ def reference_mc_vector(pg, pat, trials, seed):
 
 def reference_mc_generic(pg, pat, trials, seed):
     data = pg.cayley
+    spheres = {i: [data.elements[u] for u in pg.spheres[i]] for i in pat}
     draws = [
-        _step_rng(seed, step).integers(0, len(data.sphere_elements[i]), size=trials)
+        _step_rng(seed, step).integers(0, len(spheres[i]), size=trials)
         for step, i in enumerate(pat)
     ]
     counts = {}
     for t in range(trials):
-        g = data.sphere_elements[pat[0]][draws[0][t]]
+        g = spheres[pat[0]][draws[0][t]]
         for step in range(1, len(pat)):
-            g = multiply(g, data.sphere_elements[pat[step]][draws[step][t]])
+            g = multiply(g, spheres[pat[step]][draws[step][t]])
         k = pg.dist[data.index[g]]
         counts[k] = counts.get(k, 0) + 1
     return counts
