@@ -280,10 +280,11 @@ def sphere_counts(pg: PointedGraph, v: int, top: int | None = None) -> list[dict
     RadiusExceeded, past the eccentricity of v the spheres are empty.
     Counts from BFS rows are cached like the rows: do not modify them.
     """
+    key = (v, top)
+    if key in pg._count_cache:
+        return pg._count_cache[key]
     top, ns, us = _reach(pg, v, top)
     bfs = pg._sphere_oracle is None
-    if bfs and (v, top) in pg._count_cache:
-        return pg._count_cache[(v, top)]
     # A BFS row lists every vertex in order, so its base distances are pg.dist.
     ks = pg.dist if bfs else map(pg.dist.__getitem__, us)
     counts: list[dict[int, int]] = [{} for _ in range(top + 1)]
@@ -292,7 +293,7 @@ def sphere_counts(pg: PointedGraph, v: int, top: int | None = None) -> list[dict
             sphere = counts[n]
             sphere[k] = sphere.get(k, 0) + 1
     if bfs:
-        pg._count_cache[(v, top)] = counts
+        pg._count_cache[key] = counts
     return counts
 
 

@@ -150,7 +150,6 @@ def _product_rows(pg: PointedGraph, i: int, js) -> list[ProbabilityVector]:
     if not base_sphere:
         raise EmptySphere(f"S_{i}(base) is empty")
     profiles = [sphere_counts(pg, v, max(js)) for v in base_sphere]
-    size_i = len(base_sphere)
     rows = []
     for j in js:
         # counts[s][k]: |S_j(v) ∩ S_k| summed over the v in S_i with |S_j(v)| = s
@@ -163,7 +162,7 @@ def _product_rows(pg: PointedGraph, i: int, js) -> list[ProbabilityVector]:
             for k, count in profile[j].items():
                 total[k] = total.get(k, 0) + count
         vec = ProbabilityVector.from_pairs(
-            (k, Fraction(count, size_i * size))
+            (k, Fraction(count, len(base_sphere) * size))
             for size, total in counts.items()
             for k, count in total.items()
         )
