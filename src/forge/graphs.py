@@ -336,12 +336,10 @@ def check_assumptions(pg: PointedGraph) -> AssumptionReport:
     locally_finite = True
     if pg.truncated:
         return AssumptionReport(simple, connected, locally_finite, "vacuous")
+    # S_M(v) is nonempty iff the eccentricity of v, the top _reach reads
+    # from the shared BFS row or the translated ball, is at least M.
     top = max(pg.spheres)
-    witness = None
-    for v in range(graph.vertex_count):
-        if not sphere_counts(pg, v, top)[top]:
-            witness = v
-            break
+    witness = next((v for v in range(graph.vertex_count) if _reach(pg, v, None)[0] < top), None)
     verdict = "pass" if witness is None else "fail"
     return AssumptionReport(simple, connected, locally_finite, verdict, witness)
 

@@ -14,12 +14,18 @@ Separate checks cover the two sphere-regularity conditions (constant
 sphere sizes; constant sphere intersections) and full distance
 regularity.  The products, (S1) and (S2) reduce over the integer counts
 |S_n(v) ∩ S_k| that graphs.sphere_counts returns, read once per vertex.
+
+One kernel, convex_combination, sums every exact law on integer
+numerators: the product rows (mixtures of the rows of the v in S_i),
+both sides of associativity, the left-nested product PL and the jump
+law J in walks.  A vector's integer row is derived once and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import (
@@ -69,13 +75,14 @@ class ProbabilityVector:
         return ProbabilityVector.from_numerators(
             convex_combination(
                 den,
-                [(w.numerator * (den // w.denominator), vec.numerators()) for w, vec in terms],
+                [(w.numerator * (den // w.denominator), vec.numerators) for w, vec in terms],
             )
         )
 
+    @cached_property
     def numerators(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         """The integer row (d, ((k, n_k), ...)) with d the lcm of the
-        denominators and entries n_k / d."""
+        denominators and entries n_k / d, derived once per vector."""
         den = lcm(*(w.denominator for _, w in self.items))
         return den, tuple((k, w.numerator * (den // w.denominator)) for k, w in self.items)
 
@@ -100,9 +107,9 @@ def convex_combination(den: int, terms):
     """The mixture sum of (a / den) * row over a list of terms (a, row),
     exactly.
 
-    A row is an integer row (d, ((k, n_k), ...)) with entries n_k / d,
-    sorted by k.  The mixture is summed on integer numerators over
-    den * lcm(d) and returned in lowest terms, so two mixtures are equal
+    A row is an integer row (d, ((k, n_k), ...)) with entries n_k / d.
+    The mixture is summed on integer numerators over den * lcm(d) and
+    returned sorted by k in lowest terms, so two mixtures are equal
     vectors iff they are equal tuples.  The numerators must sum to the
     denominator: the weights and every row are probability vectors.
     """
@@ -145,33 +152,31 @@ def product(pg: PointedGraph, i: int, j: int) -> ProbabilityVector:
 
 
 def _product_rows(pg: PointedGraph, i: int, js) -> list[ProbabilityVector]:
-    """The rows x_i o x_j for each j in js, reading each v in S_i once."""
+    """The rows x_i o x_j for each j in js, reading each v in S_i once.
+
+    x_i o x_j is the uniform mixture over v in S_i of the integer rows
+    (|S_j(v)|, |S_j(v) ∩ S_k| by k), summed by convex_combination.
+    """
     base_sphere = pg.spheres.get(i, ())
     if not base_sphere:
         raise EmptySphere(f"S_{i}(base) is empty")
     profiles = [sphere_counts(pg, v, max(js)) for v in base_sphere]
     rows = []
     for j in js:
-        # counts[s][k]: |S_j(v) ∩ S_k| summed over the v in S_i with |S_j(v)| = s
-        counts: dict[int, dict[int, int]] = {}
+        terms = []
         for v, profile in zip(base_sphere, profiles):
             size = sum(profile[j].values())
             if not size:
                 raise EmptySphere(f"S_{j}({v}) is empty; the product is undefined")
-            total = counts.setdefault(size, {})
-            for k, count in profile[j].items():
-                total[k] = total.get(k, 0) + count
-        vec = ProbabilityVector.from_pairs(
-            (k, Fraction(count, len(base_sphere) * size))
-            for size, total in counts.items()
-            for k, count in total.items()
-        )
+            terms.append((1, (size, profile[j].items())))
+        den, entries = convex_combination(len(base_sphere), terms)
+        support = [k for k, _ in entries]
         lo, hi = abs(i - j), i + j
-        if not all(lo <= k <= hi for k in vec.support):
-            raise InternalError(f"x_{i} o x_{j} has support {vec.support} outside [{lo}, {hi}]")
-        if (vec.coefficient(0) != 0) != (i == j):
+        if not lo <= support[0] <= support[-1] <= hi:
+            raise InternalError(f"x_{i} o x_{j} has support {tuple(support)} outside [{lo}, {hi}]")
+        if (support[0] == 0) != (i == j):
             raise InternalError(f"x_{i} o x_{j} breaks hermiticity at index 0")
-        rows.append(vec)
+        rows.append(ProbabilityVector.from_numerators((den, entries)))
     return rows
 
 
@@ -186,7 +191,6 @@ class StructureTable:
         self.pg = pg
         self.bound = bound
         self.rows = rows
-        self._numerators: dict = {}
 
     def row(self, i: int, j: int) -> ProbabilityVector:
         if i > self.bound or j > self.bound or i < 0 or j < 0:
@@ -204,14 +208,6 @@ class StructureTable:
         vec = product(self.pg, i, j)
         self.rows[key] = vec
         return vec
-
-    def numerators(self, i: int, j: int):
-        """row_extended(i, j) as an integer row, converted once."""
-        key = (i, j)
-        row = self._numerators.get(key)
-        if row is None:
-            row = self._numerators[key] = self.row_extended(i, j).numerators()
-        return row
 
     @property
     def indices(self) -> range:
@@ -301,10 +297,11 @@ def _associativity_sides(table: StructureTable, h: int, i: int, j: int):
     order of its outer row's support, so a side past a window's exact
     radius raises RadiusExceeded after the same rows were computed.
     """
-    den, weights = table.numerators(h, i)
-    left = convex_combination(den, [(a, table.numerators(l, j)) for l, a in weights])
-    den, weights = table.numerators(i, j)
-    right = convex_combination(den, [(a, table.numerators(h, l)) for l, a in weights])
+    row = table.row_extended
+    den, weights = row(h, i).numerators
+    left = convex_combination(den, [(a, row(l, j).numerators) for l, a in weights])
+    den, weights = row(i, j).numerators
+    right = convex_combination(den, [(a, row(h, l).numerators) for l, a in weights])
     return left, right
 
 
@@ -331,7 +328,7 @@ def classify(table: StructureTable) -> ClassificationReport:
         for j in table.indices:
             if i >= j:
                 continue
-            diff = _first_difference(table.numerators(i, j), table.numerators(j, i))
+            diff = _first_difference(table.row(i, j).numerators, table.row(j, i).numerators)
             if diff is not None:
                 commutative = False
                 witness = Violation("commutativity", (i, j, diff[0]), diff[1], diff[2])

@@ -2,9 +2,10 @@
 
 Three routes to the law of |v_1 ... v_m| are computed and cross-checked:
 the left-nested algebra product PL over a structure table, the exact
-jump-distribution DP J over vertex distributions, and (on Cayley graphs)
-the literal conditional probability by tuple enumeration or Monte-Carlo
-sampling.  The joint law of the distance process Z_n = |X_n| under a
+jump law J over vertex distributions, and (on Cayley graphs) the literal
+conditional probability by tuple enumeration or Monte-Carlo sampling.
+PL and J are both folds of hypergroup.convex_combination on integer
+numerators.  The joint law of the distance process Z_n = |X_n| under a
 per-element step distribution alpha supports Markov and i.i.d. checks.
 """
 
@@ -78,7 +79,7 @@ def left_nested_product(
                         f"before step {t}"
                     )
         den, weights = convex_combination(
-            den, [(a, table.numerators(l, i_t)) for l, a in weights]
+            den, [(a, table.row_extended(l, i_t).numerators) for l, a in weights]
         )
     return ProbabilityVector.from_numerators((den, weights))
 
@@ -86,8 +87,10 @@ def left_nested_product(
 def jump_distribution(pg: PointedGraph, pattern) -> ProbabilityVector:
     """J(i_1,...,i_m): exact law of the end distance of the sphere walk.
 
-    Dynamic program over vertex distributions: mu_0 is a point mass at
-    the base and each step spreads mass uniformly over S_{i_t}(v).
+    The walk's law is an integer row over vertices, starting as a point
+    mass at the base.  Each step mixes the uniform rows of the spheres
+    S_{i_t}(v) by the current masses, and one last step maps every vertex
+    to its base distance; convex_combination sums all of them.
     """
     top = pg.exact_radius if pg.truncated else max(pg.spheres)
     pat = validate_pattern(pattern, top)
@@ -95,22 +98,18 @@ def jump_distribution(pg: PointedGraph, pattern) -> ProbabilityVector:
         raise RadiusExceeded(
             f"pattern sum {sum(pat)} exceeds exact_radius {pg.exact_radius}"
         )
-    mu: dict[int, Fraction] = {pg.base: Fraction(1)}
+    den, masses = 1, ((pg.base, 1),)
     for i_t in pat:
-        nxt: dict[int, Fraction] = {}
-        for v, mass in mu.items():
+        terms = []
+        for v, mass in masses:
             ball = sphere_at(pg, v, i_t)
             if not ball:
                 raise EmptySphere(f"S_{i_t}({pg.label(v)}) is empty for this pattern")
-            unit = mass / len(ball)
-            for w in ball:
-                nxt[w] = nxt.get(w, Fraction(0)) + unit
-        mu = nxt
-    pairs: dict[int, Fraction] = {}
-    for v, mass in mu.items():
-        k = pg.dist[v]
-        pairs[k] = pairs.get(k, Fraction(0)) + mass
-    return ProbabilityVector.from_pairs(pairs.items())
+            terms.append((mass, (len(ball), [(w, 1) for w in ball])))
+        den, masses = convex_combination(den, terms)
+    return ProbabilityVector.from_numerators(
+        convex_combination(den, [(mass, (1, ((pg.dist[v], 1),))) for v, mass in masses])
+    )
 
 
 def _pattern_window(cg: cy.CayleyGraph, pattern):

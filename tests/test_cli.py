@@ -449,6 +449,7 @@ GOLDEN_COMMANDS = [
     ("matrix uniform-bound", ""),
     ("product pl", "--pattern 1,1"),
     ("product j", "--pattern 1,1"),
+    ("product j", "--pattern 1,2,1"),
 ]
 GOLDEN_JSON = {
     "hyper conditions cycle:5": (0, "88b688366c2f737e7a5bd90f1a822a4fc2e0c3af6a75489363b043902ae39ae4"),
@@ -601,6 +602,21 @@ GOLDEN_JSON = {
     "product j ladder:r=5 --pattern 1,1": (0, "c9428d4a52b0d20388273b4a82b209b3a767a583bdc12dcb0b4bdc5049c39f20"),
     "product j free:2:r=3 --pattern 1,1": (0, "a3212dfe2226b75ccfd5aa3d8340a2f7720fa431ad7b3ee2df9ce860b1380ac7"),
     "product j zmod:3,2 --pattern 1,1": (0, "6d017fc90365bc10ee9990db07e90598a91c1d05c4968ec2bf8de2e4650748a8"),
+    "product j cycle:5 --pattern 1,2,1": (0, "4e6cae1298fa8dcc33551a8b7f8030f81150aae9d9108dd5c3a1369f8a31eb95"),
+    "product j cycle:6 --pattern 1,2,1": (0, "8a82f05f2b81643ed52c0e008854d16404d9ddc7de036001ac7f6d10bdde7b81"),
+    "product j prism:3 --pattern 1,2,1": (0, "0a4545d3438711c58ba56649cc8346a4f4017495979d360879e5c3388139b73c"),
+    "product j prism:4 --pattern 1,2,1": (0, "71e7d47290b4e087892a11fb3fbce13ae05839424ef5e46e890b31cd66139b43"),
+    "product j bipartite:2,3 --pattern 1,2,1": (0, "53bfa4116d0687421224fe3eff2052d09bf67f4147e5f9a048de33c7916d4fdd"),
+    "product j odd:3 --pattern 1,2,1": (0, "efe56bc7bc17193eaa867fb0fbe7738874576487b3ffbeee7d75cbaf5288c8a8"),
+    "product j figure:3 --pattern 1,2,1": (0, "4e6cae1298fa8dcc33551a8b7f8030f81150aae9d9108dd5c3a1369f8a31eb95"),
+    "product j figure:3:base=w0p --pattern 1,2,1": (0, "d646202e770a845b097f1a5250f7f32af5e4bd25d3e688e4fbf8b04f9aebdb9b"),
+    "product j figure:4 --pattern 1,2,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "product j tree:binary:12 --pattern 1,2,1": (0, "4411102c658209d5d9d1b7dd6436b3e68cd779f3b0dd44b8715763fd394af970"),
+    "product j lattice:1:r=12 --pattern 1,2,1": (0, "3e1c723b162eab4fb0009e60790c69eeb372a54401131b2cd5b1fffacc17160a"),
+    "product j lattice:2:r=9 --pattern 1,2,1": (0, "2f3d3c469eaf0596b1163ee1d48398a374f3822a36d01a71d7bb0fdfda9a9853"),
+    "product j ladder:r=5 --pattern 1,2,1": (0, "7dfce1e1ae0c679792ca28e6f2c511c2af16822f76994ace38394d278c014483"),
+    "product j free:2:r=3 --pattern 1,2,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "product j zmod:3,2 --pattern 1,2,1": (0, "0a4545d3438711c58ba56649cc8346a4f4017495979d360879e5c3388139b73c"),
 }
 
 
@@ -612,7 +628,9 @@ def test_golden_pins_cover_every_command_and_fixture():
     ]
 
 
-@pytest.mark.parametrize("command", [command for command, _ in GOLDEN_COMMANDS])
+@pytest.mark.parametrize(
+    "command", list(dict.fromkeys(command for command, _ in GOLDEN_COMMANDS))
+)
 def test_json_reports_are_pinned(runner, command):
     changed = []
     for line, pin in GOLDEN_JSON.items():

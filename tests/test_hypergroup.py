@@ -59,6 +59,17 @@ def test_combine_mixes_convexly():
     assert mixed.as_dict() == {0: half, 2: half}
 
 
+def test_integer_row_is_derived_once_per_vector():
+    vec = ProbabilityVector.from_pairs([(2, F(1, 6)), (0, F(1, 2)), (1, F(1, 3))])
+    assert vec.numerators == (6, ((0, 3), (1, 2), (2, 1)))
+    assert vec.numerators is vec.numerators
+    assert ProbabilityVector.from_numerators(vec.numerators) == vec
+    # The cached row is not a field: equal vectors stay equal either way.
+    assert vec == ProbabilityVector.from_pairs(vec.items) and hash(vec) == hash(
+        ProbabilityVector.from_pairs(vec.items)
+    )
+
+
 def test_structure_constants_on_one_dimensional_lattice():
     pg = resolve_spec("lattice:1:r=12")
     row = product(pg, 1, 1)
@@ -202,6 +213,15 @@ def test_broken_invariants_raise_internal_error(monkeypatch):
         )
         with pytest.raises(InternalError, match="unit"):
             build_table(pg)
+
+
+def test_product_row_without_hermiticity_is_an_internal_error(monkeypatch):
+    """x_1 o x_1 must charge index 0; counts that put S_1(v) on S_2 only
+    keep the support bound but break hermiticity."""
+    pg = resolve_spec("cycle:8")
+    monkeypatch.setattr(hypergroup, "sphere_counts", lambda pg, v, top: [{2: 2}] * (top + 1))
+    with pytest.raises(InternalError, match="hermiticity"):
+        product(pg, 1, 1)
 
 
 def test_combination_mass_is_an_internal_invariant(monkeypatch):

@@ -4,16 +4,19 @@ graphs.sphere_counts(pg, v, top) returns counts[n][k] = |S_n(v) ∩ S_k(base)|
 for n = 0..top, from one source per graph: the base ball translated by the
 window's integer generator table on Cayley graphs, the cached BFS row
 otherwise.  It is checked against networkx distances, and the Cayley
-translation against `cayley.multiply`.  product, check_S1, check_S2 and
-uniform_norm_bound, which reduce over it, are checked against their
-earlier versions (kept here as reference_product, reference_check_S1,
-reference_check_S2 and reference_uniform_norm_bound), which read one
-sphere at a time: equal rows, equal reports (witness, count and scope),
-and the same errors, on seeded random graphs, on the finite catalog
-fixtures and on windows of infinite graphs.
+translation against `cayley.multiply`.  product, check_S1, check_S2,
+uniform_norm_bound, jump_distribution and condition (iii), which reduce
+over it, are checked against their earlier versions (kept here as
+reference_product, reference_check_S1, reference_check_S2,
+reference_uniform_norm_bound, reference_jump_distribution and
+reference_check_assumptions), which read one sphere at a time or sum
+Fractions: equal rows, equal reports (witness, count and scope), and the
+same errors, on seeded random graphs, on the finite catalog fixtures and
+on windows of infinite graphs.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import networkx as nx
@@ -30,7 +33,14 @@ from forge.errors import (
     RadiusExceeded,
 )
 from forge.fixtures import resolve_spec
-from forge.graphs import bfs_distances, build_graph, check_assumptions, sphere_at, sphere_counts
+from forge.graphs import (
+    AssumptionReport,
+    bfs_distances,
+    build_graph,
+    check_assumptions,
+    sphere_at,
+    sphere_counts,
+)
 from forge.hypergroup import (
     ConditionReport,
     ProbabilityVector,
@@ -41,7 +51,7 @@ from forge.hypergroup import (
     product,
 )
 from forge.matrices import UniformBound, uniform_norm_bound
-from forge.walks import joint_distance_law, jump_distribution
+from forge.walks import joint_distance_law, jump_distribution, validate_pattern
 
 S4_GENERATORS = "(0 1)\n(1 2)\n(2 3)\n"
 
@@ -151,6 +161,59 @@ def reference_uniform_norm_bound(pg):
     return UniformBound(s, s * s, scope)
 
 
+def reference_jump_distribution(pg, pattern):
+    """J as first written: a Fraction per vertex, spread one sphere element
+    at a time.  The support is visited in vertex order, so an EmptySphere
+    names the least vertex whose sphere is empty, as the kernel's does."""
+    top = pg.exact_radius if pg.truncated else max(pg.spheres)
+    pat = validate_pattern(pattern, top)
+    if pg.truncated and sum(pat) > pg.exact_radius:
+        raise RadiusExceeded(f"pattern sum {sum(pat)} exceeds exact_radius {pg.exact_radius}")
+    mu = {pg.base: Fraction(1)}
+    for i_t in pat:
+        nxt = {}
+        for v, mass in sorted(mu.items()):
+            ball = sphere_at(pg, v, i_t)
+            if not ball:
+                raise EmptySphere(f"S_{i_t}({pg.label(v)}) is empty for this pattern")
+            unit = mass / len(ball)
+            for w in ball:
+                nxt[w] = nxt.get(w, Fraction(0)) + unit
+        mu = nxt
+    pairs = {}
+    for v, mass in mu.items():
+        k = pg.dist[v]
+        pairs[k] = pairs.get(k, Fraction(0)) + mass
+    return ProbabilityVector.from_pairs(pairs.items())
+
+
+def reference_check_assumptions(pg):
+    """The standing assumptions as first written: condition (iii) counts
+    every vertex's spheres up to the top base index M."""
+    graph = pg.graph
+    simple = all(
+        v not in adj and len(set(adj)) == len(adj) for v, adj in enumerate(graph.adjacency)
+    )
+    connected = all(d >= 0 for d in pg.dist)
+    if pg.truncated:
+        return AssumptionReport(simple, connected, True, "vacuous")
+    top = max(pg.spheres)
+    witness = None
+    for v in range(graph.vertex_count):
+        if not sphere_counts(pg, v, top)[top]:
+            witness = v
+            break
+    verdict = "pass" if witness is None else "fail"
+    return AssumptionReport(simple, connected, True, verdict, witness)
+
+
+def jump_patterns(pg):
+    """Four patterns per graph: short ones that usually succeed and long
+    ones that raise EmptySphere, IndexOutOfRange or RadiusExceeded."""
+    top = int(pg.exact_radius) if pg.truncated else max(pg.spheres)
+    return [(1, 1), (1, 2, 1), (top, 1, top), (1, top, top)]
+
+
 def outcome(fn, *args):
     """A result, or the type and message of the ForgeError raised."""
     try:
@@ -205,6 +268,11 @@ def assert_same_as_reference(pg):
             i,
             j,
         )
+    for pattern in jump_patterns(pg):
+        assert outcome(jump_distribution, pg, pattern) == outcome(
+            reference_jump_distribution, pg, pattern
+        ), (pg.name, pattern)
+    assert check_assumptions(pg) == reference_check_assumptions(pg), pg.name
     assert check_S1(pg) == reference_check_S1(pg), pg.name
     assert uniform_norm_bound(pg) == reference_uniform_norm_bound(pg), pg.name
     report = check_S2(pg)
@@ -221,6 +289,20 @@ def test_kernel_matches_reference_on_random_graphs():
 @pytest.mark.parametrize("spec", FINITE_FIXTURES + WINDOWS)
 def test_kernel_matches_reference_on_fixtures(spec):
     assert_same_as_reference(resolve_spec(spec))
+
+
+def test_reference_patterns_cover_the_jump_law_errors():
+    """The reference comparison meets every error J raises on these
+    inputs, and (iii) fails on some random graphs."""
+    graphs = random_pointed_graphs() + [resolve_spec(s) for s in FINITE_FIXTURES + WINDOWS]
+    errors = Counter(
+        result[0].__name__
+        for pg in graphs
+        for pattern in jump_patterns(pg)
+        if isinstance(result := outcome(jump_distribution, pg, pattern), tuple)
+    )
+    assert {"EmptySphere", "IndexOutOfRange", "RadiusExceeded"} <= set(errors)
+    assert any(check_assumptions(pg).condition_iii == "fail" for pg in graphs)
 
 
 def test_build_table_rows_equal_single_products():
@@ -334,6 +416,35 @@ def test_oracle_reports_a_translation_that_leaves_the_window():
     rim = pg.spheres[4][0]
     with pytest.raises(InternalError, match="leaves the window"):
         pg._sphere_oracle(rim, 1)
+
+
+@pytest.mark.parametrize("radius,sample_cap", [(4, 200_000), (5, 200_000), (5, 500)])
+def test_check_s3_reads_one_uncached_bfs_row_per_vertex(monkeypatch, radius, sample_cap):
+    """check_S3 runs bfs_from once for each distinct v among the pairs it
+    checks, and keeps none of the rows in the window's BFS cache."""
+    cg = parse_group_spec("free:2")
+    window = realize_window(cg, radius)
+    starts = Counter()
+    real_bfs_from = cy.bfs_from
+
+    def counting_bfs_from(graph, v):
+        starts[v] += 1
+        return real_bfs_from(graph, v)
+
+    monkeypatch.setattr(cy, "realize_window", lambda cg, radius: window)
+    monkeypatch.setattr(cy, "bfs_from", counting_bfs_from)
+    cached = set(window._bfs_cache)
+    report = cy.check_S3(cg, radius, sample_cap)
+    pairs = [
+        (v, w)
+        for v in range(window.vertex_count)
+        for w in range(1, window.vertex_count)
+        if window.dist[v] + window.dist[w] <= radius
+    ]
+    stride = max(1, -(-len(pairs) // sample_cap))
+    assert report.passed and report.checked == len(pairs[::stride])
+    assert starts == Counter({v for v, _ in pairs[::stride]})
+    assert set(window._bfs_cache) == cached
 
 
 def test_window_checks_run_without_group_multiplication(monkeypatch):

@@ -15,6 +15,7 @@ from forge import walks
 from forge.cayley import parse_group_spec
 from forge.errors import (
     BadParameter,
+    EmptySphere,
     EnumerationCapExceeded,
     IndexOutOfRange,
     InternalError,
@@ -25,6 +26,7 @@ from forge.errors import (
     ZeroProbabilityCondition,
 )
 from forge.fixtures import resolve_spec
+from forge.graphs import build_graph
 from forge.hypergroup import build_table
 from forge.walks import (
     brute_force_conditional,
@@ -93,6 +95,17 @@ def test_jump_distribution_window_scope():
     tree = resolve_spec("tree:binary:12")
     with pytest.raises(RadiusExceeded):
         jump_distribution(tree, (2, 2, 1))
+
+
+def test_jump_law_names_the_least_vertex_with_an_empty_sphere():
+    """K4 minus the edge {2, 3}, based at 2: after the steps 1, 1 the walk
+    is on every vertex, and S_2(0) and S_2(1) are empty.  The walk reaches
+    1 first, but its support is summed in vertex order, so the error
+    names 0."""
+    pg = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], 2)
+    with pytest.raises(EmptySphere, match=r"^S_2\(0\) is empty for this pattern$"):
+        jump_distribution(pg, (1, 1, 2))
+    assert jump_distribution(pg, (1, 1, 1)).as_dict() == {0: F(1, 9), 1: F(7, 9), 2: F(1, 9)}
 
 
 def test_brute_force_matches_jump_law():
