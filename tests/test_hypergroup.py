@@ -64,10 +64,9 @@ def test_integer_row_is_derived_once_per_vector():
     assert vec.numerators == (6, ((0, 3), (1, 2), (2, 1)))
     assert vec.numerators is vec.numerators
     assert ProbabilityVector.from_numerators(vec.numerators) == vec
-    # The cached row is not a field: equal vectors stay equal either way.
-    assert vec == ProbabilityVector.from_pairs(vec.items) and hash(vec) == hash(
-        ProbabilityVector.from_pairs(vec.items)
-    )
+    # The cached row is not a field: a fresh equal vector compares and hashes equal.
+    other = ProbabilityVector.from_pairs(vec.items)
+    assert vec == other and hash(vec) == hash(other)
 
 
 def test_structure_constants_on_one_dimensional_lattice():
