@@ -59,6 +59,11 @@ class GroupElement:
     kind: GroupKind
     data: tuple
 
+    def __hash__(self):
+        # Equal elements have equal data; hashing the kind as well would
+        # rebuild its four fields on every dict lookup of a window.
+        return hash(self.data)
+
     def sort_key(self):
         if self.kind.family == "free":
             return (len(self.data), self.data)
@@ -515,11 +520,30 @@ def check_S3(cg: CayleyGraph, radius: int, sample_cap: int = 200_000) -> S3Repor
     ball_of = None
     for v, w in pairs[::stride]:
         if ball_of != v:
-            ball_of, ball = v, pg._sphere_oracle(v, radius - dist[v])
-            row = bfs_from(pg.graph, v)  # not cached: one row per v is read once
+            depth = radius - dist[v]
+            ball_of, ball = v, pg._sphere_oracle(v, depth)
+            row = _bfs_to_depth(pg.graph, v, depth)  # not cached: read once
         actual = row[ball[w]]
         checked += 1
         if actual != dist[w]:
+            # The cut row marks d(v, vw) > depth as -1: report the true distance.
+            actual = bfs_from(pg.graph, v)[ball[w]]
             witness = (pg.label(v), pg.label(w), dist[w], actual)
             return S3Report(False, checked, witness, scope)
     return S3Report(True, checked, None, scope)
+
+
+def _bfs_to_depth(graph, start: int, depth: int) -> list[int]:
+    """Distances from start out to depth; -1 marks every vertex beyond."""
+    dist = [-1] * graph.vertex_count
+    dist[start] = 0
+    layer = [start]
+    for d in range(1, depth + 1):
+        reached = []
+        for u in layer:
+            for w in graph.adjacency[u]:
+                if dist[w] < 0:
+                    dist[w] = d
+                    reached.append(w)
+        layer = reached
+    return dist

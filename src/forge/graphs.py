@@ -180,7 +180,8 @@ def point_graph(
     """Point a validated graph at base, rejecting disconnection from it.
 
     Pointed graphs of one graph may share bfs_cache, the BFS rows by
-    start vertex, so each row is computed once whatever the base.
+    start vertex (and the sphere sizes read from them), so each row is
+    computed once whatever the base.
     """
     base = int(base)
     if not 0 <= base < graph.vertex_count:
@@ -295,6 +296,26 @@ def sphere_counts(pg: PointedGraph, v: int, top: int | None = None) -> list[dict
     if bfs:
         pg._count_cache[key] = counts
     return counts
+
+
+def sphere_sizes_at(pg: PointedGraph, v: int) -> tuple[int, ...]:
+    """(|S_0(v)|, |S_1(v)|, ...) out to the largest index v certifies.
+
+    On finite graphs without a sphere oracle this is the histogram of v's
+    BFS row, which does not depend on the base: it is computed once and
+    kept beside the row, in the BFS cache pointed graphs of one graph
+    share.  Elsewhere it sums sphere_counts.
+    """
+    if pg.truncated or pg._sphere_oracle is not None:
+        return tuple(sum(counts.values()) for counts in sphere_counts(pg, v))
+    key = ("sizes", v)
+    if key not in pg._bfs_cache:
+        row = bfs_distances(pg, v)
+        sizes = [0] * (max(row) + 1)
+        for d in row:
+            sizes[d] += 1
+        pg._bfs_cache[key] = tuple(sizes)
+    return pg._bfs_cache[key]
 
 
 @dataclass(frozen=True)

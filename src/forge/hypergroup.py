@@ -36,7 +36,7 @@ from .errors import (
     NotFinite,
     RadiusExceeded,
 )
-from .graphs import PointedGraph, bfs_distances, sphere_counts
+from .graphs import PointedGraph, bfs_distances, sphere_counts, sphere_sizes_at
 
 
 @dataclass(frozen=True)
@@ -385,16 +385,15 @@ def check_S1(pg: PointedGraph) -> ConditionReport:
     else:
         scope = "all vertices, every index"
         indices = sorted(pg.spheres)
-    top = None if pg.truncated else max(pg.spheres)
-    sizes: dict[int, list[int]] = {}
+    sizes: dict[int, tuple[int, ...]] = {}
     for i in indices:
         expected = len(pg.spheres.get(i, ()))
         for v in range(pg.vertex_count):
             if pg.dist[v] + i > pg.exact_radius:
                 continue
             if v not in sizes:
-                sizes[v] = [sum(counts.values()) for counts in sphere_counts(pg, v, top)]
-            size = sizes[v][i]
+                sizes[v] = sphere_sizes_at(pg, v)
+            size = sizes[v][i] if i < len(sizes[v]) else 0
             checked += 1
             if size != expected:
                 witness = (i, pg.label(v), size, expected)

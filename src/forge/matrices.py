@@ -23,7 +23,7 @@ from .errors import (
     RadiusExceeded,
     TruncatedMatrix,
 )
-from .graphs import PointedGraph, sphere_counts
+from .graphs import PointedGraph, sphere_sizes_at
 from .hypergroup import (
     StructureTable,
     build_table,
@@ -415,7 +415,7 @@ def uniform_norm_bound(pg: PointedGraph) -> UniformBound:
     s = 0
     for v in range(pg.vertex_count):
         if pg.dist[v] <= pg.exact_radius:
-            s = max(s, *(sum(counts.values()) for counts in sphere_counts(pg, v)))
+            s = max(s, *sphere_sizes_at(pg, v))
     scope = "all vertices and indices"
     if pg.truncated:
         scope = f"vertices and indices with |v| + k <= {int(pg.exact_radius)}"

@@ -5,6 +5,12 @@ dedup (color refinement plus an ordered minimum adjacency string), every
 admissible base point is tried on one shared graph and its BFS rows, and
 each pointed graph that satisfies the two random-walk conditions is
 classified exactly.
+
+The labelling of a kept graph also yields generators of its automorphism
+group, and its children are labelled for one attachment subset per orbit
+of that group only, the least one: each other subset gives a child
+isomorphic to an earlier one of the same parent, so the kept graphs, and
+where the graph cap is hit, do not change.
 """
 
 from __future__ import annotations
@@ -34,19 +40,15 @@ def _refine(neighbors, colors):
         colors = new
 
 
-def _canonical(neighbors, colors=None) -> tuple:
-    """Minimum upper-triangle adjacency string over orderings compatible
-    with the refined coloring, plus the first ordering (in vertex-index
-    DFS order) attaining it.
+def _canonical_with_automorphisms(neighbors, colors=None) -> tuple:
+    """_canonical's key and ordering, plus generators of the automorphism
+    group of the colored graph, each a tuple g mapping v to g[v].
 
-    Row k of the string is vertex k's adjacency to the k vertices placed
-    before it, held as an int with the first-placed vertex as the most
-    significant bit, so rows of equal length order like 0/1 tuples.  Two
-    exact prunings: only vertices whose next row is the least among the
-    eligible ones are extended (every optimal ordering has that row
-    there), and a twin (same color, N(v) - {w} = N(w) - {v}) of a vertex
-    already tried at this depth is skipped (swapping the two fixes the
-    prefix, so its subtree repeats the same strings later).
+    The labelling finds them as it goes: each twin it skips gives the
+    transposition of the two twins, and each leaf whose string equals the
+    best one gives the map best_order[i] -> order[i].  Every optimal
+    ordering is a leaf or lies in a subtree a twin swap maps onto one, so
+    these generate the whole group.
     """
     n = len(neighbors)
     # Refining the uniform coloring splits it by degree first, so an
@@ -62,6 +64,7 @@ def _canonical(neighbors, colors=None) -> tuple:
     cell_at = [cells[c] for c in sorted(colors)]
     best: list | None = None
     best_order: tuple | None = None
+    generators: set[tuple] = set()
 
     def extend(prefix, used, rows, row_of):
         # row_of[v]: v's adjacency row against the prefix.
@@ -71,6 +74,11 @@ def _canonical(neighbors, colors=None) -> tuple:
             if best is None or rows < best:
                 best = rows
                 best_order = tuple(prefix)
+            elif rows == best:
+                image = [0] * n
+                for u, w in zip(best_order, prefix):
+                    image[u] = w
+                generators.add(tuple(image))
             return
         eligible = [v for v in cell_at[pos] if not used >> v & 1]
         low = min([row_of[v] for v in eligible])
@@ -82,7 +90,13 @@ def _canonical(neighbors, colors=None) -> tuple:
             if row_of[v] != low:
                 continue
             nbrs = adjacency[v]
-            if any(not (nbrs ^ adjacency[u]) & ~(1 << u | 1 << v) for u in tried):
+            twin = next(
+                (u for u in tried if not (nbrs ^ adjacency[u]) & ~(1 << u | 1 << v)), None
+            )
+            if twin is not None:
+                swap = list(range(n))
+                swap[twin], swap[v] = v, twin
+                generators.add(tuple(swap))
                 continue
             tried.append(v)
             prefix.append(v)
@@ -102,7 +116,24 @@ def _canonical(neighbors, colors=None) -> tuple:
         for pos, row in enumerate(best)
     )
     key = (tuple(len(cells[c]) for c in sorted(cells)), string)
-    return key, best_order
+    return key, best_order, tuple(generators)
+
+
+def _canonical(neighbors, colors=None) -> tuple:
+    """Minimum upper-triangle adjacency string over orderings compatible
+    with the refined coloring, plus the first ordering (in vertex-index
+    DFS order) attaining it.
+
+    Row k of the string is vertex k's adjacency to the k vertices placed
+    before it, held as an int with the first-placed vertex as the most
+    significant bit, so rows of equal length order like 0/1 tuples.  Two
+    exact prunings: only vertices whose next row is the least among the
+    eligible ones are extended (every optimal ordering has that row
+    there), and a twin (same color, N(v) - {w} = N(w) - {v}) of a vertex
+    already tried at this depth is skipped (swapping the two fixes the
+    prefix, so its subtree repeats the same strings later).
+    """
+    return _canonical_with_automorphisms(neighbors, colors)[:2]
 
 
 def canonical_key(neighbors, colors=None) -> tuple:
@@ -116,30 +147,61 @@ def _edges_from_neighbors(neighbors) -> tuple:
     )
 
 
+def _orbit_minima(n: int, generators):
+    """The nonempty subsets of range(n), as bitmasks in increasing order,
+    that are the least of their orbit under the generated group."""
+    images = []
+    for g in generators:
+        image = [0] * (1 << n)
+        for s in range(1, 1 << n):
+            low = s & -s
+            image[s] = image[s ^ low] | 1 << g[low.bit_length() - 1]
+        images.append(image)
+    reached = bytearray(1 << n)
+    for attach in range(1, 1 << n):
+        if reached[attach]:
+            continue
+        yield attach
+        reached[attach] = 1
+        orbit = [attach]
+        for s in orbit:
+            for image in images:
+                t = image[s]
+                if not reached[t]:
+                    reached[t] = 1
+                    orbit.append(t)
+
+
 def enumerate_connected_graphs(max_vertices: int, cap: int = DEFAULT_GRAPH_CAP):
     """Yield (n, neighbor-lists, first) for one representative per
     isomorphism class of connected graphs on 1..max_vertices vertices;
-    first is the vertex its canonical ordering places first."""
+    first is the vertex its canonical ordering places first.
+
+    A child joins a new vertex to a nonempty subset of its parent.  Only
+    the least subset of each orbit of the parent's automorphisms is
+    labelled: the others give children isomorphic to one already labelled
+    from the same parent, so they could only repeat a key already seen.
+    """
     total = 1
-    level = [([set()], 0)]
+    level = [([set()], 0, ())]
     yield 1, [set()], 0
     for n in range(2, max_vertices + 1):
         seen = {}
-        for parent, _ in level:
-            for attach in range(1, 2 ** (n - 1)):
+        for parent, _, automorphisms in level:
+            for attach in _orbit_minima(n - 1, automorphisms):
                 subset = {i for i in range(n - 1) if attach >> i & 1}
                 child = [set(s) for s in parent] + [set(subset)]
                 for w in subset:
                     child[w].add(n - 1)
-                key, ordering = _canonical(child)
+                key, ordering, generators = _canonical_with_automorphisms(child)
                 if key in seen:
                     continue
-                seen[key] = (child, ordering[0])
+                seen[key] = (child, ordering[0], generators)
                 total += 1
                 if total > cap:
                     raise EnumerationCapExceeded(f"more than {cap} graphs")
         level = list(seen.values())
-        for child, first in level:
+        for child, first, _ in level:
             yield n, child, first
 
 

@@ -8,6 +8,11 @@ The pruned canonical labelling is checked against two oracles: the
 unpruned search it replaced (kept here as reference_canonical), which
 must give the same certificate and the same first optimal ordering,
 and networkx.is_isomorphic on the graph atlas.
+
+The enumerator labels one attachment per orbit of the parent's
+automorphisms.  It is checked against the enumerator that labelled every
+attachment (kept here as reference_enumerate), and its orbits against
+the automorphism groups networkx's GraphMatcher finds.
 """
 
 import hashlib
@@ -17,6 +22,7 @@ import random
 
 import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +30,7 @@ from forge import search
 from forge.cli import main
 from forge.errors import BadParameter, EnumerationCapExceeded
 from forge.search import (
+    DEFAULT_GRAPH_CAP,
     build_graph,
     canonical_key,
     enumerate_connected_graphs,
@@ -101,6 +108,76 @@ def _reference_leaves(neighbors, colors):
     n = len(neighbors)
     refined = reference_refine(neighbors, list(colors) if colors else [0] * n)
     return math.prod(math.factorial(refined.count(c)) for c in set(refined))
+
+
+def reference_enumerate(max_vertices, cap=DEFAULT_GRAPH_CAP):
+    """The enumerator as first written: every nonempty attachment subset
+    of every parent is labelled, and the first child of each class kept."""
+    total = 1
+    level = [([set()], 0)]
+    yield 1, [set()], 0
+    for n in range(2, max_vertices + 1):
+        seen = {}
+        for parent, _ in level:
+            for attach in range(1, 2 ** (n - 1)):
+                subset = {i for i in range(n - 1) if attach >> i & 1}
+                child = [set(s) for s in parent] + [set(subset)]
+                for w in subset:
+                    child[w].add(n - 1)
+                key, ordering = search._canonical(child)
+                if key in seen:
+                    continue
+                seen[key] = (child, ordering[0])
+                total += 1
+                if total > cap:
+                    raise EnumerationCapExceeded(f"more than {cap} graphs")
+        level = list(seen.values())
+        for child, first in level:
+            yield n, child, first
+
+
+def networkx_automorphisms(neighbors):
+    """Every automorphism of the graph, as a tuple g mapping v to g[v]."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(neighbors)))
+    graph.add_edges_from((u, w) for u in range(len(neighbors)) for w in neighbors[u])
+    return [
+        tuple(m[v] for v in range(len(neighbors)))
+        for m in GraphMatcher(graph, graph).isomorphisms_iter()
+    ]
+
+
+def subset_image(attach, g):
+    return sum(1 << g[i] for i in range(len(g)) if attach >> i & 1)
+
+
+def networkx_orbit_minima(neighbors):
+    """The nonempty attachment subsets that are the least of their orbit
+    under the full automorphism group."""
+    automorphisms = networkx_automorphisms(neighbors)
+    return [
+        attach
+        for attach in range(1, 2 ** len(neighbors))
+        if all(subset_image(attach, g) >= attach for g in automorphisms)
+    ]
+
+
+def record_labelled(max_vertices):
+    """(neighbors, result) for every graph the enumerator labels."""
+    labelled = []
+    label = search._canonical_with_automorphisms
+
+    def recording(neighbors, colors=None):
+        result = label(neighbors, colors)
+        labelled.append(([set(s) for s in neighbors], result))
+        return result
+
+    search._canonical_with_automorphisms = recording
+    try:
+        graphs = list(enumerate_connected_graphs(max_vertices))
+    finally:
+        search._canonical_with_automorphisms = label
+    return graphs, labelled
 
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -197,21 +274,80 @@ def test_max_vertices_below_one_is_rejected():
             search_conjecture(max_vertices=bad)
 
 
-def test_canonical_matches_reference_on_enumerated_graphs(monkeypatch):
-    labelled = []
-    canonical = search._canonical
+def test_canonical_matches_reference_on_enumerated_graphs():
+    _graphs, labelled = record_labelled(6)
+    # One child per orbit of its parent's automorphisms: 388 of the 759
+    # attachments of the parents up to 5 vertices.
+    parents = [nbrs for _n, nbrs, _first in enumerate_connected_graphs(5)]
+    assert len(labelled) == sum(len(networkx_orbit_minima(p)) for p in parents) == 388
+    for neighbors, result in labelled:
+        assert search._canonical(neighbors) == result[:2] == reference_canonical(neighbors)
 
-    def recording_canonical(neighbors, colors=None):
-        labelled.append([set(s) for s in neighbors])
-        return canonical(neighbors, colors)
 
-    with monkeypatch.context() as m:
-        m.setattr(search, "_canonical", recording_canonical)
-        for _ in enumerate_connected_graphs(6):
-            pass
-    assert len(labelled) == 759
-    for neighbors in labelled:
-        assert search._canonical(neighbors) == reference_canonical(neighbors)
+def test_pruned_enumeration_matches_the_reference():
+    def listing(graphs):
+        return [(n, [sorted(s) for s in nbrs], first) for n, nbrs, first in graphs]
+
+    assert listing(enumerate_connected_graphs(7)) == listing(reference_enumerate(7))
+
+
+@pytest.mark.parametrize("cap", [1, 2, 9, 10, 31, 32, 142, 143, 144])
+def test_pruned_enumeration_hits_the_cap_where_the_reference_does(cap):
+    def run(graphs):
+        out = []
+        try:
+            for n, nbrs, first in graphs:
+                out.append((n, [sorted(s) for s in nbrs], first))
+        except EnumerationCapExceeded as exc:
+            return out, str(exc)
+        return out, None
+
+    pruned = run(enumerate_connected_graphs(6, cap))
+    assert pruned == run(reference_enumerate(6, cap))
+    assert (pruned[1] is None) == (cap >= 143)
+
+
+def test_collected_generators_are_automorphisms():
+    _graphs, labelled = record_labelled(7)
+    assert len(labelled) == 4159
+    for neighbors, (_key, _order, generators) in labelled:
+        n = len(neighbors)
+        edges = {frozenset((u, w)) for u in range(n) for w in neighbors[u]}
+        for g in generators:
+            assert sorted(g) == list(range(n)) and list(g) != list(range(n))
+            assert {frozenset((g[u], g[w])) for u, w in map(tuple, edges)} == edges
+
+
+def test_generators_span_the_automorphism_group():
+    _graphs, labelled = record_labelled(6)
+    for neighbors, (_key, _order, generators) in labelled:
+        n = len(neighbors)
+        group = {tuple(range(n))}
+        frontier = list(group)
+        while frontier:
+            h = frontier.pop()
+            for g in generators:
+                gh = tuple(g[h[v]] for v in range(n))
+                if gh not in group:
+                    group.add(gh)
+                    frontier.append(gh)
+        assert group == set(networkx_automorphisms(neighbors))
+
+
+def test_labelled_attachments_are_the_orbit_minima():
+    # Every parent up to 6 vertices: the children it labels are exactly
+    # one per orbit of Aut(parent) on attachment subsets, the least one.
+    graphs, labelled = record_labelled(7)
+    attached = {}
+    for neighbors, _result in labelled:
+        n = len(neighbors)
+        parent = tuple(frozenset(s - {n - 1}) for s in neighbors[:-1])
+        attach = sum(1 << w for w in neighbors[-1])
+        attached.setdefault(parent, []).append(attach)
+    parents = [tuple(frozenset(s) for s in nbrs) for n, nbrs, _ in graphs if n < 7]
+    assert sorted(attached) == sorted(parents)
+    for parent in parents:
+        assert attached[parent] == networkx_orbit_minima(parent)
 
 
 @st.composite
@@ -234,6 +370,11 @@ def test_canonical_matches_reference_on_random_colored_graphs(graph):
     if _reference_leaves(neighbors, colors) > math.factorial(7):
         return
     assert search._canonical(neighbors, colors) == reference_canonical(neighbors, colors)
+    # The generators found on the way preserve adjacency and the colors.
+    n = len(neighbors)
+    for g in search._canonical_with_automorphisms(neighbors, colors)[2]:
+        assert all({g[w] for w in neighbors[v]} == neighbors[g[v]] for v in range(n))
+        assert colors is None or all(colors[g[v]] == colors[v] for v in range(n))
 
 
 def test_canonical_matches_reference_on_symmetric_graphs():

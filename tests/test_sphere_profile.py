@@ -37,8 +37,10 @@ from forge.fixtures import resolve_spec
 from forge.graphs import (
     AssumptionReport,
     bfs_distances,
+    bfs_from,
     build_graph,
     check_assumptions,
+    point_graph,
     sphere_at,
     sphere_counts,
 )
@@ -292,6 +294,19 @@ def test_kernel_matches_reference_on_fixtures(spec):
     assert_same_as_reference(resolve_spec(spec))
 
 
+def test_s1_on_every_base_sharing_one_bfs_cache():
+    """The search points one graph at every base through one BFS cache;
+    (S1) and the uniform bound read sphere sizes kept in it, per row."""
+    for pg in random_pointed_graphs(count=20, seed=77):
+        rows = {}
+        for base in range(pg.vertex_count):
+            at_base = point_graph(pg.graph, base, rows)
+            assert check_S1(at_base) == reference_check_S1(at_base), (pg.name, base)
+            assert uniform_norm_bound(at_base) == reference_uniform_norm_bound(at_base)
+        for v in range(pg.vertex_count):
+            assert rows[("sizes", v)] == tuple(Counter(rows[v])[d] for d in range(max(rows[v]) + 1))
+
+
 def test_reference_patterns_cover_the_jump_law_errors():
     """The reference comparison meets every error J raises on these
     inputs, and (iii) fails on some random graphs."""
@@ -421,19 +436,28 @@ def test_oracle_reports_a_translation_that_leaves_the_window():
 
 @pytest.mark.parametrize("radius,sample_cap", [(4, 200_000), (5, 200_000), (5, 500)])
 def test_check_s3_reads_one_uncached_bfs_row_per_vertex(monkeypatch, radius, sample_cap):
-    """check_S3 runs bfs_from once for each distinct v among the pairs it
-    checks, and keeps none of the rows in the window's BFS cache."""
+    """check_S3 runs one BFS for each distinct v among the pairs it checks,
+    cut at depth radius - |v|, the deepest any of v's pairs reads, and keeps
+    none of the rows in the window's BFS cache."""
     cg = parse_group_spec("free:2")
     window = realize_window(cg, radius)
     starts = Counter()
-    real_bfs_from = cy.bfs_from
+    real_bfs_to_depth = cy._bfs_to_depth
 
-    def counting_bfs_from(graph, v):
+    def counting_bfs_to_depth(graph, v, depth):
+        assert depth == radius - window.dist[v]
         starts[v] += 1
-        return real_bfs_from(graph, v)
+        row = real_bfs_to_depth(graph, v, depth)
+        full = bfs_from(graph, v)
+        assert row == [d if d <= depth else -1 for d in full]
+        return row
+
+    def no_full_bfs(graph, v):
+        raise AssertionError("check_S3 ran a full BFS without a mismatch")
 
     monkeypatch.setattr(cy, "realize_window", lambda cg, radius: window)
-    monkeypatch.setattr(cy, "bfs_from", counting_bfs_from)
+    monkeypatch.setattr(cy, "_bfs_to_depth", counting_bfs_to_depth)
+    monkeypatch.setattr(cy, "bfs_from", no_full_bfs)
     cached = set(window._bfs_cache)
     report = cy.check_S3(cg, radius, sample_cap)
     pairs = [
@@ -446,6 +470,31 @@ def test_check_s3_reads_one_uncached_bfs_row_per_vertex(monkeypatch, radius, sam
     assert report.passed and report.checked == len(pairs[::stride])
     assert starts == Counter({v for v, _ in pairs[::stride]})
     assert set(window._bfs_cache) == cached
+
+
+def test_check_s3_witness_reports_the_full_window_distance(monkeypatch):
+    """A mismatch past the depth cut still reports d(v, vw) in the window."""
+    cg = parse_group_spec("free:2")
+    radius = 4
+    window = realize_window(cg, radius)
+    oracle = window._sphere_oracle
+    v = 1
+    row = bfs_from(window.graph, v)
+    # A rim vertex on another branch: past v's cut at radius - |v|.
+    far = next(u for u, d in enumerate(row) if d == radius + window.dist[v])
+
+    def broken_oracle(u, top):
+        ball = oracle(u, top)
+        if u == v:
+            ball[1] = far
+        return ball
+
+    window._sphere_oracle = broken_oracle
+    monkeypatch.setattr(cy, "realize_window", lambda cg, radius: window)
+    report = cy.check_S3(cg, radius)
+    assert not report.passed
+    assert report.checked == window.vertex_count  # every w for v = 0, then (v, 1)
+    assert report.witness == (window.label(v), window.label(1), 1, radius + 1)
 
 
 def test_window_checks_run_without_group_multiplication(monkeypatch):
