@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd, lcm
+from operator import or_
 
 from .errors import (
     BadParameter,
@@ -453,11 +454,6 @@ class DRReport:
         }
 
 
-# float32 holds every integer count up to 2**24 exactly, so BLAS products
-# of 0/1 matrices on fewer vertices are exact integer counts.
-_FLOAT32_EXACT = 2**24
-
-
 def _pair_counts(rows, v: int, w: int) -> dict[tuple[int, int], int]:
     """|{x : d(v,x)=i, d(x,w)=j}| keyed by (i, j), nonzero counts only."""
     counts: dict[tuple[int, int], int] = {}
@@ -469,67 +465,62 @@ def _pair_counts(rows, v: int, w: int) -> dict[tuple[int, int], int]:
 def check_distance_regular(pg: PointedGraph) -> DRReport:
     """Are the counts |{x : d(v,x)=i, d(x,w)=j}| functions of d(v,w) alone?
 
-    Bose-Mesner test: with A_i the 0/1 distance-i matrix, (A_i A_j)[v, w]
-    is that count, so the graph is distance-regular iff every product is
-    constant on each class d(v,w) = k.  Each class is compared with its
-    first pair in row-major order, and the witness is the first failing
-    pair in that order.  Costs (diameter+1)^2 BLAS products of n x n
-    matrices; only the reported pairs are recounted in Python.
-
-    Finite graphs only: the verdict on a truncated window would describe
-    the window rather than the ambient graph.
+    A connected graph is distance-regular iff every pair (v, w) at distance
+    k has the c = |S_{k-1}(v) ∩ S_1(w)| and b = |S_{k+1}(v) ∩ S_1(w)| of the
+    first such pair in row-major order (Brouwer, Cohen and Neumaier 1989,
+    §4.1): two popcounts per pair on bitset spheres.  The witness is the
+    first pair whose whole profile differs, at or before the first (c, b)
+    failure.  Finite graphs only: a window is not the ambient graph.
     """
     if pg.truncated:
         raise NotFinite("distance regularity is only decided on finite graphs")
-    import numpy as np
-
     n = pg.vertex_count
     rows = [bfs_distances(pg, v) for v in range(n)]
     diameter = max(max(row) for row in rows)
-    dist = np.array(rows, dtype=np.min_scalar_type(diameter))
-    flat = dist.ravel()
-    # Connected, so every distance 0..diameter occurs; argmax finds the
-    # first pair of each class in row-major order.
-    ref_index = np.array([np.argmax(flat == k) for k in range(diameter + 1)])
-    dtype = np.float32 if n < _FLOAT32_EXACT else np.float64
-    first_bad = flat.size
-    for i in range(diameter + 1):
-        a_i = (dist == i).astype(dtype)
-        for j in range(diameter + 1):
-            counts = (a_i @ (dist == j).astype(dtype)).ravel()
-            bad = counts != counts[ref_index][flat]
-            if bad.any():
-                first_bad = min(first_bad, int(np.argmax(bad)))
-    refs = {}
-    for idx in sorted(int(r) for r in ref_index):
-        v, w = divmod(idx, n)
-        refs[rows[v][w]] = (v, w)
-    if first_bad < flat.size:
-        v, w = divmod(first_bad, n)
-        k = rows[v][w]
-        ref_v, ref_w = refs[k]
-        reference = _pair_counts(rows, ref_v, ref_w)
-        counts = _pair_counts(rows, v, w)
-        diff = sorted(set(counts) ^ set(reference))
-        if not diff:
-            diff = sorted(key for key in counts if counts[key] != reference[key])
-        i, j = diff[0]
-        witness = (
-            k,
-            pg.label(ref_v),
-            pg.label(ref_w),
-            pg.label(v),
-            pg.label(w),
-            i,
-            j,
-            reference.get((i, j), 0),
-            counts.get((i, j), 0),
+    # levels[k + 1][v] = S_k(v), between the empty S_{-1} and S_{diameter+1}:
+    # B_{k+1}(v) joins B_k(x) over x = v and its neighbours.
+    balls, adjacency = [1 << v for v in range(n)], pg.graph.adjacency
+    levels = [[0] * n, balls]
+    for _ in range(diameter - 1):
+        grown = [reduce(or_, map(balls.__getitem__, adj), x) for x, adj in zip(balls, adjacency)]
+        levels.append([inner ^ outer for inner, outer in zip(balls, grown)])
+        balls = grown
+    levels += [[(1 << n) - 1 ^ ball for ball in balls], [0] * n]
+    masks, neighbours = list(zip(*levels)), levels[2]
+    first = [
+        next((v, row.index(k)) for v, row in enumerate(rows) if k in row)
+        for k in range(diameter + 1)
+    ]
+    profiles = [_pair_counts(rows, *pair) for pair in first]
+    c = [profile.get((k - 1, 1), 0) for k, profile in enumerate(profiles)]
+    b = [profile.get((k + 1, 1), 0) for k, profile in enumerate(profiles)]
+    for bad_row, (row, below) in enumerate(zip(rows, masks)):
+        above = below[2:]
+        for k, nb in zip(row, neighbours):
+            if (below[k] & nb).bit_count() != c[k] or (above[k] & nb).bit_count() != b[k]:
+                break
+        else:
+            continue
+        break
+    else:
+        order = sorted(range(diameter + 1), key=first.__getitem__)
+        numbers = {(i, j, k): count for k in order for (i, j), count in profiles[k].items()}
+        return DRReport(True, diameter, numbers, None)
+    # Matching every reference count (they sum to n) leaves no other key.
+    v, w = next(
+        (v, w)
+        for v in range(bad_row + 1)
+        for w, k in enumerate(rows[v])
+        if any(
+            (masks[v][i + 1] & masks[w][j + 1]).bit_count() != count
+            for (i, j), count in profiles[k].items()
         )
-        return DRReport(False, diameter, None, witness)
-    numbers = {
-        (i, j, k): count
-        for k, (v, w) in refs.items()
-        for (i, j), count in _pair_counts(rows, v, w).items()
-    }
-    return DRReport(True, diameter, numbers, None)
+    )
+    k = rows[v][w]
+    reference, counts = profiles[k], _pair_counts(rows, v, w)
+    diff = set(counts) ^ set(reference)
+    i, j = min(diff or {key for key in counts if counts[key] != reference[key]})
+    labels = [pg.label(u) for u in (*first[k], v, w)]
+    witness = (k, *labels, i, j, reference.get((i, j), 0), counts.get((i, j), 0))
+    return DRReport(False, diameter, None, witness)
 

@@ -221,8 +221,12 @@ def monte_carlo_conditional(
             for j in reversed(range(i)):
                 v, letters[e, j] = data.via[v]
         draws = _step_rng(seed, step).integers(0, len(sphere), size=trials)
+        # A |window| x |S_i| table smaller than the trials: walk it once.
+        compose = i > 1 and len(table) * len(sphere) < trials
+        ends, words = (np.arange(len(table))[:, None], letters) if compose else (pos, letters[draws])
         for j in range(i):
-            pos = table[pos, letters[draws, j]]
+            ends = table[ends, words[:, j]]
+        pos = ends[pos, draws] if compose else ends
     if (pos < 0).any():
         raise InternalError("a sampled element lies outside the realized window")
     values, tallies = np.unique(np.array(pg.dist)[pos], return_counts=True)

@@ -401,6 +401,13 @@ def test_search_max_vertices_below_one_exits_2(runner, max_vertices):
     assert result.stdout == ""
 
 
+def _python(*args):
+    """Run a fresh interpreter with this checkout's src first on the path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_numpy_is_imported_only_when_needed():
     script = (
         "import sys\n"
@@ -411,12 +418,53 @@ def test_numpy_is_imported_only_when_needed():
         "result = CliRunner().invoke(forge.cli.main, args, catch_exceptions=False)\n"
         "print(result.exit_code, 'numpy' in sys.modules)\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
-    )
+    done = _python("-c", script)
+    assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "0", "False"]
+
+
+def _numpy_loaded_at_exit(args):
+    """(exit code, whether numpy was imported) for `forge args` run as its
+    own process, read by an exit hook after click has exited."""
+    script = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr))\n"
+        "from forge.cli import main\n"
+        "main(sys.argv[1:], prog_name='forge')\n"
+    )
+    done = _python("-c", script, *args)
+    return done.returncode, done.stderr.split()[-1]
+
+
+def test_finite_graph_runs_do_not_import_numpy(tmp_path):
+    # Distance regularity is decided on integer bitsets, so the finite
+    # graph commands and the regression suite never load numpy; only the
+    # Monte-Carlo sampler does.
+    petersen = tmp_path / "petersen.json"
+    petersen.write_text(json.dumps({
+        "vertices": 10,
+        "edges": [[u, (u + 1) % 5] for u in range(5)] + [[u, u + 5] for u in range(5)]
+        + [[5 + u, 5 + (u + 2) % 5] for u in range(5)],
+        "base": 0,
+    }))
+    assert _numpy_loaded_at_exit(["hyper", "conditions", str(petersen)]) == (0, "False")
+    assert _numpy_loaded_at_exit(["hyper", "conditions", "prism:3"]) == (1, "False")
+    assert _numpy_loaded_at_exit(["paper-regression"]) == (1, "False")
+    mc = ["product", "mc", "zmod:5", "--pattern", "1,2", "--trials", "10"]
+    assert _numpy_loaded_at_exit(mc) == (0, "True")
+
+
+def test_importing_the_cli_loads_every_layer_module():
+    # The benchmark's tracer wraps the layer modules that `import forge.cli`
+    # leaves in sys.modules, so none of them may be imported lazily.
+    layers = [
+        "cli", "serialize", "fixtures", "graphs", "cayley",
+        "hypergroup", "matrices", "walks", "search", "regression",
+    ]
+    script = "import sys, forge.cli\nprint(*sorted(sys.modules))\n"
+    done = _python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert {f"forge.{layer}" for layer in layers} <= set(done.stdout.split())
 
 
 # `--format json` reports pinned as (exit code, sha256 of stdout), taken

@@ -1,11 +1,14 @@
-"""Distance regularity: the Bose-Mesner kernel against independent oracles.
+"""Distance regularity: the bitset kernel against independent oracles.
 
-check_distance_regular decides the verdict from products of the 0/1
-distance-i matrices.  Two oracles check it here: networkx
+check_distance_regular decides the verdict from the intersection array:
+every pair (v, w) at distance k must have the c = |S_{k-1}(v) ∩ S_1(w)|
+and b = |S_{k+1}(v) ∩ S_1(w)| of the first pair at distance k, each a
+popcount of two sphere bitsets.  Two oracles check it here: networkx
 (is_distance_regular and intersection_array) on known distance-regular
-and non-distance-regular graphs, and the direct O(V^3) count over vertex
-triples, kept below as the reference for the full report, witness
-included.
+and non-distance-regular graphs up to 600 vertices, and the direct O(V^3)
+count over vertex triples, kept below as the reference for the full
+report, witness included, on fixed graphs and on random connected graphs
+drawn by hypothesis.
 """
 
 import random
@@ -13,8 +16,9 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from forge import hypergroup
 from forge.fixtures import resolve_spec
 from forge.graphs import bfs_distances, build_graph
 from forge.hypergroup import DRReport, check_distance_regular
@@ -130,6 +134,14 @@ def _known_graphs():
 KNOWN = _known_graphs()
 
 
+def _intersection_array(report):
+    """[b_0..b_{d-1}, c_1..c_d], networkx's layout of the array."""
+    q, d = report.intersection_numbers, report.diameter
+    b = [q.get((i + 1, 1, i), 0) for i in range(d)]
+    c = [q.get((i - 1, 1, i), 0) for i in range(1, d + 1)]
+    return [b, c]
+
+
 @pytest.mark.parametrize("name", sorted(KNOWN))
 def test_verdict_and_intersection_array_match_networkx(name):
     pg = KNOWN[name]
@@ -140,11 +152,7 @@ def test_verdict_and_intersection_array_match_networkx(name):
     if not report.passed:
         assert report.intersection_numbers is None and report.witness is not None
         return
-    q = report.intersection_numbers
-    d = report.diameter
-    b = [q.get((i + 1, 1, i), 0) for i in range(d)]
-    c = [q.get((i - 1, 1, i), 0) for i in range(1, d + 1)]
-    assert [b, c] == [list(x) for x in nx.intersection_array(graph)]
+    assert _intersection_array(report) == [list(x) for x in nx.intersection_array(graph)]
 
 
 def test_known_distance_regular_graphs_pass():
@@ -195,10 +203,80 @@ def test_report_matches_reference_scan_on_known_graphs(name):
         assert all(type(n) is int for n in report.intersection_numbers.values())
 
 
-def test_float64_products_give_the_same_report(monkeypatch):
-    monkeypatch.setattr(hypergroup, "_FLOAT32_EXACT", 0)
+def test_report_matches_reference_scan_on_a_mixed_sample():
     for pg in (*_connected_gnp(5), KNOWN["petersen"], KNOWN["prism:5"]):
         assert check_distance_regular(pg) == reference_distance_regular(pg)
+
+
+def _random_cubic(n: int, seed: int):
+    return _from_networkx(_random_regular(3, n, seed), f"random cubic on {n}", seed=seed)
+
+
+LARGE = {
+    "cycle:200": lambda: resolve_spec("cycle:200"),
+    "prism:60": lambda: resolve_spec("prism:60"),
+    "random cubic on 600": lambda: _random_cubic(600, 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_large_graphs_match_networkx(name):
+    pg = LARGE[name]()
+    graph = _to_networkx(pg)
+    report = check_distance_regular(pg)
+    assert report.diameter == nx.diameter(graph)
+    if name == "cycle:200":
+        # networkx rejects every graph whose diameter exceeds 8 log2(n) / 3,
+        # a bound shown only for valency >= 3, so it calls long cycles not
+        # distance-regular.  C_2m has b = (2, 1, ..., 1), c = (1, ..., 1, 2).
+        assert not nx.is_distance_regular(graph)
+        assert report.passed
+        assert _intersection_array(report) == [[2] + [1] * 99, [1] * 99 + [2]]
+        return
+    assert not nx.is_distance_regular(graph) and not report.passed
+    # Both fail in the first row, so the direct scan stays cheap.
+    assert report == reference_distance_regular(pg)
+
+
+def _graph_from_edges(n, edges, labelled, name):
+    labels = [f"v{u}" for u in range(n)] if labelled else None
+    return build_graph(sorted(edges), base=0, vertex_count=n, labels=labels, name=name)
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random connected graph on at most 12 vertices: a random spanning
+    tree plus any further edges, optionally labelled."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u, v in combinations(range(n), 2) if (u, v) not in edges]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    return _graph_from_edges(n, edges, draw(st.booleans()), "random")
+
+
+@st.composite
+def relabelled_distance_regular_graphs(draw):
+    """A distance-regular graph on at most 12 vertices under a random
+    vertex order: a cycle, a complete or complete bipartite graph, the
+    cube, the Petersen graph or the icosahedron."""
+    graph = draw(
+        st.sampled_from(
+            [nx.cycle_graph(n) for n in range(3, 13)]
+            + [nx.complete_graph(n) for n in range(1, 13)]
+            + [nx.complete_bipartite_graph(m, m) for m in range(1, 7)]
+            + [nx.hypercube_graph(3), nx.petersen_graph(), nx.icosahedral_graph()]
+        )
+    )
+    graph = nx.convert_node_labels_to_integers(graph)
+    order = draw(st.permutations(range(graph.number_of_nodes())))
+    edges = {tuple(sorted((order[u], order[v]))) for u, v in graph.edges}
+    return _graph_from_edges(graph.number_of_nodes(), edges, draw(st.booleans()), "dr")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(connected_graphs() | relabelled_distance_regular_graphs())
+def test_report_matches_reference_scan_on_random_connected_graphs(pg):
+    assert check_distance_regular(pg) == reference_distance_regular(pg)
 
 
 def test_single_vertex_is_distance_regular():

@@ -3,16 +3,22 @@
 Reference values here are computed from small fixtures where the products
 can be checked by hand: the 4-cycle and triangular prism, the rooted binary
 tree (the standard non-commutative example), and one- and two-dimensional
-lattice windows.
+lattice windows.  On random small connected graphs (hypothesis) every
+product row is checked against the defining sum over networkx distances.
 """
 
 from fractions import Fraction as F
+from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forge import hypergroup
 from forge.errors import (
     BadParameter,
+    EmptySphere,
     ForgeError,
     IndexOutOfRange,
     InternalError,
@@ -20,6 +26,7 @@ from forge.errors import (
     RadiusExceeded,
 )
 from forge.fixtures import resolve_spec
+from forge.graphs import build_graph
 from forge.hypergroup import (
     ProbabilityVector,
     associativity_defect,
@@ -273,3 +280,40 @@ def test_intersection_numbers_reproduce_structure_constants():
 
 def test_sphere_sizes():
     assert sphere_sizes(resolve_spec("prism:3")) == (1, 3, 2)
+
+
+@st.composite
+def pointed_connected_graphs(draw):
+    """A random connected graph on at most 10 vertices, a random spanning
+    tree plus any further edges, pointed at a random vertex."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [pair for pair in combinations(range(n), 2) if pair not in edges]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    return build_graph(sorted(edges), base=draw(st.integers(0, n - 1)), vertex_count=n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pointed_connected_graphs())
+def test_product_rows_are_stochastic_bounded_and_hermitian(pg):
+    graph = nx.Graph(pg.graph.edges())
+    graph.add_nodes_from(range(pg.vertex_count))
+    dist = dict(nx.all_pairs_shortest_path_length(graph))
+    for i, sphere in pg.spheres.items():
+        for j in pg.spheres:
+            # p[i,j][k] = (1/|S_i|) sum over v in S_i of |S_j(v) ∩ S_k| / |S_j(v)|
+            outer = [[w for w, d in dist[v].items() if d == j] for v in sphere]
+            if not all(outer):
+                with pytest.raises(EmptySphere):
+                    product(pg, i, j)
+                continue
+            want = {}
+            for ring in outer:
+                for w in ring:
+                    k = dist[pg.base][w]
+                    want[k] = want.get(k, 0) + F(1, len(sphere) * len(ring))
+            row = product(pg, i, j).as_dict()
+            assert row == want
+            assert sum(row.values()) == 1
+            assert abs(i - j) <= min(row) and max(row) <= i + j
+            assert (0 in row) == (i == j)

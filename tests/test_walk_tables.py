@@ -202,10 +202,13 @@ def test_window_edges_come_from_the_table():
 # ---------------------------------------------------------------- Monte-Carlo
 
 
+# With 3000 trials, the steps of index > 1 on zmod:6,6, zmod:5 and
+# lattice:1 walk their |window| x |S_i| table once; on the free groups the
+# table is larger than the trial count and each trial walks its own word.
 MC_CASES = [
     ("zmod:6,6", [(1, 2, 3), (2, 2), (3,), (0, 1)]),
     ("zmod:5", [(1, 1), (2, 1, 2), (0, 2)]),
-    ("lattice:1", [(1, 2, 3), (5, 5), (0, 3)]),
+    ("lattice:1", [(1, 2, 3), (5, 5), (0, 3), (40, 3, 25)]),
     ("lattice:2", [(1, 1, 1), (2, 3), (4,)]),
     ("lattice:3", [(2, 2), (1, 1, 1), (3,)]),
     ("ladder", [(1, 1), (2, 3, 1), (4,)]),
@@ -239,6 +242,10 @@ def test_monte_carlo_rejects_a_walk_that_leaves_the_window(monkeypatch):
     monkeypatch.setattr(walks.cy, "realize_window", broken)
     with pytest.raises(InternalError, match="outside the realized window"):
         monte_carlo_conditional(parse_group_spec("zmod:5"), (1, 1), 100)
+    # Steps of index 2 with 100 trials walk a 6 x 2 composed table once;
+    # its row for -1 must stay -1.
+    with pytest.raises(InternalError, match="outside the realized window"):
+        monte_carlo_conditional(parse_group_spec("zmod:5"), (2, 2), 100)
 
 
 # ---------------------------------------------------------------- joint law
