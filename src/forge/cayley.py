@@ -17,7 +17,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadParameter,
@@ -30,14 +31,13 @@ from .errors import (
     NotSymmetric,
     WindowOverflow,
 )
-from .graphs import INFINITE, PointedGraph, bfs_from, build_graph
+from .graphs import INFINITE, Graph, PointedGraph, bfs_from, point_graph
 
 WINDOW_CAP = 200_000
 CLOSURE_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class GroupKind:
+class GroupKind(NamedTuple):
     """Identity of a group: family plus its shape parameters."""
 
     family: str
@@ -54,14 +54,13 @@ class GroupKind:
         return f"free(rank={self.rank})"
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     kind: GroupKind
     data: tuple
 
     def __hash__(self):
         # Equal elements have equal data; hashing the kind as well would
-        # rebuild its four fields on every dict lookup of a window.
+        # hash its four fields on every dict lookup of a window.
         return hash(self.data)
 
     def sort_key(self):
@@ -163,7 +162,6 @@ class CayleyGraph:
     spec_name: str
     finite: bool
     order: int | None
-    _full: list = field(default=None, repr=False)
 
 
 def parse_group_spec(spec: str) -> CayleyGraph:
@@ -365,8 +363,6 @@ def full_group(cg: CayleyGraph, cap: int = CLOSURE_CAP) -> list[GroupElement]:
     """Enumerate a finite group by closure under the generators."""
     if not cg.finite:
         raise NotFinite(f"{cg.spec_name} is infinite")
-    if cg._full is not None:
-        return cg._full
     ident = identity(cg.kind)
     seen = {ident}
     queue = deque([ident])
@@ -379,13 +375,7 @@ def full_group(cg: CayleyGraph, cap: int = CLOSURE_CAP) -> list[GroupElement]:
                     raise CapExceeded(f"group closure exceeds cap {cap}")
                 seen.add(h)
                 queue.append(h)
-    cg._full = sorted(seen, key=GroupElement.sort_key)
-    if cg.order is not None and len(cg._full) != cg.order:
-        raise NotGenerating(
-            f"closure has {len(cg._full)} of {cg.order} elements"
-        )
-    cg.order = len(cg._full)
-    return cg._full
+    return sorted(seen, key=GroupElement.sort_key)
 
 
 @dataclass(eq=False)
@@ -416,53 +406,69 @@ def realize_window(cg: CayleyGraph, radius: int, cap: int = WINDOW_CAP) -> Point
     """
     if radius < 0:
         raise BadParameter("radius must be >= 0")
-    ident = identity(cg.kind)
-    layers = [[ident]]
-    index = {ident: 0}
-    elements = [ident]
+    kind, mods = cg.kind, cg.kind.mods
+    # The product of element data g by a generator's data s, per family.
+    step = {
+        "vector": lambda g, s: tuple([(a + b) % m if m else a + b for a, b, m in zip(g, s, mods)]),
+        "perm": lambda g, s: tuple(map(g.__getitem__, s)),
+        # A free generator is one letter (build_cayley): cancel it or append it.
+        "free": lambda g, s: g[:-1] if g and g[-1] == -s[0] else g + s,
+    }[kind.family]
+    gens = [s.data for s in cg.generators]
+    datas = [identity(kind).data]
+    index = {datas[0]: 0}
+    dist = [0]
     via = [None]
     right = []
     # Each pass multiplies the newest layer by every generator once: while
-    # the radius allows, new products form the next layer, and the rows
-    # of right are filled after that.
-    while len(right) < len(elements):
+    # the radius allows, new products form the next layer, and the rows of
+    # right are filled after that.
+    while len(right) < len(datas):
+        depth = dist[-1] + 1
         frontier = {}
         products = []
-        for u in range(len(right), len(elements)):
-            row = [multiply(elements[u], s) for s in cg.generators]
-            if len(layers) <= radius:
+        for u in range(len(right), len(datas)):
+            row = [step(datas[u], s) for s in gens]
+            if depth <= radius:
                 for s, h in enumerate(row):
                     if h not in index:
                         frontier.setdefault(h, (u, s))
             products.append(row)
         if frontier:
-            if len(elements) + len(frontier) > cap:
-                raise WindowOverflow(
-                    f"window would exceed {cap} vertices at radius {len(layers)}"
-                )
-            layer = sorted(frontier, key=GroupElement.sort_key)
-            for h in layer:
-                index[h] = len(elements)
-                elements.append(h)
+            if len(datas) + len(frontier) > cap:
+                raise WindowOverflow(f"window would exceed {cap} vertices at radius {depth}")
+            # The words of one layer have one length, so data order is
+            # GroupElement.sort_key's order in every family.
+            for h in sorted(frontier):
+                index[h] = len(datas)
+                datas.append(h)
                 via.append(frontier[h])
-            layers.append(layer)
+                dist.append(depth)
         rows = [tuple([index.get(h, -1) for h in row]) for row in products]
         right.extend(rows)
     saturated = not any(-1 in row for row in rows)
-    edges = [(u, v) for u, row in enumerate(right) for v in row if u < v]
-    labels = [element_str(g) for g in elements]
-    truncated = not saturated
-    pg = build_graph(
-        edges,
-        base=0,
-        vertex_count=len(elements),
-        labels=labels,
+    elements = tuple([GroupElement(kind, h) for h in datas])
+    if kind.family == "free":
+        # via spells a geodesic word, so each label extends its parent's.
+        letters = [element_str(s) for s in cg.generators]
+        sep = "" if kind.rank <= 26 else "."
+        labels = ["e"]
+        for u, s in via[1:]:
+            labels.append(labels[u] + sep + letters[s] if u else letters[s])
+    else:
+        labels = [element_str(g) for g in elements]
+    adjacency = tuple(tuple(sorted([v for v in row if v >= 0])) for row in right)
+    dist = tuple(dist)
+    pg = point_graph(
+        Graph(len(elements), adjacency, tuple(labels)),
+        0,
+        bfs_cache={0: dist},
         name=f"window({cg.spec_name},r={radius})",
-        truncated=truncated,
-        exact_radius=radius if truncated else INFINITE,
+        truncated=not saturated,
+        exact_radius=INFINITE if saturated else radius,
     )
-    pg.cayley = WindowData(cg, tuple(elements), index, saturated, radius, right, via)
-    dist = pg.dist
+    index = dict(zip(elements, range(len(elements))))
+    pg.cayley = WindowData(cg, elements, index, saturated, radius, right, via)
 
     def sphere_oracle(v: int, top: int) -> list[int]:
         """The index of elements[v] * g for each g in B_top, in order."""
@@ -488,8 +494,7 @@ def realize_full(cg: CayleyGraph, cap: int = WINDOW_CAP) -> PointedGraph:
     return pg
 
 
-@dataclass(frozen=True)
-class S3Report:
+class S3Report(NamedTuple):
     """Outcome of checking d(v, vw) = |w| on a window."""
 
     passed: bool
@@ -535,13 +540,14 @@ def check_S3(cg: CayleyGraph, radius: int, sample_cap: int = 200_000) -> S3Repor
 
 def _bfs_to_depth(graph, start: int, depth: int) -> list[int]:
     """Distances from start out to depth; -1 marks every vertex beyond."""
+    adjacency = graph.adjacency  # a NamedTuple field: read once, not per vertex
     dist = [-1] * graph.vertex_count
     dist[start] = 0
     layer = [start]
     for d in range(1, depth + 1):
         reached = []
         for u in layer:
-            for w in graph.adjacency[u]:
+            for w in adjacency[u]:
                 if dist[w] < 0:
                     dist[w] = d
                     reached.append(w)

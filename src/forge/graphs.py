@@ -20,6 +20,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     BadParameter,
@@ -32,16 +33,12 @@ from .errors import (
 INFINITE = math.inf
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Undirected simple graph on vertices 0..n-1 with sorted adjacency."""
 
     vertex_count: int
     adjacency: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None = None
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
@@ -142,12 +139,13 @@ def make_graph(edge_list, vertex_count=None, labels=None) -> Graph:
 
 def bfs_from(graph: Graph, start: int) -> tuple[int, ...]:
     """Distances from start; unreachable vertices get -1."""
+    adjacency = graph.adjacency  # a NamedTuple field: read once, not per vertex
     dist = [-1] * graph.vertex_count
     dist[start] = 0
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        for w in graph.adjacency[u]:
+        for w in adjacency[u]:
             if dist[w] < 0:
                 dist[w] = dist[u] + 1
                 queue.append(w)
@@ -318,8 +316,7 @@ def sphere_sizes_at(pg: PointedGraph, v: int) -> tuple[int, ...]:
     return pg._bfs_cache[key]
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(NamedTuple):
     """Verdicts for the three standing assumptions.
 
     condition_iii is the non-degeneracy requirement that the outermost
@@ -348,8 +345,7 @@ def check_assumptions(pg: PointedGraph) -> AssumptionReport:
     every vertex has a nonempty sphere at the top base index M."""
     graph = pg.graph
     simple = True
-    for v in range(graph.vertex_count):
-        adj = graph.adjacency[v]
+    for v, adj in enumerate(graph.adjacency):
         if v in adj or len(set(adj)) != len(adj):
             simple = False
             break

@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
 from operator import or_
+from typing import NamedTuple
 
 from .errors import (
     BadParameter,
@@ -253,16 +254,14 @@ def build_table(pg: PointedGraph, bound: int | None = None) -> StructureTable:
     return StructureTable(pg, bound, rows)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     indices: tuple[int, ...]
     lhs: Fraction | None
     rhs: Fraction | None
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Hypergroup vs pre-hypergroup verdict within a bound.
 
     skipped_triples counts associativity triples a truncated window could
@@ -364,8 +363,7 @@ def classify(table: StructureTable) -> ClassificationReport:
     return ClassificationReport(verdict, commutative, associative, table.bound, witness, skipped)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Outcome of one sphere-regularity condition over a stated scope."""
 
     condition: str
@@ -403,8 +401,10 @@ def check_S1(pg: PointedGraph) -> ConditionReport:
 
 
 def check_S2(pg: PointedGraph) -> ConditionReport:
-    """Is |S_i(v) ∩ S_j(base)| constant over v in S_k(base)?"""
-    checked = 0
+    """Is |S_i(v) ∩ S_j(base)| constant over v in S_k(base)?  Each v compares
+    its whole count row for S_i(v) with the first vertex's; checked counts
+    the lookups of a scan by k, i, j, then v, up to the first mismatch."""
+    checked, top = 0, max(pg.spheres)
     if pg.truncated:
         radius = int(pg.exact_radius)
         scope = f"triples with k + i <= {radius}, j <= k + i"
@@ -414,24 +414,29 @@ def check_S2(pg: PointedGraph) -> ConditionReport:
         k_range = sorted(pg.spheres)
     for k in k_range:
         sphere = pg.spheres[k]
-        i_range = range(0, radius - k + 1) if pg.truncated else sorted(pg.spheres)
-        profiles = [sphere_counts(pg, v, i_range[-1]) for v in sphere]
-        for i in i_range:
-            j_range = range(0, k + i + 1) if pg.truncated else sorted(pg.spheres)
-            for j in j_range:
-                expected = profiles[0][i].get(j, 0)
-                for v, profile in zip(sphere, profiles):
-                    count = profile[i].get(j, 0)
-                    checked += 1
-                    if count != expected:
-                        first = pg.label(sphere[0])
-                        witness = (i, j, k, first, expected, pg.label(v), count)
-                        return ConditionReport("S2", False, witness, scope, checked)
+        i_top = radius - k if pg.truncated else top
+        rows = [sphere_counts(pg, v, i_top) for v in sphere]
+        for i in range(i_top + 1):
+            ref = rows[0][i]
+            # (j, position) of each differing vertex's least differing j.  The
+            # scan runs j from 0, then v; no count has j > k + i.
+            firsts = [
+                (min(j for j in row[i].keys() | ref.keys() if row[i].get(j, 0) != ref.get(j, 0)), at)
+                for at, row in enumerate(rows)
+                if row[i] != ref
+            ]
+            if not firsts:
+                checked += ((k + i if pg.truncated else top) + 1) * len(sphere)
+                continue
+            j, at = min(firsts)
+            checked += j * len(sphere) + at + 1
+            first, v = pg.label(sphere[0]), pg.label(sphere[at])
+            witness = (i, j, k, first, ref.get(j, 0), v, rows[at][i].get(j, 0))
+            return ConditionReport("S2", False, witness, scope, checked)
     return ConditionReport("S2", True, None, scope, checked)
 
 
-@dataclass(frozen=True)
-class DRReport:
+class DRReport(NamedTuple):
     """Distance regularity verdict with the intersection numbers on success."""
 
     passed: bool

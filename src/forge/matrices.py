@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
+from typing import NamedTuple
 
 from .errors import (
     BadParameter,
@@ -189,8 +190,7 @@ def norm_sq(vec) -> Fraction:
     return sum((Fraction(x) * Fraction(x) for x in vec), ZERO)
 
 
-@dataclass(frozen=True)
-class RegRepReport:
+class RegRepReport(NamedTuple):
     """Does P_i P_j = sum_k p[i,j][k] P_k hold entrywise?"""
 
     passed: bool
@@ -231,8 +231,7 @@ def verify_regular_representation(table: StructureTable) -> RegRepReport:
     return RegRepReport(witness is None, hypothesis, pairs, rows, skipped, witness)
 
 
-@dataclass(frozen=True)
-class CommuteReport:
+class CommuteReport(NamedTuple):
     """Pairwise commutation of the P_k, cross-referenced with classify()."""
 
     commutes: bool
@@ -280,8 +279,7 @@ def commute_check(table: StructureTable) -> CommuteReport:
     )
 
 
-@dataclass(frozen=True)
-class NormBound:
+class NormBound(NamedTuple):
     """Certified ||.||-bounds for P_k over one column-certified block.
 
     c, d, upper_sq, and lower_sq all refer to the restriction of P_k to
@@ -402,8 +400,7 @@ def norm_bounds(table: StructureTable, k: int, extra_vectors=None) -> NormBound:
     )
 
 
-@dataclass(frozen=True)
-class UniformBound:
+class UniformBound(NamedTuple):
     """S = sup |S_k(v)| over the certified region; ||P_k|| <= S^2 for all k."""
 
     s: int
@@ -422,8 +419,7 @@ def uniform_norm_bound(pg: PointedGraph) -> UniformBound:
     return UniformBound(s, s * s, scope)
 
 
-@dataclass(frozen=True)
-class StationaryReport:
+class StationaryReport(NamedTuple):
     """pi_G = (1, |S_1|, ..., |S_M|)/|G| and its fixed-vector verdicts."""
 
     pi: tuple
@@ -470,8 +466,7 @@ def stationary_check(cg) -> StationaryReport:
     return StationaryReport(pi, idempotent, pi_fixed, witness is None, witness)
 
 
-@dataclass(frozen=True)
-class IrreducibilityReport:
+class IrreducibilityReport(NamedTuple):
     irreducible: bool
     classes: tuple
 
@@ -512,8 +507,7 @@ def irreducibility(p: TransitionMatrix) -> IrreducibilityReport:
     return IrreducibilityReport(len(classes) == 1, tuple(classes))
 
 
-@dataclass(frozen=True)
-class MaincoroReport:
+class MaincoroReport(NamedTuple):
     """(P_{i_1} ... P_{i_m})_{i,j} = sum_k J(pat)_k p[k,i][j], rowwise."""
 
     passed: bool

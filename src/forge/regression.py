@@ -8,8 +8,8 @@ integer line); they are reported as mismatches, never patched over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import cayley as cy
 from .fixtures import resolve_spec
@@ -34,8 +34,7 @@ from .walks import (
 F = Fraction
 
 
-@dataclass(frozen=True)
-class RegressionEntry:
+class RegressionEntry(NamedTuple):
     """One recomputed claim: expected printed value vs computed value."""
 
     name: str
@@ -48,8 +47,7 @@ class RegressionEntry:
         return self.expected == self.computed
 
 
-@dataclass(frozen=True)
-class RegressionReport:
+class RegressionReport(NamedTuple):
     entries: tuple
 
     @property

@@ -15,7 +15,7 @@ where the graph cap is hit, do not change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadParameter, EnumerationCapExceeded, InternalError
 from .graphs import build_graph, check_assumptions, make_graph, point_graph
@@ -205,8 +205,7 @@ def enumerate_connected_graphs(max_vertices: int, cap: int = DEFAULT_GRAPH_CAP):
             yield n, child, first
 
 
-@dataclass(frozen=True)
-class SearchEntry:
+class SearchEntry(NamedTuple):
     """One classified pointed graph from the sweep."""
 
     vertices: int
@@ -218,8 +217,7 @@ class SearchEntry:
     witness: tuple | None
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     """Outcome of the exhaustive sweep up to max_vertices."""
 
     max_vertices: int

@@ -11,10 +11,10 @@ per-element step distribution alpha supports Markov and i.i.d. checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product as iter_product
 from math import lcm, sqrt
+from typing import NamedTuple
 
 from . import cayley as cy
 from .errors import (
@@ -149,8 +149,7 @@ def brute_force_conditional(
     )
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
+class EmpiricalDistribution(NamedTuple):
     """Monte-Carlo tally with the seed that reproduces it."""
 
     counts: dict
@@ -261,8 +260,7 @@ def validate_alpha(pg: PointedGraph, alpha) -> dict[int, Fraction]:
     return cleaned
 
 
-@dataclass(frozen=True)
-class JointLaw:
+class JointLaw(NamedTuple):
     """Exact joint law of (Z_1,...,Z_depth) for a finite Cayley walk."""
 
     name: str
@@ -364,8 +362,7 @@ def joint_distance_law(
     return JointLaw(pg.name, depth, law, alpha, sphere_sizes(pg), pg.vertex_count)
 
 
-@dataclass(frozen=True)
-class MarkovReport:
+class MarkovReport(NamedTuple):
     """Markov / i.i.d. verdicts for a joint distance law."""
 
     is_markov: bool
@@ -425,8 +422,7 @@ def markov_check(law: JointLaw) -> MarkovReport:
     return MarkovReport(is_markov, is_iid, law.depth, markov_witness, iid_witness)
 
 
-@dataclass(frozen=True)
-class StepIdentityReport:
+class StepIdentityReport(NamedTuple):
     """Both sides of P(Z_2 = j | Z_1 = i) = sum_k p[i,k][j] alpha_k |S_k|."""
 
     i: int
@@ -492,8 +488,7 @@ def conditional_step_identity(cg: cy.CayleyGraph, alpha, i: int, j: int) -> Step
     return StepIdentityReport(i, j, lhs, rhs, uniform, sphere_identity)
 
 
-@dataclass(frozen=True)
-class PermutationReport:
+class PermutationReport(NamedTuple):
     """Is PL invariant under reordering the pattern?"""
 
     passed: bool

@@ -18,9 +18,12 @@ on windows of infinite graphs.
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from forge import cayley as cy
 from forge import hypergroup
@@ -139,6 +142,35 @@ def reference_check_S2(pg):
                         expected, ref_vertex = count, v
                     elif count != expected:
                         witness = (i, j, k, pg.label(ref_vertex), expected, pg.label(v), count)
+                        return ConditionReport("S2", False, witness, scope, checked)
+    return ConditionReport("S2", True, None, scope, checked)
+
+
+def triple_loop_check_S2(pg):
+    """(S2) before count rows were compared whole: every (i, j) looked up
+    for every vertex of S_k, (D+1)^2 lookups per vertex."""
+    checked = 0
+    if pg.truncated:
+        radius = int(pg.exact_radius)
+        scope = f"triples with k + i <= {radius}, j <= k + i"
+        k_range = [n for n in sorted(pg.spheres) if n <= radius]
+    else:
+        scope = "all index triples and vertices"
+        k_range = sorted(pg.spheres)
+    for k in k_range:
+        sphere = pg.spheres[k]
+        i_range = range(0, radius - k + 1) if pg.truncated else sorted(pg.spheres)
+        profiles = [sphere_counts(pg, v, i_range[-1]) for v in sphere]
+        for i in i_range:
+            j_range = range(0, k + i + 1) if pg.truncated else sorted(pg.spheres)
+            for j in j_range:
+                expected = profiles[0][i].get(j, 0)
+                for v, profile in zip(sphere, profiles):
+                    count = profile[i].get(j, 0)
+                    checked += 1
+                    if count != expected:
+                        first = pg.label(sphere[0])
+                        witness = (i, j, k, first, expected, pg.label(v), count)
                         return ConditionReport("S2", False, witness, scope, checked)
     return ConditionReport("S2", True, None, scope, checked)
 
@@ -292,6 +324,47 @@ def test_kernel_matches_reference_on_random_graphs():
 @pytest.mark.parametrize("spec", FINITE_FIXTURES + WINDOWS)
 def test_kernel_matches_reference_on_fixtures(spec):
     assert_same_as_reference(resolve_spec(spec))
+
+
+@st.composite
+def s2_inputs(draw):
+    """A window of free:2, ladder or lattice:1 at a drawn radius, or a
+    connected graph on at most 12 vertices at a drawn base: a circulant,
+    perhaps with one edge toggled so that (S2) fails deep in the scan, or
+    a random spanning tree plus edges."""
+    shape = draw(st.sampled_from(["window", "circulant", "random"]))
+    if shape == "window":
+        spec, top = draw(st.sampled_from([("free:2", 6), ("ladder", 12), ("lattice:1", 16)]))
+        return realize_window(parse_group_spec(spec), draw(st.integers(0, top)))
+    n = draw(st.integers(1, 12))
+    if shape == "circulant":
+        offsets = draw(st.sets(st.integers(1, max(1, n // 2)), min_size=1))
+        edges = {tuple(sorted((v, (v + d) % n))) for v in range(n) for d in offsets if d % n}
+        if n > 1 and draw(st.booleans()):
+            toggled = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            edges ^= {tuple(sorted(toggled))}
+    else:
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        pairs = [pair for pair in combinations(range(n), 2) if pair not in edges]
+        edges |= set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    try:
+        return build_graph(sorted(edges), base=draw(st.integers(0, n - 1)), vertex_count=n)
+    except DisconnectedGraph:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(s2_inputs())
+def test_check_s2_matches_the_triple_loop(pg):
+    """Same verdict, witness, scope and checked count as the scan that
+    looks up every (i, j) for every vertex."""
+    assert check_S2(pg) == triple_loop_check_S2(pg)
+
+
+@pytest.mark.parametrize("spec", ["cycle:200", "odd:6", "prism:12", "free:2:r=8"])
+def test_check_s2_matches_the_triple_loop_on_large_graphs(spec):
+    pg = resolve_spec(spec)
+    assert check_S2(pg) == triple_loop_check_S2(pg)
 
 
 def test_s1_on_every_base_sharing_one_bfs_cache():
