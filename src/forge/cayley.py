@@ -124,15 +124,21 @@ def element_str(g: GroupElement) -> str:
         return _cycle_str(g.data)
     if not g.data:
         return "e"
-    parts = []
-    for x in g.data:
-        i = abs(x)
-        if kind.rank <= 26:
-            letter = chr(ord("a") + i - 1)
-            parts.append(letter.upper() if x < 0 else letter)
-        else:
-            parts.append(f"G{i}" if x < 0 else f"g{i}")
-    return "".join(parts) if kind.rank <= 26 else ".".join(parts)
+    return _free_sep(kind).join([_free_letter(kind, x) for x in g.data])
+
+
+def _free_letter(kind: GroupKind, x: int) -> str:
+    """The letter of free generator x: a..z up to rank 26, else g<i>; inverses upper-case."""
+    i = abs(x)
+    if kind.rank <= 26:
+        letter = chr(ord("a") + i - 1)
+        return letter.upper() if x < 0 else letter
+    return f"G{i}" if x < 0 else f"g{i}"
+
+
+def _free_sep(kind: GroupKind) -> str:
+    """What joins the letters of a free word: nothing, or '.' between g<i> letters."""
+    return "" if kind.rank <= 26 else "."
 
 
 def _cycle_str(mapping: tuple[int, ...]) -> str:
@@ -450,8 +456,8 @@ def realize_window(cg: CayleyGraph, radius: int, cap: int = WINDOW_CAP) -> Point
     elements = tuple([GroupElement(kind, h) for h in datas])
     if kind.family == "free":
         # via spells a geodesic word, so each label extends its parent's.
-        letters = [element_str(s) for s in cg.generators]
-        sep = "" if kind.rank <= 26 else "."
+        letters = [_free_letter(kind, s[0]) for s in gens]
+        sep = _free_sep(kind)
         labels = ["e"]
         for u, s in via[1:]:
             labels.append(labels[u] + sep + letters[s] if u else letters[s])

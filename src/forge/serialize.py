@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -26,18 +25,16 @@ def jsonable(obj):
 
     Fractions become "num/den" strings, tuples become lists, dict keys
     become strings, and objects exposing to_jsonable() delegate to it.
-    Any other record, a NamedTuple or a dataclass instance, becomes its
-    fields in declaration order, then the properties its own class
-    defines, in definition order; TSV rows follow that order.  A
-    NamedTuple is read as a record before the generic tuple rule.
+    A NamedTuple record becomes its fields in declaration order, then
+    the properties its own class defines, in definition order; TSV rows
+    follow that order.  It is read as a record before the generic tuple
+    rule.
     """
     if isinstance(obj, Fraction):
         return frac_str(obj)
     if hasattr(obj, "to_jsonable"):
         return jsonable(obj.to_jsonable())
     names = getattr(type(obj), "_fields", None)  # a NamedTuple record
-    if names is None and dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        names = [f.name for f in dataclasses.fields(obj)]
     if names is not None:
         data = {name: getattr(obj, name) for name in names}
         for name, attr in vars(type(obj)).items():

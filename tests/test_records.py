@@ -10,7 +10,8 @@ last test fails when a new one appears.
 Every record serializes as its fields in declaration order, then the
 properties its own class defines (or through its to_jsonable); the key
 lists below are the report layout and are pinned.  Records compare and
-hash by value and cannot be changed.  The benchmark's tracer keys
+hash by value and cannot be changed; being tuples, they also equal the
+plain tuple of their items.  The benchmark's tracer keys
 PointedGraph and StructureTable in a WeakKeyDictionary, so both must
 accept weak references.
 """
@@ -215,6 +216,17 @@ def test_records_differ_when_a_field_differs(records):
     assert violation != violation._replace(lhs=Fraction(0))
     report = records["ClassificationReport"]
     assert report._replace(skipped_triples=report.skipped_triples + 1) != report
+
+
+def test_records_are_tuples_equal_to_their_items(records):
+    # A NamedTuple is a tuple: it equals the plain tuple of its items (and so
+    # any other record with the same items), and it indexes and unpacks.
+    for name, obj in records.items():
+        assert isinstance(obj, tuple) and obj == tuple(obj), name
+        assert len(obj) == len(obj._fields) and obj[0] == getattr(obj, obj._fields[0]), name
+    g = records["GroupElement"]
+    kind, data = g
+    assert g == (kind, data)
 
 
 def test_group_elements_hash_their_data(records):
