@@ -1,10 +1,12 @@
 """Transition matrices P_k = (p[k,i][j]) and their exact verifications.
 
 Row-vector convention: (xi P)_j = sum_i xi_i P[i][j], so P_k realizes
-left multiplication by x_k on coefficient rows.  Truncated tables yield
-matrices whose boundary rows are incomplete; every check tracks row
-completeness and compares only rows both sides certify, reporting how
-much was skipped.
+left multiplication by x_k on coefficient rows.  Row a of P_i P_j mixes
+the table rows (j, c) by row (i, a), so the four verdicts read integer
+rows through convex_combination: a product row is exact iff each
+intermediate row stays inside the bound, and only exact rows, cut to
+the bound, are compared.  The dense matrices below, with per-row
+exactness flags, serve the norm bounds and are the verdicts' oracle.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ from .errors import (
 from .graphs import PointedGraph, sphere_sizes_at
 from .hypergroup import (
     StructureTable,
+    _first_difference,
     build_table,
     check_S1,
     check_S2,
     classify,
+    convex_combination,
     sphere_sizes,
 )
 from .walks import jump_distribution
@@ -92,7 +96,7 @@ def transition_matrix(table: StructureTable, k: int) -> TransitionMatrix:
         row = tuple(table.entry(k, i, j) for j in range(dim))
         entries.append(row)
         complete.append(sum(row, ZERO) == 1)
-    truncated = bool(table.pg is not None and table.pg.truncated)
+    truncated = table.pg.truncated or table.bound < max(table.pg.spheres)
     if not truncated and not all(complete):
         raise InternalError(f"row {complete.index(False)} of P_{k} does not sum to 1")
     return TransitionMatrix(
@@ -201,34 +205,57 @@ class RegRepReport(NamedTuple):
     witness: tuple | None
 
 
+def _product_row(table: StructureTable, pattern, a: int):
+    """Row a of P_{i_1} ... P_{i_m} as an integer row: each factor mixes
+    the rows (i_t, c) by the row so far.  None (not exact) when a row
+    before the last factor leaves the bound, as unseen columns feed it."""
+    row = table.row(pattern[0], a).numerators
+    for i_t in pattern[1:]:
+        den, weights = row
+        if weights[-1][0] > table.bound:
+            return None
+        row = convex_combination(den, [(w, table.row(i_t, c).numerators) for c, w in weights])
+    return row
+
+
+def _combination_row(table: StructureTable, law, a: int):
+    """Row a of sum_k (n_k / d) P_k for an integer law (d, ((k, n_k), ...))."""
+    den, weights = law
+    return convex_combination(den, [(w, table.row(k, a).numerators) for k, w in weights])
+
+
+def _compare_rows(table: StructureTable, sides):
+    """Compare (key, lhs, rhs) row pairs, cut to the bound, where both are
+    exact: the count compared and the first difference (*key, b, lhs_b,
+    rhs_b), or None."""
+    rows, witness = 0, None
+    for key, *pair in sides:
+        if None in pair:
+            continue
+        rows += 1
+        if witness is None:
+            cut = [(d, tuple((k, n) for k, n in row if k <= table.bound)) for d, row in pair]
+            diff = _first_difference(*cut)
+            witness = None if diff is None else (*key, *diff)
+    return rows, witness
+
+
 def verify_regular_representation(table: StructureTable) -> RegRepReport:
     """Exact check of the regular-representation identity on all pairs
     whose right-hand side stays inside the matrix family."""
-    mats = {k: transition_matrix(table, k) for k in table.indices}
     hypothesis = classify(table).verdict == "Hypergroup"
-    pairs = rows = skipped = 0
-    witness = None
-    for i in table.indices:
-        for j in table.indices:
-            support = table.row(i, j).support
-            if any(k > table.bound for k in support):
-                skipped += 1
-                continue
-            pairs += 1
-            lhs = matmul(mats[i], mats[j])
-            for a in range(lhs.dim):
-                if not lhs.row_exact[a]:
-                    continue
-                rows += 1
-                for b in range(lhs.dim):
-                    rhs = sum(
-                        (table.entry(i, j, k) * mats[k].entries[a][b] for k in support),
-                        ZERO,
-                    )
-                    if lhs.entries[a][b] != rhs:
-                        if witness is None:
-                            witness = (i, j, a, b, lhs.entries[a][b], rhs)
-    return RegRepReport(witness is None, hypothesis, pairs, rows, skipped, witness)
+    laws = {(i, j): table.row(i, j).numerators for i in table.indices for j in table.indices}
+    inside = [(ij, law) for ij, law in laws.items() if law[1][-1][0] <= table.bound]
+    rows, witness = _compare_rows(
+        table,
+        (
+            ((*ij, a), _product_row(table, ij, a), _combination_row(table, law, a))
+            for ij, law in inside
+            for a in table.indices
+        ),
+    )
+    skipped = len(laws) - len(inside)
+    return RegRepReport(witness is None, hypothesis, len(inside), rows, skipped, witness)
 
 
 class CommuteReport(NamedTuple):
@@ -248,35 +275,20 @@ def commute_check(table: StructureTable) -> CommuteReport:
     The verdict is compared against the associativity verdict of the
     classification on the same bound; the two agree on every fixture.
     """
-    mats = {k: transition_matrix(table, k) for k in table.indices}
-    commutes = True
-    witness = None
-    rows = 0
-    for i in table.indices:
-        for j in table.indices:
-            if i >= j:
-                continue
-            ab = matmul(mats[i], mats[j])
-            ba = matmul(mats[j], mats[i])
-            for a in range(ab.dim):
-                if not (ab.row_exact[a] and ba.row_exact[a]):
-                    continue
-                rows += 1
-                if ab.entries[a] != ba.entries[a] and commutes:
-                    commutes = False
-                    b = next(
-                        b for b in range(ab.dim) if ab.entries[a][b] != ba.entries[a][b]
-                    )
-                    witness = (i, j, a, b, ab.entries[a][b], ba.entries[a][b])
-    report = classify(table)
-    return CommuteReport(
-        commutes,
-        report.commutative,
-        report.associative,
-        commutes == report.associative,
-        rows,
-        witness,
+    rows, witness = _compare_rows(
+        table,
+        (
+            ((i, j, a), _product_row(table, (i, j), a), _product_row(table, (j, i), a))
+            for i in table.indices
+            for j in table.indices
+            if i < j
+            for a in table.indices
+        ),
     )
+    commutes = witness is None
+    report = classify(table)
+    agrees = commutes == report.associative
+    return CommuteReport(commutes, report.commutative, report.associative, agrees, rows, witness)
 
 
 class NormBound(NamedTuple):
@@ -444,23 +456,15 @@ def stationary_check(cg) -> StationaryReport:
     sizes = sphere_sizes(pg)
     order = pg.vertex_count
     pi = tuple(Fraction(n, order) for n in sizes)
-    dim = len(sizes)
-    constant = TransitionMatrix(
-        None,
-        dim,
-        tuple(tuple(pi) for _ in range(dim)),
-        tuple(True for _ in range(dim)),
-        tuple(True for _ in range(dim)),
-        False,
-        label="P",
-    )
-    idempotent = matmul(constant, constant).entries == constant.entries
-    pi_fixed = apply(constant, pi) == pi
+    pi_row = (order, tuple(enumerate(sizes)))  # lowest terms, as |S_0| = 1
+    # Every row of the constant matrix 1 pi is pi, so a row of its square
+    # and pi times it are one mixture: the rows pi weighted by pi.
+    idempotent = pi_fixed = convex_combination(order, [(n, pi_row) for n in sizes]) == pi_row
     table = build_table(pg)
     witness = None
-    for k in range(dim):
-        mat = transition_matrix(table, k)
-        if apply(mat, pi) != pi:
+    for k in table.indices:
+        terms = [(n, table.row(k, i).numerators) for i, n in enumerate(sizes)]
+        if convex_combination(order, terms) != pi_row:
             witness = k
             break
     return StationaryReport(pi, idempotent, pi_fixed, witness is None, witness)
@@ -534,18 +538,13 @@ def verify_maincoro(
         raise RadiusExceeded(
             f"pattern law reaches index beyond table bound {table.bound}"
         )
-    mats = {k: transition_matrix(table, k) for k in table.indices}
-    lhs = mats[pat[0]]
-    for i_t in pat[1:]:
-        lhs = matmul(lhs, mats[i_t])
-    rhs = matrix_combination((tilde.coefficient(k), mats[k]) for k in tilde.support)
-    rows = 0
-    witness = None
-    for a in range(lhs.dim):
-        if not (lhs.row_exact[a] and rhs.row_exact[a]):
-            continue
-        rows += 1
-        if lhs.entries[a] != rhs.entries[a] and witness is None:
-            b = next(b for b in range(lhs.dim) if lhs.entries[a][b] != rhs.entries[a][b])
-            witness = (a, b, lhs.entries[a][b], rhs.entries[a][b])
+    if max(pat) > table.bound:
+        raise IndexOutOfRange(f"pattern index {max(pat)} outside table bound {table.bound}")
+    rows, witness = _compare_rows(
+        table,
+        (
+            ((a,), _product_row(table, pat, a), _combination_row(table, tilde.numerators, a))
+            for a in table.indices
+        ),
+    )
     return MaincoroReport(witness is None, hypothesis, pat, rows, witness)

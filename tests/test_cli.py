@@ -212,6 +212,56 @@ def test_matrix_irreducible(runner):
     assert payload(result)["classes"] == [[0, 2], [1]]
 
 
+# `matrix stationary` reports pinned as (exit code, sha256 of `--format
+# json` stdout), taken from the dense-matrix check.
+STATIONARY_JSON = {
+    "zmod:3,2": (0, "94d3d4dac7c9706f3e93a6bc8c8f775616fe26eb250ad093c17b6a611a83ddc7"),
+    "zmod:5": (0, "20d4c08e187a54f363e1846d1f44f7cea4588bf6892b9c725ec469d5e29da150"),
+    "zmod:3,3,3": (0, "b50fdedbedf88cee3c838244ddc5cee79ee79327e5f689b34bb1b2e33cd95d02"),
+    "zmod:6,6": (0, "206fdfe81b3054ab5b6c5f444dd20ddeb486002610c8e25ab2838d35cab74ea8"),
+}
+
+
+@pytest.mark.parametrize("spec", list(STATIONARY_JSON))
+def test_stationary_reports_are_pinned(runner, spec):
+    result = run(runner, ["--format", "json", "matrix", "stationary", spec])
+    digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+    assert (result.exit_code, digest) == STATIONARY_JSON[spec]
+
+
+@pytest.mark.parametrize(
+    "line, code",
+    [
+        ("matrix commute cycle:6 --bound 1", 0),
+        ("matrix regular-rep cycle:6 --bound 1", 0),
+        ("matrix maincoro cycle:6 --bound 1 --pattern 1", 0),
+        ("matrix norms cycle:6 --bound 1 --k 1", 0),
+        ("matrix commute odd:4 --bound 2", 0),
+        ("matrix irreducible cycle:6 --bound 1 --k 1", 2),
+        ("matrix maincoro cycle:6 --bound 1 --pattern 3,3", 2),
+    ],
+)
+def test_matrix_commands_on_a_finite_graph_below_its_top_index(runner, line, code):
+    """A finite graph's table cut below its top index is truncated like a
+    window: a report, or bad input as one error line, never a traceback."""
+    result = run(runner, line.split())
+    assert result.exit_code == code
+    assert "Traceback" not in result.output
+    if code == 2:
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+    else:
+        assert payload(result)
+
+
+def test_norms_below_the_top_index_report_the_window_scope(runner):
+    result = run(runner, ["matrix", "norms", "cycle:6", "--bound", "1", "--k", "0"])
+    assert result.exit_code == 0
+    data = payload(result)
+    assert data["window_sup"] is True
+    assert data["scope"] == "block of columns j <= 1 (window-sup)"
+
+
 def test_search_conjecture(runner):
     result = run(runner, ["search", "conjecture", "--max-vertices", "5"])
     assert result.exit_code == 0

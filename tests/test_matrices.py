@@ -4,26 +4,43 @@ The dual row flags matter on truncated windows: a row can be entrywise
 exact while its ambient mass leaves the stored index range, and only
 fully complete rows may feed mass-based arguments.  The rooted binary
 tree at bound 2 exercises both flags.
+
+The four verdicts (regular representation, commutation, the main
+corollary, stationarity) read the table's integer rows; the dense
+matrices are their oracle.  The reference_* functions below check the
+same identities on transition_matrix, matmul, matrix_combination and
+apply, and must give the same reports and the same errors on every
+fixture, at every bound, and on random connected graphs.
 """
 
 import dataclasses
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forge import matrices
-from forge.cayley import parse_group_spec
+from forge.cayley import parse_group_spec, realize_full
 from forge.errors import (
     DimensionMismatch,
+    EmptySphere,
     HypothesisNotMet,
     IndexOutOfRange,
     InternalError,
     RadiusExceeded,
     TruncatedMatrix,
 )
-from forge.fixtures import resolve_spec
-from forge.hypergroup import build_table, classify
+from forge.fixtures import fixture_group, resolve_spec
+from forge.graphs import build_graph
+from forge.hypergroup import build_table, check_S1, check_S2, classify, sphere_sizes
 from forge.matrices import (
+    CommuteReport,
+    MaincoroReport,
+    RegRepReport,
+    StationaryReport,
+    TransitionMatrix,
     apply,
     commute_check,
     irreducibility,
@@ -37,6 +54,8 @@ from forge.matrices import (
     verify_maincoro,
     verify_regular_representation,
 )
+from forge.serialize import dumps_json, jsonable
+from forge.walks import jump_distribution
 
 
 def test_transition_matrix_rows_are_products():
@@ -229,3 +248,244 @@ def test_broken_invariants_raise_internal_error(monkeypatch):
         m.setattr(matrices, "transition_matrix", lambda table, k: broken)
         with pytest.raises(InternalError, match="support bound"):
             norm_bounds(table, 1)
+
+
+def test_sub_bound_tables_of_finite_graphs_are_truncated():
+    """A finite graph's table cut below its top index loses mass past the
+    bound, like a window: rows may be incomplete, and every verdict and
+    norm reports that scope instead of failing an internal check."""
+    table = build_table(resolve_spec("cycle:6"), bound=1)
+    p1 = transition_matrix(table, 1)
+    assert p1.truncated
+    assert p1.row_complete == (True, False)
+    norms = norm_bounds(table, 0)
+    assert norms.window_sup and norms.scope == "block of columns j <= 1 (window-sup)"
+    assert commute_check(table).commutes
+    assert verify_regular_representation(table).passed
+    with pytest.raises(TruncatedMatrix):
+        irreducibility(p1)
+    with pytest.raises(IndexOutOfRange):
+        verify_maincoro(table, (3, 3))
+    assert not transition_matrix(build_table(resolve_spec("cycle:6")), 1).truncated
+
+
+# The dense verdicts, kept as the oracle of the row-based ones.
+
+
+def reference_regular_representation(table):
+    mats = {k: transition_matrix(table, k) for k in table.indices}
+    hypothesis = classify(table).verdict == "Hypergroup"
+    pairs = rows = skipped = 0
+    witness = None
+    for i in table.indices:
+        for j in table.indices:
+            support = table.row(i, j).support
+            if any(k > table.bound for k in support):
+                skipped += 1
+                continue
+            pairs += 1
+            lhs = matmul(mats[i], mats[j])
+            for a in range(lhs.dim):
+                if not lhs.row_exact[a]:
+                    continue
+                rows += 1
+                for b in range(lhs.dim):
+                    rhs = sum((table.entry(i, j, k) * mats[k].entries[a][b] for k in support), F(0))
+                    if lhs.entries[a][b] != rhs and witness is None:
+                        witness = (i, j, a, b, lhs.entries[a][b], rhs)
+    return RegRepReport(witness is None, hypothesis, pairs, rows, skipped, witness)
+
+
+def reference_commute(table):
+    mats = {k: transition_matrix(table, k) for k in table.indices}
+    witness = None
+    rows = 0
+    for i in table.indices:
+        for j in table.indices:
+            if i >= j:
+                continue
+            ab = matmul(mats[i], mats[j])
+            ba = matmul(mats[j], mats[i])
+            for a in range(ab.dim):
+                if not (ab.row_exact[a] and ba.row_exact[a]):
+                    continue
+                rows += 1
+                if ab.entries[a] != ba.entries[a] and witness is None:
+                    b = next(b for b in range(ab.dim) if ab.entries[a][b] != ba.entries[a][b])
+                    witness = (i, j, a, b, ab.entries[a][b], ba.entries[a][b])
+    report = classify(table)
+    commutes = witness is None
+    agrees = commutes == report.associative
+    return CommuteReport(commutes, report.commutative, report.associative, agrees, rows, witness)
+
+
+def reference_maincoro(table, pattern):
+    pat = tuple(pattern)
+    hypothesis = (
+        check_S1(table.pg).passed
+        and check_S2(table.pg).passed
+        and classify(table).verdict == "Hypergroup"
+    )
+    tilde = jump_distribution(table.pg, pat)
+    if any(k > table.bound for k in tilde.support):
+        raise RadiusExceeded("pattern law reaches index beyond table bound")
+    # transition_matrix raises IndexOutOfRange for a pattern index past the bound
+    mats = {k: transition_matrix(table, k) for k in {*table.indices, *pat}}
+    lhs = mats[pat[0]]
+    for i_t in pat[1:]:
+        lhs = matmul(lhs, mats[i_t])
+    rhs = matrix_combination((tilde.coefficient(k), mats[k]) for k in tilde.support)
+    rows = 0
+    witness = None
+    for a in range(lhs.dim):
+        if not (lhs.row_exact[a] and rhs.row_exact[a]):
+            continue
+        rows += 1
+        if lhs.entries[a] != rhs.entries[a] and witness is None:
+            b = next(b for b in range(lhs.dim) if lhs.entries[a][b] != rhs.entries[a][b])
+            witness = (a, b, lhs.entries[a][b], rhs.entries[a][b])
+    return MaincoroReport(witness is None, hypothesis, pat, rows, witness)
+
+
+def reference_stationary(cg):
+    pg = realize_full(cg)
+    sizes = sphere_sizes(pg)
+    pi = tuple(F(n, pg.vertex_count) for n in sizes)
+    dim = len(sizes)
+    rows = tuple(tuple(pi) for _ in range(dim))
+    flags = tuple(True for _ in range(dim))
+    constant = TransitionMatrix(None, dim, rows, flags, flags, False, label="P")
+    idempotent = matmul(constant, constant).entries == constant.entries
+    pi_fixed = apply(constant, pi) == pi
+    table = build_table(pg)
+    witness = None
+    for k in range(dim):
+        if apply(transition_matrix(table, k), pi) != pi:
+            witness = k
+            break
+    return StationaryReport(pi, idempotent, pi_fixed, witness is None, witness)
+
+
+def outcome(check, *args):
+    """The report as its JSON text, or the name of the error raised."""
+    try:
+        return dumps_json(jsonable(check(*args)))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+REFERENCE_FIXTURES = [
+    *(f"cycle:{n}" for n in range(3, 9)),
+    *(f"prism:{n}" for n in range(3, 7)),
+    "bipartite:2,3",
+    "bipartite:3,3",
+    "odd:3",
+    "odd:4",
+    "figure:3",
+    "figure:3:base=w0p",
+    "figure:4",
+    "figure:5",
+    "figure:6",
+    "zmod:2,2,2",
+    "zmod:4,2",
+    "zmod:3,3,3",
+    "lattice:1:r=12",
+    "lattice:2:r=9",
+    "free:2:r=6",
+    "ladder:r=12",
+    "tree:binary:12",
+]
+REFERENCE_PATTERNS = [
+    (0,),
+    (1,),
+    (2,),
+    (3,),
+    (1, 1),
+    (1, 2),
+    (2, 1),
+    (2, 2),
+    (1, 3),
+    (3, 3),
+    (1, 1, 1),
+    (1, 2, 1),
+    (2, 3, 1),
+    (1, 1, 1, 1),
+]
+
+
+def tables_at_every_bound(pg):
+    """The tables of pg at bounds 0 to the default; a bound whose rows
+    meet an empty sphere (irregular graphs) has no table."""
+    top = int(pg.exact_radius) // 2 if pg.truncated else max(pg.spheres)
+    for bound in range(top + 1):
+        try:
+            yield build_table(pg, bound)
+        except EmptySphere:
+            return
+
+
+def assert_verdicts_match_reference(table, patterns):
+    assert outcome(verify_regular_representation, table) == outcome(
+        reference_regular_representation, table
+    )
+    assert outcome(commute_check, table) == outcome(reference_commute, table)
+    for pat in patterns:
+        assert outcome(verify_maincoro, table, pat) == outcome(reference_maincoro, table, pat), pat
+
+
+@pytest.mark.parametrize("spec", REFERENCE_FIXTURES)
+def test_verdicts_match_the_dense_reference(spec):
+    for table in tables_at_every_bound(resolve_spec(spec)):
+        assert_verdicts_match_reference(table, REFERENCE_PATTERNS)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["zmod:3,2", "zmod:5", "zmod:3,3,3", "zmod:6,6", "zmod:2,2,2", "cycle:7", "prism:4", "lattice:1:r=6"],
+)
+def test_stationary_matches_the_dense_reference(spec):
+    cg = fixture_group(spec)
+    assert outcome(stationary_check, cg) == outcome(reference_stationary, cg)
+
+
+@st.composite
+def pointed_connected_graphs(draw):
+    """A random connected graph on at most 9 vertices (a random spanning
+    tree plus further edges), pointed at a random vertex."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [pair for pair in combinations(range(n), 2) if pair not in edges]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    return build_graph(sorted(edges), base=draw(st.integers(0, n - 1)), vertex_count=n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(pointed_connected_graphs(), st.lists(st.integers(0, 4), min_size=1, max_size=3))
+def test_verdicts_match_the_dense_reference_on_random_graphs(pg, pattern):
+    for table in tables_at_every_bound(pg):
+        assert_verdicts_match_reference(table, [tuple(pattern)])
+
+
+def test_rows_are_compared_up_to_the_bound_only():
+    """Like the dense matrices, the comparison sees indices <= bound: two
+    exact rows that differ only past it agree, and a row that is not
+    exact is skipped."""
+    table = build_table(resolve_spec("cycle:6"), bound=1)
+    past = ((0,), (2, ((0, 1), (2, 1))), (2, ((0, 1), (3, 1))))
+    inside = ((1,), (2, ((0, 1), (1, 1))), (1, ((0, 1),)))
+    assert matrices._compare_rows(table, [past, ((0,), None, (1, ()))]) == (1, None)
+    assert matrices._compare_rows(table, [past, inside]) == (2, (1, 0, F(1, 2), F(1)))
+
+
+def test_verdicts_build_no_dense_matrix(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("a verdict used the dense matrices")
+
+    for name in ("TransitionMatrix", "transition_matrix", "matmul", "matrix_combination", "apply"):
+        monkeypatch.setattr(matrices, name, dense)
+    for spec in ("odd:4", "tree:binary:12", "lattice:2:r=9"):
+        table = build_table(resolve_spec(spec))
+        verify_regular_representation(table)
+        commute_check(table)
+        verify_maincoro(table, (1, 1))
+    assert stationary_check(parse_group_spec("zmod:3,3,3")).passed
