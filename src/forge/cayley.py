@@ -31,7 +31,7 @@ from .errors import (
     NotSymmetric,
     WindowOverflow,
 )
-from .graphs import INFINITE, Graph, PointedGraph, bfs_from, point_graph
+from .graphs import INFINITE, Graph, PointedGraph, bfs_ball, bfs_from, point_graph
 
 WINDOW_CAP = 200_000
 CLOSURE_CAP = 100_000
@@ -546,16 +546,7 @@ def check_S3(cg: CayleyGraph, radius: int, sample_cap: int = 200_000) -> S3Repor
 
 def _bfs_to_depth(graph, start: int, depth: int) -> list[int]:
     """Distances from start out to depth; -1 marks every vertex beyond."""
-    adjacency = graph.adjacency  # a NamedTuple field: read once, not per vertex
     dist = [-1] * graph.vertex_count
-    dist[start] = 0
-    layer = [start]
-    for d in range(1, depth + 1):
-        reached = []
-        for u in layer:
-            for w in adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = d
-                    reached.append(w)
-        layer = reached
+    for u, d in bfs_ball(graph, start, depth).items():
+        dist[u] = d
     return dist

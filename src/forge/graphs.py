@@ -7,7 +7,8 @@ vertex set and their indices form the index set I of the graph.
 
 One kernel, sphere_counts, counts |S_n(v) ∩ S_k(base)| for every n at
 once, and sphere_at reads single spheres from the same source: the base
-ball translated by pg._sphere_oracle on Cayley graphs, else a BFS row.
+ball translated by pg._sphere_oracle on Cayley graphs, else a BFS row
+(on windows, cut at the depth the query reads).
 
 Truncated windows (finite pieces of infinite graphs) carry an exactness
 radius: spheres S_n(v) are only served when |v| + n stays within it, so
@@ -152,6 +153,22 @@ def bfs_from(graph: Graph, start: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
+def bfs_ball(graph: Graph, start: int, depth: int) -> dict[int, int]:
+    """{u: d(start, u)} for every u within depth of start, in BFS order."""
+    adjacency = graph.adjacency
+    dist = {start: 0}
+    layer = [start]
+    for d in range(1, depth + 1):
+        reached = []
+        for u in layer:
+            for w in adjacency[u]:
+                if w not in dist:
+                    dist[w] = d
+                    reached.append(w)
+        layer = reached
+    return dist
+
+
 def build_graph(
     edge_list,
     base: int,
@@ -189,7 +206,7 @@ def point_graph(
     if base not in bfs_cache:
         bfs_cache[base] = bfs_from(graph, base)
     dist = bfs_cache[base]
-    if any(d < 0 for d in dist):
+    if -1 in dist:
         missing = [v for v, d in enumerate(dist) if d < 0]
         raise DisconnectedGraph(
             f"{len(missing)} vertices unreachable from base {base} (first: {missing[0]})"
@@ -197,7 +214,7 @@ def point_graph(
     spheres: dict[int, list[int]] = {}
     for v, d in enumerate(dist):
         spheres.setdefault(d, []).append(v)
-    sphere_map = {n: tuple(sorted(vs)) for n, vs in spheres.items()}
+    sphere_map = {n: tuple(vs) for n, vs in spheres.items()}
     if truncated and exact_radius == INFINITE:
         raise BadParameter("truncated graphs need a finite exact_radius")
     return PointedGraph(
@@ -241,9 +258,11 @@ def bfs_distances(pg: PointedGraph, v: int) -> tuple[int, ...]:
 def _reach(pg: PointedGraph, v: int, top: int | None):
     """(top, ns, us): ns[t] = d(v, us[t]), over every vertex within top of v.
 
-    Cayley graphs translate the base ball B_top; other graphs read the
-    cached BFS row, which may run past top.  top=None means the largest
-    index v certifies: exact_radius - |v| on windows, else its eccentricity.
+    Cayley graphs translate the base ball B_top, and other windows run a
+    BFS cut at depth top, kept out of the BFS cache; finite graphs read
+    the cached BFS row, which lists every vertex in order and may run past
+    top.  top=None means the largest index v certifies: exact_radius - |v|
+    on windows, else its eccentricity.
     """
     if not 0 <= v < pg.vertex_count:
         raise BadParameter(f"vertex {v} outside range 0..{pg.vertex_count - 1}")
@@ -261,6 +280,9 @@ def _reach(pg: PointedGraph, v: int, top: int | None):
         top = max(pg.spheres) if top is None else top
         ball = pg._sphere_oracle(v, top)
         return top, pg.dist[: len(ball)], ball
+    if pg.truncated:
+        ball = bfs_ball(pg.graph, v, top)
+        return top, ball.values(), ball.keys()
     row = bfs_distances(pg, v)
     return max(row) if top is None else top, row, range(pg.vertex_count)
 
@@ -284,8 +306,8 @@ def sphere_counts(pg: PointedGraph, v: int, top: int | None = None) -> list[dict
         return pg._count_cache[key]
     top, ns, us = _reach(pg, v, top)
     bfs = pg._sphere_oracle is None
-    # A BFS row lists every vertex in order, so its base distances are pg.dist.
-    ks = pg.dist if bfs else map(pg.dist.__getitem__, us)
+    # A full BFS row lists every vertex in order, so its base distances are pg.dist.
+    ks = pg.dist if bfs and not pg.truncated else map(pg.dist.__getitem__, us)
     counts: list[dict[int, int]] = [{} for _ in range(top + 1)]
     for n, k in zip(ns, ks):
         if n <= top:
@@ -349,14 +371,17 @@ def check_assumptions(pg: PointedGraph) -> AssumptionReport:
         if v in adj or len(set(adj)) != len(adj):
             simple = False
             break
-    connected = all(d >= 0 for d in pg.dist)
+    connected = min(pg.dist) >= 0
     locally_finite = True
     if pg.truncated:
         return AssumptionReport(simple, connected, locally_finite, "vacuous")
-    # S_M(v) is nonempty iff the eccentricity of v, the top _reach reads
-    # from the shared BFS row or the translated ball, is at least M.
+    # S_M(v) is nonempty iff the eccentricity of v, one less than the length
+    # of its sphere sizes, is at least M.  Without a sphere oracle the sizes
+    # are cached beside the BFS row all bases of a graph share: check_S1
+    # reads them next.
     top = max(pg.spheres)
-    witness = next((v for v in range(graph.vertex_count) if _reach(pg, v, None)[0] < top), None)
+    short = (v for v in range(graph.vertex_count) if len(sphere_sizes_at(pg, v)) <= top)
+    witness = next(short, None)
     verdict = "pass" if witness is None else "fail"
     return AssumptionReport(simple, connected, locally_finite, verdict, witness)
 

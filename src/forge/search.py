@@ -15,29 +15,40 @@ where the graph cap is hit, do not change.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import BadParameter, EnumerationCapExceeded, InternalError
-from .graphs import build_graph, check_assumptions, make_graph, point_graph
+from .graphs import Graph, build_graph, check_assumptions, point_graph
 from .hypergroup import build_table, check_S1, check_S2, classify
 
 DEFAULT_GRAPH_CAP = 100_000
+# Connected graphs on n = 1, 2, ... vertices up to isomorphism (OEIS A001349).
+CONNECTED_GRAPH_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571)
 
 
 def _refine(neighbors, colors):
-    """One-dimensional color refinement to a stable partition."""
-    n = len(neighbors)
+    """One-dimensional color refinement to a stable partition: the ranks
+    of the first round that splits no cell.  They renumber the cells in
+    order, so a further round would only return them again."""
+    cells = len(set(colors))
     while True:
-        signatures = []
-        for v in range(n):
-            hist = sorted(colors[w] for w in neighbors[v])
-            signatures.append((colors[v], tuple(hist)))
+        signatures = [
+            (colors[v], tuple(sorted([colors[w] for w in nbrs])))
+            for v, nbrs in enumerate(neighbors)
+        ]
         order = sorted(set(signatures))
         ranks = {sig: r for r, sig in enumerate(order)}
-        new = [ranks[signatures[v]] for v in range(n)]
-        if new == colors:
+        colors = [ranks[sig] for sig in signatures]
+        if len(order) == cells:
             return colors
-        colors = new
+        cells = len(order)
+
+
+@lru_cache(maxsize=1 << 12)
+def _bits(length: int, row: int) -> tuple:
+    """row as a 0/1 tuple of the given length, most significant bit first."""
+    return tuple(row >> (length - 1 - i) & 1 for i in range(length))
 
 
 def _canonical_with_automorphisms(neighbors, colors=None) -> tuple:
@@ -57,11 +68,13 @@ def _canonical_with_automorphisms(neighbors, colors=None) -> tuple:
     colors = _refine(
         neighbors, list(colors) if colors else [len(nbrs) for nbrs in neighbors]
     )
-    adjacency = [sum(1 << w for w in nbrs) for nbrs in neighbors]
+    adjacency = [sum([1 << w for w in nbrs]) for nbrs in neighbors]
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
     cell_at = [cells[c] for c in sorted(colors)]
+    # The last place of a cell has one vertex left for it: a forced step.
+    forced = [pos + 1 == n or cell_at[pos + 1] is not cell_at[pos] for pos in range(n)]
     best: list | None = None
     best_order: tuple | None = None
     generators: set[tuple] = set()
@@ -70,10 +83,24 @@ def _canonical_with_automorphisms(neighbors, colors=None) -> tuple:
         # row_of[v]: v's adjacency row against the prefix.
         nonlocal best, best_order
         pos = len(prefix)
+        # A forced step has no choice and no twin to skip, so a run of them
+        # is walked here.  The pruning test below, or the leaf's, sees the
+        # whole run: a prefix worse than best stays worse when extended.
+        while pos < n and forced[pos]:
+            for v in cell_at[pos]:
+                if not used >> v & 1:
+                    break
+            prefix += (v,)
+            rows = rows + [row_of[v]]
+            pos += 1
+            if pos == n:
+                break
+            used |= 1 << v
+            row_of = [row << 1 | adj >> v & 1 for row, adj in zip(row_of, adjacency)]
         if pos == n:
             if best is None or rows < best:
                 best = rows
-                best_order = tuple(prefix)
+                best_order = prefix
             elif rows == best:
                 image = [0] * n
                 for u, w in zip(best_order, prefix):
@@ -90,31 +117,25 @@ def _canonical_with_automorphisms(neighbors, colors=None) -> tuple:
             if row_of[v] != low:
                 continue
             nbrs = adjacency[v]
-            twin = next(
-                (u for u in tried if not (nbrs ^ adjacency[u]) & ~(1 << u | 1 << v)), None
-            )
-            if twin is not None:
-                swap = list(range(n))
-                swap[twin], swap[v] = v, twin
-                generators.add(tuple(swap))
-                continue
-            tried.append(v)
-            prefix.append(v)
-            extend(
-                prefix,
-                used | 1 << v,
-                rows,
-                [row << 1 | adj >> v & 1 for row, adj in zip(row_of, adjacency)],
-            )
-            prefix.pop()
+            for u in tried:
+                if not (nbrs ^ adjacency[u]) & ~(1 << u | 1 << v):
+                    swap = list(range(n))
+                    swap[u], swap[v] = v, u
+                    generators.add(tuple(swap))
+                    break
+            else:
+                tried.append(v)
+                extend(
+                    prefix + (v,),
+                    used | 1 << v,
+                    rows,
+                    [row << 1 | adj >> v & 1 for row, adj in zip(row_of, adjacency)],
+                )
 
-    extend([], 0, [], [0] * n)
+    extend((), 0, [], [0] * n)
     if best_order is None:
         raise InternalError("canonical labelling reached no leaf")
-    string = tuple(
-        tuple(row >> (pos - 1 - i) & 1 for i in range(pos))
-        for pos, row in enumerate(best)
-    )
+    string = tuple(map(_bits, range(n), best))
     key = (tuple(len(cells[c]) for c in sorted(cells)), string)
     return key, best_order, tuple(generators)
 
@@ -247,6 +268,10 @@ def search_conjecture(
         raise ValueError(f"unknown base policy {base_policy!r}")
     if max_vertices < 1:
         raise BadParameter(f"max_vertices must be >= 1, got {max_vertices}")
+    # The enumeration would exceed the cap exactly when the known counts do,
+    # so refuse before enumerating anything.
+    if sum(CONNECTED_GRAPH_COUNTS[:max_vertices]) > cap:
+        raise EnumerationCapExceeded(f"more than {cap} graphs")
     graph_counts: dict[int, int] = {}
     examined = rejected_condition = rejected_walk = 0
     classified = []
@@ -254,7 +279,8 @@ def search_conjecture(
         graph_counts[n] = graph_counts.get(n, 0) + 1
         edges = _edges_from_neighbors(neighbors)
         bases = [first] if base_policy == "canonical" else list(range(n))
-        graph = make_graph(edges, vertex_count=n)
+        # The enumerator's graphs are simple and connected: no validation.
+        graph = Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
         bfs_rows: dict[int, tuple[int, ...]] = {}
         for base in bases:
             examined += 1

@@ -1,8 +1,11 @@
 """Pointed-graph construction, spheres, and assumption checks."""
 
+import itertools
 import json
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forge.errors import (
     BadParameter,
@@ -21,6 +24,7 @@ from forge.graphs import (
     load_graph_file,
     make_graph,
     parse_graph_json,
+    point_graph,
     sphere_at,
 )
 
@@ -132,3 +136,34 @@ def test_labels_roundtrip(tmp_path):
     back = load_graph_file(str(path))
     n = pg.vertex_count
     assert [back.label(v) for v in range(n)] == [pg.label(v) for v in range(n)]
+
+
+@st.composite
+def connected_graphs(draw):
+    """(n, edges): a random spanning tree plus random extra edges."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
+    if n > 1:
+        pairs = list(itertools.combinations(range(n), 2))
+        edges |= set(draw(st.lists(st.sampled_from(pairs), unique=True)))
+    return n, sorted(edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(connected_graphs())
+def test_condition_iii_matches_networkx_eccentricity(case):
+    """At every base, (iii) fails exactly when some vertex's eccentricity
+    is below the base's, with the least such vertex as witness, whether
+    or not the pointed graphs share one BFS cache."""
+    n, edges = case
+    reference = nx.Graph(edges)
+    reference.add_nodes_from(range(n))
+    eccentricity = nx.eccentricity(reference)
+    graph = make_graph(edges, vertex_count=n)
+    shared = {}
+    for base in range(n):
+        witness = next((v for v in range(n) if eccentricity[v] < eccentricity[base]), None)
+        for pg in (point_graph(graph, base, shared), point_graph(graph, base)):
+            report = check_assumptions(pg)
+            assert report.condition_iii == ("pass" if witness is None else "fail")
+            assert report.witness == witness

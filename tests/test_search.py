@@ -7,7 +7,10 @@ its aggregate bookkeeping and for replayability of whatever it reports.
 The pruned canonical labelling is checked against two oracles: the
 unpruned search it replaced (kept here as reference_canonical), which
 must give the same certificate and the same first optimal ordering,
-and networkx.is_isomorphic on the graph atlas.
+and networkx.is_isomorphic on the graph atlas.  The labelling that
+stops refinement early and walks forced places in a loop is checked
+against the pruned labelling without them (reference_pruned_canonical)
+on every child the enumerator labels up to 7 vertices.
 
 The enumerator labels one attachment per orbit of the parent's
 automorphisms.  It is checked against the enumerator that labelled every
@@ -92,6 +95,73 @@ def reference_canonical(neighbors, colors=None):
     extend([], set(), [])
     key = (tuple(colors.count(c) for c in sorted(set(colors))), tuple(best))
     return key, best_order
+
+
+def reference_pruned_canonical(neighbors, colors=None):
+    """The pruned labelling before forced steps: refinement confirmed by
+    one more round, a recursive call for every place, and the key's
+    0/1 rows built on every call.  Returns (key, ordering, generators)."""
+    n = len(neighbors)
+    colors = reference_refine(
+        neighbors, list(colors) if colors else [len(nbrs) for nbrs in neighbors]
+    )
+    adjacency = [sum(1 << w for w in nbrs) for nbrs in neighbors]
+    cells = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    cell_at = [cells[c] for c in sorted(colors)]
+    best = None
+    best_order = None
+    generators = set()
+
+    def extend(prefix, used, rows, row_of):
+        nonlocal best, best_order
+        pos = len(prefix)
+        if pos == n:
+            if best is None or rows < best:
+                best = rows
+                best_order = tuple(prefix)
+            elif rows == best:
+                image = [0] * n
+                for u, w in zip(best_order, prefix):
+                    image[u] = w
+                generators.add(tuple(image))
+            return
+        eligible = [v for v in cell_at[pos] if not used >> v & 1]
+        low = min([row_of[v] for v in eligible])
+        rows = rows + [low]
+        if best is not None and rows > best[: pos + 1]:
+            return
+        tried = []
+        for v in eligible:
+            if row_of[v] != low:
+                continue
+            nbrs = adjacency[v]
+            twin = next(
+                (u for u in tried if not (nbrs ^ adjacency[u]) & ~(1 << u | 1 << v)), None
+            )
+            if twin is not None:
+                swap = list(range(n))
+                swap[twin], swap[v] = v, twin
+                generators.add(tuple(swap))
+                continue
+            tried.append(v)
+            prefix.append(v)
+            extend(
+                prefix,
+                used | 1 << v,
+                rows,
+                [row << 1 | adj >> v & 1 for row, adj in zip(row_of, adjacency)],
+            )
+            prefix.pop()
+
+    extend([], 0, [], [0] * n)
+    string = tuple(
+        tuple(row >> (pos - 1 - i) & 1 for i in range(pos))
+        for pos, row in enumerate(best)
+    )
+    key = (tuple(len(cells[c]) for c in sorted(cells)), string)
+    return key, best_order, tuple(generators)
 
 
 def _neighbor_sets(n, edges):
@@ -440,3 +510,67 @@ def test_search_report_bytes_are_pinned(bases):
     assert result.exit_code == 0
     digest = hashlib.sha256(result.output.encode("utf-8")).hexdigest()
     assert digest == SEARCH_6_SHA256[bases]
+
+
+def generated_group(n, generators):
+    """Every permutation of range(n) the generators generate."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        h = frontier.pop()
+        for g in generators:
+            gh = tuple(g[h[v]] for v in range(n))
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return group
+
+
+def test_labelling_matches_the_pruned_reference_on_every_child():
+    # Every child the enumerator labels up to 7 vertices: the same key, the
+    # same first ordering and the same automorphism group as the labelling
+    # without forced steps or the early stop of refinement.
+    _graphs, labelled = record_labelled(7)
+    assert len(labelled) == 4159
+    for neighbors, (key, ordering, generators) in labelled:
+        ref_key, ref_ordering, ref_generators = reference_pruned_canonical(neighbors)
+        assert (key, ordering) == (ref_key, ref_ordering)
+        n = len(neighbors)
+        assert set(generators) == set(ref_generators) or generated_group(
+            n, generators
+        ) == generated_group(n, ref_generators)
+
+
+def enumeration_error(max_vertices, cap):
+    """The message the enumeration raises under cap, or None."""
+    try:
+        for _ in enumerate_connected_graphs(max_vertices, cap):
+            pass
+    except EnumerationCapExceeded as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("cap", [1, 2, 9, 10, 31, 32, 142, 143, 144, 996, 997])
+def test_search_refuses_the_cap_before_enumerating(monkeypatch, cap):
+    # With the enumerator emptied only the check against the known counts
+    # can raise: it must raise where the enumeration does, with its message.
+    monkeypatch.setattr(search, "enumerate_connected_graphs", lambda n, cap: iter(()))
+    for n in range(1, 8):
+        try:
+            search_conjecture(n, cap=cap)
+            early = None
+        except EnumerationCapExceeded as exc:
+            early = str(exc)
+        assert early == enumeration_error(n, cap), n
+
+
+def test_cli_refuses_nine_vertices_under_the_default_cap(monkeypatch):
+    def no_enumeration(max_vertices, cap):
+        raise AssertionError("the search enumerated graphs")
+
+    monkeypatch.setattr(search, "enumerate_connected_graphs", no_enumeration)
+    result = CliRunner().invoke(main, ["search", "conjecture", "--max-vertices", "9"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: EnumerationCapExceeded: more than {DEFAULT_GRAPH_CAP} graphs\n"

@@ -600,3 +600,12 @@ def test_window_checks_run_without_group_multiplication(monkeypatch):
     monkeypatch.setattr(cy, "realize_full", lambda cg: full)
     monkeypatch.setattr(cy, "multiply", no_multiply)
     assert run_all() == expected
+
+
+def test_s2_on_a_bfs_window_caches_only_the_base_row():
+    """tree:binary:12 is a window without a Cayley oracle: check_S2 reads
+    each ball by a BFS cut at depth R - |v| and keeps no row but the base's."""
+    pg = resolve_spec("tree:binary:12")
+    assert pg._sphere_oracle is None and pg.truncated
+    assert check_S2(pg).passed
+    assert set(pg._bfs_cache) == {pg.base}
