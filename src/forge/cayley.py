@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
+from math import prod
 from typing import NamedTuple
 
 from .errors import (
     BadParameter,
-    CapExceeded,
     ContainsIdentity,
     InternalError,
     KindMismatch,
@@ -34,7 +33,6 @@ from .errors import (
 from .graphs import INFINITE, Graph, PointedGraph, bfs_ball, bfs_from, point_graph
 
 WINDOW_CAP = 200_000
-CLOSURE_CAP = 100_000
 
 
 class GroupKind(NamedTuple):
@@ -167,7 +165,15 @@ class CayleyGraph:
     generators: tuple[GroupElement, ...]
     spec_name: str
     finite: bool
-    order: int | None
+    _order: int | None = None
+
+    @property
+    def order(self) -> int | None:
+        """|G|, None for an infinite group.  A permutation group is counted
+        by realize_full's closure when its order is first read."""
+        if self._order is None and self.finite:
+            self._order = realize_full(self).vertex_count
+        return self._order
 
 
 def parse_group_spec(spec: str) -> CayleyGraph:
@@ -338,10 +344,7 @@ def build_cayley(
         if not _spans_full_lattice(rows, n):
             raise NotGenerating("generators do not span the group")
         finite = all(m > 0 for m in kind.mods)
-        order = 1 if finite else None
-        if finite:
-            for m in kind.mods:
-                order *= m
+        order = prod(kind.mods) if finite else None
     elif kind.family == "free":
         basis = set()
         for g in gens:
@@ -359,29 +362,7 @@ def build_cayley(
         raise BadParameter(f"unknown group family {kind.family!r}")
     gens = tuple(sorted(gens, key=GroupElement.sort_key))
     name = spec_name if spec_name is not None else kind.describe()
-    cg = CayleyGraph(kind, gens, name, finite, order)
-    if kind.family == "perm":
-        cg.order = len(full_group(cg))
-    return cg
-
-
-def full_group(cg: CayleyGraph, cap: int = CLOSURE_CAP) -> list[GroupElement]:
-    """Enumerate a finite group by closure under the generators."""
-    if not cg.finite:
-        raise NotFinite(f"{cg.spec_name} is infinite")
-    ident = identity(cg.kind)
-    seen = {ident}
-    queue = deque([ident])
-    while queue:
-        g = queue.popleft()
-        for s in cg.generators:
-            h = multiply(g, s)
-            if h not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(f"group closure exceeds cap {cap}")
-                seen.add(h)
-                queue.append(h)
-    return sorted(seen, key=GroupElement.sort_key)
+    return CayleyGraph(kind, gens, name, finite, order)
 
 
 @dataclass(eq=False)
@@ -533,20 +514,13 @@ def check_S3(cg: CayleyGraph, radius: int, sample_cap: int = 200_000) -> S3Repor
         if ball_of != v:
             depth = radius - dist[v]
             ball_of, ball = v, pg._sphere_oracle(v, depth)
-            row = _bfs_to_depth(pg.graph, v, depth)  # not cached: read once
-        actual = row[ball[w]]
+            cut = bfs_ball(pg.graph, v, depth)  # not cached: read once
+        actual = cut.get(ball[w], -1)
         checked += 1
         if actual != dist[w]:
-            # The cut row marks d(v, vw) > depth as -1: report the true distance.
+            # The cut ball has no d(v, vw) > depth: report the true distance.
             actual = bfs_from(pg.graph, v)[ball[w]]
             witness = (pg.label(v), pg.label(w), dist[w], actual)
             return S3Report(False, checked, witness, scope)
     return S3Report(True, checked, None, scope)
 
-
-def _bfs_to_depth(graph, start: int, depth: int) -> list[int]:
-    """Distances from start out to depth; -1 marks every vertex beyond."""
-    dist = [-1] * graph.vertex_count
-    for u, d in bfs_ball(graph, start, depth).items():
-        dist[u] = d
-    return dist

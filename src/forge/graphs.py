@@ -8,7 +8,8 @@ vertex set and their indices form the index set I of the graph.
 One kernel, sphere_counts, counts |S_n(v) ∩ S_k(base)| for every n at
 once, and sphere_at reads single spheres from the same source: the base
 ball translated by pg._sphere_oracle on Cayley graphs, else a BFS row
-(on windows, cut at the depth the query reads).
+(on windows, cut at the depth the query reads).  The counts are cached
+once per vertex, the deepest read so far.
 
 Truncated windows (finite pieces of infinite graphs) carry an exactness
 radius: spheres S_n(v) are only served when |v| + n stays within it, so
@@ -255,15 +256,10 @@ def bfs_distances(pg: PointedGraph, v: int) -> tuple[int, ...]:
     return pg._bfs_cache[v]
 
 
-def _reach(pg: PointedGraph, v: int, top: int | None):
-    """(top, ns, us): ns[t] = d(v, us[t]), over every vertex within top of v.
-
-    Cayley graphs translate the base ball B_top, and other windows run a
-    BFS cut at depth top, kept out of the BFS cache; finite graphs read
-    the cached BFS row, which lists every vertex in order and may run past
-    top.  top=None means the largest index v certifies: exact_radius - |v|
-    on windows, else its eccentricity.
-    """
+def _certified_top(pg: PointedGraph, v: int, top: int | None) -> int:
+    """The sphere index a query at v reads to: top, checked, or when None
+    the largest index v certifies, exact_radius - |v| on windows, else its
+    eccentricity (the diameter on full Cayley groups)."""
     if not 0 <= v < pg.vertex_count:
         raise BadParameter(f"vertex {v} outside range 0..{pg.vertex_count - 1}")
     if top is not None and top < 0:
@@ -276,20 +272,32 @@ def _reach(pg: PointedGraph, v: int, top: int | None):
                 f"S_{top}({v}) reaches outside the exact region "
                 f"(|v|={pg.dist[v]}, exact_radius={pg.exact_radius})"
             )
+        return top
+    if top is not None:
+        return top
+    return max(pg.spheres) if pg._sphere_oracle is not None else max(bfs_distances(pg, v))
+
+
+def _reach(pg: PointedGraph, v: int, top: int):
+    """(ns, us): ns[t] = d(v, us[t]), over every vertex within top of v.
+
+    Cayley graphs translate the base ball B_top, and other windows run a
+    BFS cut at depth top, kept out of the BFS cache; finite graphs read
+    the cached BFS row, which lists every vertex in order and may run past
+    top.
+    """
     if pg._sphere_oracle is not None:
-        top = max(pg.spheres) if top is None else top
         ball = pg._sphere_oracle(v, top)
-        return top, pg.dist[: len(ball)], ball
+        return pg.dist[: len(ball)], ball
     if pg.truncated:
         ball = bfs_ball(pg.graph, v, top)
-        return top, ball.values(), ball.keys()
-    row = bfs_distances(pg, v)
-    return max(row) if top is None else top, row, range(pg.vertex_count)
+        return ball.values(), ball.keys()
+    return bfs_distances(pg, v), range(pg.vertex_count)
 
 
 def sphere_at(pg: PointedGraph, v: int, n: int) -> tuple[int, ...]:
     """The sorted sphere S_n(v), from the source of sphere_counts."""
-    _, ns, us = _reach(pg, v, n)
+    ns, us = _reach(pg, v, _certified_top(pg, v, n))
     return tuple(sorted(u for d, u in zip(ns, us) if d == n))
 
 
@@ -299,23 +307,23 @@ def sphere_counts(pg: PointedGraph, v: int, top: int | None = None) -> list[dict
     Every per-vertex sphere check reduces over these counts.  top defaults
     to the largest index v certifies; past a window's radius it raises
     RadiusExceeded, past the eccentricity of v the spheres are empty.
-    Counts from BFS rows are cached like the rows: do not modify them.
+    counts[n] does not depend on top, so one entry per vertex is cached,
+    the deepest read so far, and a shallower top is served as its prefix:
+    do not modify the counts.
     """
-    key = (v, top)
-    if key in pg._count_cache:
-        return pg._count_cache[key]
-    top, ns, us = _reach(pg, v, top)
-    bfs = pg._sphere_oracle is None
-    # A full BFS row lists every vertex in order, so its base distances are pg.dist.
-    ks = pg.dist if bfs and not pg.truncated else map(pg.dist.__getitem__, us)
-    counts: list[dict[int, int]] = [{} for _ in range(top + 1)]
-    for n, k in zip(ns, ks):
-        if n <= top:
-            sphere = counts[n]
-            sphere[k] = sphere.get(k, 0) + 1
-    if bfs:
-        pg._count_cache[key] = counts
-    return counts
+    top = _certified_top(pg, v, top)
+    counts = pg._count_cache.get(v)
+    if counts is None or len(counts) <= top:
+        ns, us = _reach(pg, v, top)
+        # A full BFS row lists every vertex in order, so its base distances are pg.dist.
+        ks = pg.dist if isinstance(us, range) else map(pg.dist.__getitem__, us)
+        counts = [{} for _ in range(top + 1)]
+        for n, k in zip(ns, ks):
+            if n <= top:
+                sphere = counts[n]
+                sphere[k] = sphere.get(k, 0) + 1
+        pg._count_cache[v] = counts
+    return counts[: top + 1]
 
 
 def sphere_sizes_at(pg: PointedGraph, v: int) -> tuple[int, ...]:
@@ -366,11 +374,13 @@ def check_assumptions(pg: PointedGraph) -> AssumptionReport:
     """Re-verify simplicity and connectivity, then test condition (iii):
     every vertex has a nonempty sphere at the top base index M."""
     graph = pg.graph
-    simple = True
-    for v, adj in enumerate(graph.adjacency):
-        if v in adj or len(set(adj)) != len(adj):
-            simple = False
-            break
+    # Simplicity is a property of the graph: decided once, beside the BFS
+    # rows all bases of the graph share.
+    simple = pg._bfs_cache.get("simple")
+    if simple is None:
+        simple = pg._bfs_cache["simple"] = all(
+            v not in adj and len(set(adj)) == len(adj) for v, adj in enumerate(graph.adjacency)
+        )
     connected = min(pg.dist) >= 0
     locally_finite = True
     if pg.truncated:

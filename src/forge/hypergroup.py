@@ -15,17 +15,16 @@ sphere sizes; constant sphere intersections) and full distance
 regularity.  The products, (S1) and (S2) reduce over the integer counts
 |S_n(v) ∩ S_k| that graphs.sphere_counts returns, read once per vertex.
 
-One kernel, convex_combination, sums every exact law on integer
-numerators: the product rows (mixtures of the rows of the v in S_i),
-both sides of associativity, the left-nested product PL and the jump
-law J in walks.  A vector's integer row is derived once and cached.
+A probability vector is its integer row in lowest terms, and one
+kernel, convex_combination, sums every exact law on those rows: the
+product rows (mixtures of the rows of the v in S_i), both sides of
+associativity, the left-nested product PL and the jump law J in walks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from math import gcd, lcm
 from operator import or_
 from typing import NamedTuple
@@ -41,11 +40,14 @@ from .errors import (
 from .graphs import PointedGraph, bfs_distances, sphere_counts, sphere_sizes_at
 
 
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """Finitely supported probability vector over sphere indices."""
+class ProbabilityVector(NamedTuple):
+    """Finitely supported probability vector over sphere indices, held as
+    its integer row: entries n_k / den, sorted by k, in lowest terms, so
+    two vectors are equal iff they are equal tuples.  Fractions are formed
+    only when the vector is read."""
 
-    items: tuple[tuple[int, Fraction], ...]
+    den: int
+    entries: tuple[tuple[int, int], ...]
 
     @classmethod
     def from_pairs(cls, pairs) -> "ProbabilityVector":
@@ -53,50 +55,39 @@ class ProbabilityVector:
         for k, w in pairs:
             if w:
                 acc[k] = acc.get(k, Fraction(0)) + w
-        items = tuple(sorted((k, w) for k, w in acc.items() if w))
+        items = sorted((k, w) for k, w in acc.items() if w)
         total = sum((w for _, w in items), Fraction(0))
         if any(w < 0 for _, w in items) or total != 1:
             raise BadParameter(f"not a probability vector (total {total})")
-        return cls(items)
-
-    @classmethod
-    def from_numerators(cls, row) -> "ProbabilityVector":
-        """The vector of an integer row (d, ((k, n_k), ...)): entries n_k / d."""
-        den, entries = row
-        return cls(tuple((k, Fraction(n, den)) for k, n in entries))
+        den = lcm(*(w.denominator for _, w in items))
+        return cls(den, tuple((k, w.numerator * (den // w.denominator)) for k, w in items))
 
     @classmethod
     def point(cls, k: int) -> "ProbabilityVector":
-        return cls(((k, Fraction(1)),))
+        return cls(1, ((k, 1),))
 
     @staticmethod
     def combine(terms) -> "ProbabilityVector":
         """Convex combination: terms is an iterable of (weight, vector)."""
         terms = [(Fraction(w), vec) for w, vec in terms if w]
         den = lcm(*(w.denominator for w, _ in terms))
-        return ProbabilityVector.from_numerators(
-            convex_combination(
-                den,
-                [(w.numerator * (den // w.denominator), vec.numerators) for w, vec in terms],
-            )
+        return convex_combination(
+            den, [(w.numerator * (den // w.denominator), vec) for w, vec in terms]
         )
 
-    @cached_property
-    def numerators(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """The integer row (d, ((k, n_k), ...)) with d the lcm of the
-        denominators and entries n_k / d, derived once per vector."""
-        den = lcm(*(w.denominator for _, w in self.items))
-        return den, tuple((k, w.numerator * (den // w.denominator)) for k, w in self.items)
+    @property
+    def items(self) -> tuple[tuple[int, Fraction], ...]:
+        return tuple((k, Fraction(n, self.den)) for k, n in self.entries)
 
     def coefficient(self, k: int) -> Fraction:
-        for idx, w in self.items:
+        for idx, n in self.entries:
             if idx == k:
-                return w
+                return Fraction(n, self.den)
         return Fraction(0)
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.items)
+        return tuple(k for k, _ in self.entries)
 
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.items)
@@ -105,15 +96,15 @@ class ProbabilityVector:
         return {str(k): w for k, w in self.items}
 
 
-def convex_combination(den: int, terms):
+def convex_combination(den: int, terms) -> ProbabilityVector:
     """The mixture sum of (a / den) * row over a list of terms (a, row),
     exactly.
 
-    A row is an integer row (d, ((k, n_k), ...)) with entries n_k / d.
-    The mixture is summed on integer numerators over den * lcm(d) and
-    returned sorted by k in lowest terms, so two mixtures are equal
-    vectors iff they are equal tuples.  The numerators must sum to the
-    denominator: the weights and every row are probability vectors.
+    A row is an integer row (d, ((k, n_k), ...)) with entries n_k / d,
+    such as a ProbabilityVector.  The mixture is summed on integers over
+    den * lcm(d) and returned as a vector: sorted by k in lowest terms.
+    The entries must sum to the denominator: the weights and every row
+    are probability vectors.
     """
     scale = lcm(*(d for _, (d, _) in terms))
     acc: dict[int, int] = {}
@@ -126,7 +117,7 @@ def convex_combination(den: int, terms):
     if mass != total:
         raise InternalError(f"convex combination has mass {mass}/{total}, not 1")
     g = gcd(total, *acc.values())
-    return total // g, tuple(sorted((k, n // g) for k, n in acc.items()))
+    return ProbabilityVector(total // g, tuple(sorted((k, n // g) for k, n in acc.items())))
 
 
 def sphere_sizes(pg: PointedGraph) -> tuple[int, ...]:
@@ -171,14 +162,14 @@ def _product_rows(pg: PointedGraph, i: int, js) -> list[ProbabilityVector]:
             if not size:
                 raise EmptySphere(f"S_{j}({v}) is empty; the product is undefined")
             terms.append((1, (size, profile[j].items())))
-        den, entries = convex_combination(len(base_sphere), terms)
-        support = [k for k, _ in entries]
+        row = convex_combination(len(base_sphere), terms)
+        support = row.support
         lo, hi = abs(i - j), i + j
         if not lo <= support[0] <= support[-1] <= hi:
             raise InternalError(f"x_{i} o x_{j} has support {tuple(support)} outside [{lo}, {hi}]")
         if (support[0] == 0) != (i == j):
             raise InternalError(f"x_{i} o x_{j} breaks hermiticity at index 0")
-        rows.append(ProbabilityVector.from_numerators((den, entries)))
+        rows.append(row)
     return rows
 
 
@@ -291,17 +282,17 @@ def _first_difference(left, right):
 
 
 def _associativity_sides(table: StructureTable, h: int, i: int, j: int):
-    """Both sides of (x_h o x_i) o x_j = x_h o (x_i o x_j) as integer rows.
+    """Both sides of (x_h o x_i) o x_j = x_h o (x_i o x_j).
 
     The left side is formed first, and each side reads its rows in the
     order of its outer row's support, so a side past a window's exact
     radius raises RadiusExceeded after the same rows were computed.
     """
     row = table.row_extended
-    den, weights = row(h, i).numerators
-    left = convex_combination(den, [(a, row(l, j).numerators) for l, a in weights])
-    den, weights = row(i, j).numerators
-    right = convex_combination(den, [(a, row(h, l).numerators) for l, a in weights])
+    den, weights = row(h, i)
+    left = convex_combination(den, [(a, row(l, j)) for l, a in weights])
+    den, weights = row(i, j)
+    right = convex_combination(den, [(a, row(h, l)) for l, a in weights])
     return left, right
 
 
@@ -309,8 +300,7 @@ def associativity_defect(table: StructureTable, h: int, i: int, j: int):
     """Both sides of (x_h o x_i) o x_j = x_h o (x_i o x_j)."""
     table.row(h, i)  # both outer rows lie inside the bound
     table.row(i, j)
-    left, right = _associativity_sides(table, h, i, j)
-    return ProbabilityVector.from_numerators(left), ProbabilityVector.from_numerators(right)
+    return _associativity_sides(table, h, i, j)
 
 
 def classify(table: StructureTable) -> ClassificationReport:
@@ -320,7 +310,7 @@ def classify(table: StructureTable) -> ClassificationReport:
     axiom (commutativity scanned first) becomes the witness.  On windows,
     associativity triples whose sums leave the exact region are skipped
     and counted instead of silently passing.  Both sides of every triple
-    are compared on integer numerators; only a witness forms Fractions.
+    are compared as integer rows; only a witness forms Fractions.
     """
     witness = None
     commutative = True
@@ -328,7 +318,7 @@ def classify(table: StructureTable) -> ClassificationReport:
         for j in table.indices:
             if i >= j:
                 continue
-            diff = _first_difference(table.row(i, j).numerators, table.row(j, i).numerators)
+            diff = _first_difference(table.row(i, j), table.row(j, i))
             if diff is not None:
                 commutative = False
                 witness = Violation("commutativity", (i, j, diff[0]), diff[1], diff[2])

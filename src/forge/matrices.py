@@ -209,19 +209,19 @@ def _product_row(table: StructureTable, pattern, a: int):
     """Row a of P_{i_1} ... P_{i_m} as an integer row: each factor mixes
     the rows (i_t, c) by the row so far.  None (not exact) when a row
     before the last factor leaves the bound, as unseen columns feed it."""
-    row = table.row(pattern[0], a).numerators
+    row = table.row(pattern[0], a)
     for i_t in pattern[1:]:
         den, weights = row
         if weights[-1][0] > table.bound:
             return None
-        row = convex_combination(den, [(w, table.row(i_t, c).numerators) for c, w in weights])
+        row = convex_combination(den, [(w, table.row(i_t, c)) for c, w in weights])
     return row
 
 
 def _combination_row(table: StructureTable, law, a: int):
     """Row a of sum_k (n_k / d) P_k for an integer law (d, ((k, n_k), ...))."""
     den, weights = law
-    return convex_combination(den, [(w, table.row(k, a).numerators) for k, w in weights])
+    return convex_combination(den, [(w, table.row(k, a)) for k, w in weights])
 
 
 def _compare_rows(table: StructureTable, sides):
@@ -244,8 +244,8 @@ def verify_regular_representation(table: StructureTable) -> RegRepReport:
     """Exact check of the regular-representation identity on all pairs
     whose right-hand side stays inside the matrix family."""
     hypothesis = classify(table).verdict == "Hypergroup"
-    laws = {(i, j): table.row(i, j).numerators for i in table.indices for j in table.indices}
-    inside = [(ij, law) for ij, law in laws.items() if law[1][-1][0] <= table.bound]
+    laws = {(i, j): table.row(i, j) for i in table.indices for j in table.indices}
+    inside = [(ij, law) for ij, law in laws.items() if law.entries[-1][0] <= table.bound]
     rows, witness = _compare_rows(
         table,
         (
@@ -463,7 +463,7 @@ def stationary_check(cg) -> StationaryReport:
     table = build_table(pg)
     witness = None
     for k in table.indices:
-        terms = [(n, table.row(k, i).numerators) for i, n in enumerate(sizes)]
+        terms = [(n, table.row(k, i)) for i, n in enumerate(sizes)]
         if convex_combination(order, terms) != pi_row:
             witness = k
             break
@@ -543,7 +543,7 @@ def verify_maincoro(
     rows, witness = _compare_rows(
         table,
         (
-            ((a,), _product_row(table, pat, a), _combination_row(table, tilde.numerators, a))
+            ((a,), _product_row(table, pat, a), _combination_row(table, tilde, a))
             for a in table.indices
         ),
     )

@@ -52,14 +52,26 @@ def _bits(length: int, row: int) -> tuple:
 
 
 def _canonical_with_automorphisms(neighbors, colors=None) -> tuple:
-    """_canonical's key and ordering, plus generators of the automorphism
-    group of the colored graph, each a tuple g mapping v to g[v].
+    """(key, ordering, generators): the minimum upper-triangle adjacency
+    string over orderings compatible with the refined coloring, the first
+    ordering (in vertex-index DFS order) attaining it, and generators of
+    the automorphism group of the colored graph, each a tuple g mapping v
+    to g[v].
 
-    The labelling finds them as it goes: each twin it skips gives the
-    transposition of the two twins, and each leaf whose string equals the
-    best one gives the map best_order[i] -> order[i].  Every optimal
-    ordering is a leaf or lies in a subtree a twin swap maps onto one, so
-    these generate the whole group.
+    Row k of the string is vertex k's adjacency to the k vertices placed
+    before it, held as an int with the first-placed vertex as the most
+    significant bit, so rows of equal length order like 0/1 tuples.  Two
+    exact prunings: only vertices whose next row is the least among the
+    eligible ones are extended (every optimal ordering has that row
+    there), and a twin (same color, N(v) - {w} = N(w) - {v}) of a vertex
+    already tried at this depth is skipped (swapping the two fixes the
+    prefix, so its subtree repeats the same strings later).
+
+    The labelling finds the generators as it goes: each twin it skips
+    gives the transposition of the two twins, and each leaf whose string
+    equals the best one gives the map best_order[i] -> order[i].  Every
+    optimal ordering is a leaf or lies in a subtree a twin swap maps onto
+    one, so these generate the whole group.
     """
     n = len(neighbors)
     # Refining the uniform coloring splits it by degree first, so an
@@ -140,26 +152,9 @@ def _canonical_with_automorphisms(neighbors, colors=None) -> tuple:
     return key, best_order, tuple(generators)
 
 
-def _canonical(neighbors, colors=None) -> tuple:
-    """Minimum upper-triangle adjacency string over orderings compatible
-    with the refined coloring, plus the first ordering (in vertex-index
-    DFS order) attaining it.
-
-    Row k of the string is vertex k's adjacency to the k vertices placed
-    before it, held as an int with the first-placed vertex as the most
-    significant bit, so rows of equal length order like 0/1 tuples.  Two
-    exact prunings: only vertices whose next row is the least among the
-    eligible ones are extended (every optimal ordering has that row
-    there), and a twin (same color, N(v) - {w} = N(w) - {v}) of a vertex
-    already tried at this depth is skipped (swapping the two fixes the
-    prefix, so its subtree repeats the same strings later).
-    """
-    return _canonical_with_automorphisms(neighbors, colors)[:2]
-
-
 def canonical_key(neighbors, colors=None) -> tuple:
     """Isomorphism certificate: equal keys iff isomorphic (as colored graphs)."""
-    return _canonical(neighbors, colors)[0]
+    return _canonical_with_automorphisms(neighbors, colors)[0]
 
 
 def _edges_from_neighbors(neighbors) -> tuple:

@@ -5,7 +5,7 @@ the left-nested algebra product PL over a structure table, the exact
 jump law J over vertex distributions, and (on Cayley graphs) the literal
 conditional probability by tuple enumeration or Monte-Carlo sampling.
 PL and J are both folds of hypergroup.convex_combination on integer
-numerators.  The joint law of the distance process Z_n = |X_n| under a
+rows.  The joint law of the distance process Z_n = |X_n| under a
 per-element step distribution alpha supports Markov and i.i.d. checks.
 """
 
@@ -69,8 +69,9 @@ def left_nested_product(
     the permutation-invariance comparison needs.
     """
     pat = validate_pattern(pattern, table.bound)
-    den, weights = 1, ((pat[0], 1),)
+    law = ProbabilityVector.point(pat[0])
     for t, i_t in enumerate(pat[1:], start=2):
+        den, weights = law
         if not extended:
             for l, _ in weights:
                 if l > table.bound:
@@ -78,10 +79,8 @@ def left_nested_product(
                         f"intermediate support index {l} exceeds bound {table.bound} "
                         f"before step {t}"
                     )
-        den, weights = convex_combination(
-            den, [(a, table.row_extended(l, i_t).numerators) for l, a in weights]
-        )
-    return ProbabilityVector.from_numerators((den, weights))
+        law = convex_combination(den, [(a, table.row_extended(l, i_t)) for l, a in weights])
+    return law
 
 
 def jump_distribution(pg: PointedGraph, pattern) -> ProbabilityVector:
@@ -107,9 +106,7 @@ def jump_distribution(pg: PointedGraph, pattern) -> ProbabilityVector:
                 raise EmptySphere(f"S_{i_t}({pg.label(v)}) is empty for this pattern")
             terms.append((mass, (len(ball), [(w, 1) for w in ball])))
         den, masses = convex_combination(den, terms)
-    return ProbabilityVector.from_numerators(
-        convex_combination(den, [(mass, (1, ((pg.dist[v], 1),))) for v, mass in masses])
-    )
+    return convex_combination(den, [(mass, (1, ((pg.dist[v], 1),))) for v, mass in masses])
 
 
 def _pattern_window(cg: cy.CayleyGraph, pattern):
@@ -328,7 +325,7 @@ def joint_distance_law(
     dist = pg.dist
     # rows[v][g] is the index of elements[v] * elements[g]: B_top is the group.
     rows = [pg._sphere_oracle(v, top) for v in range(n)]
-    # Masses are integer numerators: the mass of a path of t steps is
+    # Masses are integers: the mass of a path of t steps is
     # its integer weight over scale**t.
     scale = lcm(*(w.denominator for w in alpha.values()))
     weighted = [
@@ -355,10 +352,10 @@ def joint_distance_law(
                 nxt.setdefault(prefix + (dist[target],), {})[target] = acc[target]
         states = nxt
     denominator = scale**depth
-    numerators = {prefix: sum(masses.values()) for prefix, masses in states.items()}
-    if sum(numerators.values()) != denominator:
+    totals = {prefix: sum(masses.values()) for prefix, masses in states.items()}
+    if sum(totals.values()) != denominator:
         raise InternalError("the joint distance law does not sum to 1")
-    law = {prefix: Fraction(num, denominator) for prefix, num in numerators.items()}
+    law = {prefix: Fraction(num, denominator) for prefix, num in totals.items()}
     return JointLaw(pg.name, depth, law, alpha, sphere_sizes(pg), pg.vertex_count)
 
 

@@ -14,7 +14,9 @@ import click
 import pytest
 from click.testing import CliRunner
 
+from forge import cayley as cy
 from forge.cli import main
+from forge.errors import WindowOverflow
 
 
 @pytest.fixture()
@@ -366,6 +368,26 @@ def test_perm_fixture_with_generator_file_in_a_subdirectory(runner, tmp_path, mo
     data = payload(result)
     assert data["graph"] == "perm:d/s5.txt:r=2"
     assert data["S1"]["passed"] and data["S2"]["passed"]
+
+
+def test_a_group_above_the_window_cap_exits_2_with_one_line(runner, tmp_path, monkeypatch):
+    """A permutation group is bounded by the window cap when it is
+    realized, not when its spec is parsed: S5 (120 elements) under a cap
+    of 119, through --cap-window and through realize_full's default."""
+    path = tmp_path / "s5.txt"
+    path.write_text("(0 1)\n(0 1 2 3 4)\n(0 4 3 2 1)\n")
+    spec = f"perm:{path}"
+    cg = cy.parse_group_spec(spec)
+    monkeypatch.setattr(cy.realize_full, "__defaults__", (119,))
+    for args in (["--cap-window", "119", "cayley", "realize", spec], ["hyper", "conditions", spec]):
+        result = run(runner, args)
+        assert result.exit_code == 2, args
+        assert result.stderr.startswith("error: WindowOverflow: ")
+        assert result.stderr.count("\n") == 1 and result.stdout == ""
+    with pytest.raises(WindowOverflow):
+        cg.order
+    monkeypatch.undo()
+    assert cg.order == 120
 
 
 def _leaf_commands(group, path=()):

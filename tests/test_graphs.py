@@ -17,6 +17,7 @@ from forge.errors import (
 from forge.fixtures import resolve_spec
 from forge.graphs import (
     INFINITE,
+    Graph,
     bfs_distances,
     build_graph,
     check_assumptions,
@@ -167,3 +168,19 @@ def test_condition_iii_matches_networkx_eccentricity(case):
             report = check_assumptions(pg)
             assert report.condition_iii == ("pass" if witness is None else "fail")
             assert report.witness == witness
+
+
+@pytest.mark.parametrize(
+    "adjacency",
+    [((0, 1), (0, 2), (1,)), ((1, 1), (0, 0, 2), (1,))],
+    ids=["loop", "double-edge"],
+)
+def test_simplicity_is_decided_once_per_shared_graph(adjacency):
+    """A graph that is not simple reports simple: false at every base that
+    shares its BFS rows, and a simple one true, whichever base came first."""
+    for graph, simple in ((Graph(3, adjacency), False), (make_graph([(0, 1), (1, 2)]), True)):
+        shared = {}
+        for base in (2, 0, 1, 2):
+            report = check_assumptions(point_graph(graph, base, shared))
+            assert report.simple is simple, base
+            assert simple or not report.passed

@@ -67,13 +67,17 @@ def test_combine_mixes_convexly():
 
 
 def test_integer_row_is_derived_once_per_vector():
+    """A vector is its integer row in lowest terms, fixed when it is built:
+    reading it back as Fractions and building again gives an equal tuple."""
     vec = ProbabilityVector.from_pairs([(2, F(1, 6)), (0, F(1, 2)), (1, F(1, 3))])
-    assert vec.numerators == (6, ((0, 3), (1, 2), (2, 1)))
-    assert vec.numerators is vec.numerators
-    assert ProbabilityVector.from_numerators(vec.numerators) == vec
-    # The cached row is not a field: a fresh equal vector compares and hashes equal.
+    assert vec == (6, ((0, 3), (1, 2), (2, 1)))
+    assert (vec.den, vec.entries) == vec
+    assert ProbabilityVector(*vec) == vec
+    assert vec.items == ((0, F(1, 2)), (1, F(1, 3)), (2, F(1, 6)))
     other = ProbabilityVector.from_pairs(vec.items)
     assert vec == other and hash(vec) == hash(other)
+    # Weights of a common denominator are reduced with the row.
+    assert ProbabilityVector.from_pairs([(0, F(2, 4)), (3, F(2, 4))]) == (2, ((0, 1), (3, 1)))
 
 
 def test_structure_constants_on_one_dimensional_lattice():
@@ -234,7 +238,7 @@ def test_combination_mass_is_an_internal_invariant(monkeypatch):
     """A row that is not a probability vector breaks the mass of every
     convex combination that reads it: an internal error, not bad input."""
     table = build_table(resolve_spec("prism:3"))
-    broken = ProbabilityVector(((1, F(1, 2)), (2, F(1, 4))))
+    broken = ProbabilityVector(4, ((1, 2), (2, 1)))  # mass 3/4
     monkeypatch.setitem(table.rows, (1, 2), broken)
     with pytest.raises(InternalError, match="mass"):
         classify(table)

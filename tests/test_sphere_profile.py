@@ -515,21 +515,21 @@ def test_check_s3_reads_one_uncached_bfs_row_per_vertex(monkeypatch, radius, sam
     cg = parse_group_spec("free:2")
     window = realize_window(cg, radius)
     starts = Counter()
-    real_bfs_to_depth = cy._bfs_to_depth
+    real_bfs_ball = cy.bfs_ball
 
-    def counting_bfs_to_depth(graph, v, depth):
+    def counting_bfs_ball(graph, v, depth):
         assert depth == radius - window.dist[v]
         starts[v] += 1
-        row = real_bfs_to_depth(graph, v, depth)
+        ball = real_bfs_ball(graph, v, depth)
         full = bfs_from(graph, v)
-        assert row == [d if d <= depth else -1 for d in full]
-        return row
+        assert ball == {u: d for u, d in enumerate(full) if d <= depth}
+        return ball
 
     def no_full_bfs(graph, v):
         raise AssertionError("check_S3 ran a full BFS without a mismatch")
 
     monkeypatch.setattr(cy, "realize_window", lambda cg, radius: window)
-    monkeypatch.setattr(cy, "_bfs_to_depth", counting_bfs_to_depth)
+    monkeypatch.setattr(cy, "bfs_ball", counting_bfs_ball)
     monkeypatch.setattr(cy, "bfs_from", no_full_bfs)
     cached = set(window._bfs_cache)
     report = cy.check_S3(cg, radius, sample_cap)
@@ -609,3 +609,44 @@ def test_s2_on_a_bfs_window_caches_only_the_base_row():
     assert pg._sphere_oracle is None and pg.truncated
     assert check_S2(pg).passed
     assert set(pg._bfs_cache) == {pg.base}
+
+
+def test_sphere_counts_read_each_vertex_once():
+    """The count cache keeps one entry per vertex for every source, the
+    deepest read so far: (iii), (S1) and (S2) on a full group, and (S1),
+    (S2) and the table on a window, translate each ball once."""
+    for spec, checks in [
+        ("zmod:3,3,3,3", (check_assumptions, check_S1, check_S2)),
+        ("free:2:r=6", (check_S1, check_S2, build_table)),
+    ]:
+        pg = resolve_spec(spec)
+        oracle, calls = pg._sphere_oracle, Counter()
+
+        def counting_oracle(v, top):
+            calls[v] += 1
+            return oracle(v, top)
+
+        pg._sphere_oracle = counting_oracle
+        for check in checks:
+            check(pg)
+        assert calls == Counter(range(pg.vertex_count)), spec
+
+
+@pytest.mark.parametrize("spec", ["prism:5", "tree:binary:12", "free:2:r=5", "zmod:4,3"])
+def test_a_shallower_top_is_a_prefix_of_the_cached_counts(spec):
+    """counts[n] does not depend on top: after the deepest read, every
+    shallower top equals a fresh computation at that top, and a finite
+    graph read past an eccentricity still defaults to it."""
+    pg = resolve_spec(spec)
+    inside = [v for v in range(pg.vertex_count) if pg.dist[v] <= pg.exact_radius]
+    deep = {v: sphere_counts(pg, v) for v in inside}
+    for top in range(max(map(len, deep.values()))):
+        fresh = resolve_spec(spec)
+        for v, counts in deep.items():
+            if top < len(counts):
+                assert sphere_counts(pg, v, top) == sphere_counts(fresh, v, top) == counts[: top + 1]
+    if not pg.truncated:
+        top = max(pg.spheres)
+        for v in inside:
+            assert sphere_counts(pg, v, top + 2)[len(deep[v]) :] == [{}] * (top + 3 - len(deep[v]))
+            assert sphere_counts(pg, v) == deep[v]
