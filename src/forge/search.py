@@ -1,10 +1,13 @@
 """Exhaustive search for hypergroup counterexamples on small graphs.
 
 Connected graphs are generated by vertex augmentation with canonical
-dedup (color refinement plus an ordered minimum adjacency string), every
-admissible base point is tried on one shared graph and its BFS rows, and
-each pointed graph that satisfies the two random-walk conditions is
-classified exactly.
+dedup (color refinement plus an ordered minimum adjacency string).  A
+graph whose degrees differ is decided at all its bases at once from its
+eccentricities: condition (iii) holds exactly at the bases of least
+eccentricity, and there (S1) fails at index 1, which compares degrees.
+A regular graph is pointed at each base on one shared graph and its BFS
+rows, and each pointed graph that satisfies the two random-walk
+conditions is classified exactly.
 
 The labelling of a kept graph also yields generators of its automorphism
 group, and its children are labelled for one attachment subset per orbit
@@ -19,7 +22,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import BadParameter, EnumerationCapExceeded, InternalError
-from .graphs import Graph, build_graph, check_assumptions, point_graph
+from .graphs import Graph, bfs_from, build_graph, check_assumptions, point_graph
 from .hypergroup import build_table, check_S1, check_S2, classify
 
 DEFAULT_GRAPH_CAP = 100_000
@@ -29,18 +32,19 @@ CONNECTED_GRAPH_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571)
 
 def _refine(neighbors, colors):
     """One-dimensional color refinement to a stable partition: the ranks
-    of the first round that splits no cell.  They renumber the cells in
-    order, so a further round would only return them again."""
-    cells = len(set(colors))
+    of the first round that splits no cell or leaves each vertex a cell
+    of its own.  They renumber the cells in order, so a further round
+    would only return them again."""
+    n, cells = len(colors), len(set(colors))
     while True:
         signatures = [
-            (colors[v], tuple(sorted([colors[w] for w in nbrs])))
+            (colors[v], tuple(sorted(map(colors.__getitem__, nbrs))))
             for v, nbrs in enumerate(neighbors)
         ]
         order = sorted(set(signatures))
         ranks = {sig: r for r, sig in enumerate(order)}
         colors = [ranks[sig] for sig in signatures]
-        if len(order) == cells:
+        if len(order) == cells or len(order) == n:
             return colors
         cells = len(order)
 
@@ -81,34 +85,44 @@ def _canonical_with_automorphisms(neighbors, colors=None) -> tuple:
         neighbors, list(colors) if colors else [len(nbrs) for nbrs in neighbors]
     )
     adjacency = [sum([1 << w for w in nbrs]) for nbrs in neighbors]
-    cells: dict[int, list[int]] = {}
+    # The refined colors are ranks 0, 1, ...: cells[c] lists color c.
+    cells: list[list[int]] = [[] for _ in range(len(set(colors)))]
     for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
+        cells[c].append(v)
     cell_at = [cells[c] for c in sorted(colors)]
     # The last place of a cell has one vertex left for it: a forced step.
+    # The leaf's place n is not one, so a run of them stops there.
     forced = [pos + 1 == n or cell_at[pos + 1] is not cell_at[pos] for pos in range(n)]
+    forced.append(False)
     best: list | None = None
     best_order: tuple | None = None
     generators: set[tuple] = set()
 
-    def extend(prefix, used, rows, row_of):
-        # row_of[v]: v's adjacency row against the prefix.
+    def extend(prefix, used, rows, row_of, pending):
+        # row_of[v]: v's adjacency row against the prefix without its last
+        # vertices, pending, whose bits are appended only where needed.
         nonlocal best, best_order
         pos = len(prefix)
         # A forced step has no choice and no twin to skip, so a run of them
-        # is walked here.  The pruning test below, or the leaf's, sees the
-        # whole run: a prefix worse than best stays worse when extended.
-        while pos < n and forced[pos]:
-            for v in cell_at[pos]:
-                if not used >> v & 1:
-                    break
-            prefix += (v,)
-            rows = rows + [row_of[v]]
-            pos += 1
-            if pos == n:
-                break
-            used |= 1 << v
-            row_of = [row << 1 | adj >> v & 1 for row, adj in zip(row_of, adjacency)]
+        # is placed here at once.  The pruning test below, or the leaf's,
+        # sees the whole run: a prefix worse than best stays worse when
+        # extended.  A run vertex's row is its row_of entry followed by its
+        # bits for the pending vertices and the run vertices before it, so
+        # row_of is rebuilt only where a choice follows.
+        if forced[pos]:
+            rows = rows.copy()
+            while forced[pos]:
+                for v in cell_at[pos]:
+                    if not used >> v & 1:
+                        break
+                row, adj = row_of[v], adjacency[v]
+                for u in pending:
+                    row = row << 1 | adj >> u & 1
+                rows.append(row)
+                prefix += (v,)
+                pending += (v,)
+                used |= 1 << v
+                pos += 1
         if pos == n:
             if best is None or rows < best:
                 best = rows
@@ -119,6 +133,8 @@ def _canonical_with_automorphisms(neighbors, colors=None) -> tuple:
                     image[u] = w
                 generators.add(tuple(image))
             return
+        for u in pending:
+            row_of = [row << 1 | adj >> u & 1 for row, adj in zip(row_of, adjacency)]
         eligible = [v for v in cell_at[pos] if not used >> v & 1]
         low = min([row_of[v] for v in eligible])
         rows = rows + [low]
@@ -137,18 +153,13 @@ def _canonical_with_automorphisms(neighbors, colors=None) -> tuple:
                     break
             else:
                 tried.append(v)
-                extend(
-                    prefix + (v,),
-                    used | 1 << v,
-                    rows,
-                    [row << 1 | adj >> v & 1 for row, adj in zip(row_of, adjacency)],
-                )
+                extend(prefix + (v,), used | 1 << v, rows, row_of, (v,))
 
-    extend((), 0, [], [0] * n)
+    extend((), 0, [], [0] * n, ())
     if best_order is None:
         raise InternalError("canonical labelling reached no leaf")
     string = tuple(map(_bits, range(n), best))
-    key = (tuple(len(cells[c]) for c in sorted(cells)), string)
+    key = (tuple(map(len, cells)), string)
     return key, best_order, tuple(generators)
 
 
@@ -161,6 +172,12 @@ def _edges_from_neighbors(neighbors) -> tuple:
     return tuple(
         (u, v) for u in range(len(neighbors)) for v in neighbors[u] if u < v
     )
+
+
+def _eccentricities(graph: Graph) -> list[int]:
+    """Each vertex's eccentricity, the largest entry of its BFS row (the
+    graph must be connected)."""
+    return [max(bfs_from(graph, v)) for v in range(graph.vertex_count)]
 
 
 def _orbit_minima(n: int, generators):
@@ -257,8 +274,15 @@ def search_conjecture(
 ) -> SearchReport:
     """Scan connected pointed graphs up to max_vertices vertices for one
     whose walk conditions hold but whose product table is not a hermitian
-    hypergroup.  base_policy "all" tries every vertex as base; "canonical"
-    tries only the first vertex of the canonical ordering."""
+    hypergroup.  base_policy "all" examines every vertex as base;
+    "canonical" only the first vertex of the canonical ordering.
+
+    The enumerated graphs are simple and connected.  On one whose degrees
+    differ, (iii) holds at a base b iff no vertex has a smaller
+    eccentricity than b, and wherever it holds (S1) fails at index 1, so
+    each base is counted as rejected on condition or on the walk without
+    a pointed graph.  Only regular graphs are pointed, checked and
+    classified."""
     if base_policy not in ("all", "canonical"):
         raise ValueError(f"unknown base policy {base_policy!r}")
     if max_vertices < 1:
@@ -272,13 +296,22 @@ def search_conjecture(
     classified = []
     for n, neighbors, first in enumerate_connected_graphs(max_vertices, cap):
         graph_counts[n] = graph_counts.get(n, 0) + 1
-        edges = _edges_from_neighbors(neighbors)
-        bases = [first] if base_policy == "canonical" else list(range(n))
+        bases = [first] if base_policy == "canonical" else range(n)
+        examined += len(bases)
         # The enumerator's graphs are simple and connected: no validation.
         graph = Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
+        degree = len(neighbors[0])
+        if any(len(nbrs) != degree for nbrs in neighbors):
+            # (iii) holds exactly at the bases of least eccentricity, and
+            # (S1) fails there at index 1 since the degrees differ.
+            ecc = _eccentricities(graph)
+            radius = min(ecc)
+            off_centre = sum([ecc[base] > radius for base in bases])
+            rejected_condition += off_centre
+            rejected_walk += len(bases) - off_centre
+            continue
         bfs_rows: dict[int, tuple[int, ...]] = {}
         for base in bases:
-            examined += 1
             pg = point_graph(graph, base, bfs_rows)
             if not check_assumptions(pg).passed:
                 rejected_condition += 1
@@ -290,7 +323,7 @@ def search_conjecture(
             classified.append(
                 SearchEntry(
                     n,
-                    edges,
+                    _edges_from_neighbors(neighbors),
                     base,
                     report.commutative,
                     report.associative,

@@ -16,6 +16,13 @@ The enumerator labels one attachment per orbit of the parent's
 automorphisms.  It is checked against the enumerator that labelled every
 attachment (kept here as reference_enumerate), and its orbits against
 the automorphism groups networkx's GraphMatcher finds.
+
+The search decides a non-regular graph at all its bases from its
+eccentricities.  It is checked against the search that pointed the graph
+at every base and ran the checks there (kept here as
+reference_search_conjecture) up to 7 vertices, and the eccentricity rule
+against check_assumptions, check_S1 and networkx.eccentricity on random
+connected non-regular graphs.
 """
 
 import hashlib
@@ -27,13 +34,17 @@ import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from forge import search
 from forge.cli import main
 from forge.errors import BadParameter, EnumerationCapExceeded
+from forge.graphs import Graph, check_assumptions, make_graph, point_graph
+from forge.hypergroup import build_table, check_S1, check_S2, classify
 from forge.search import (
     DEFAULT_GRAPH_CAP,
+    SearchEntry,
+    SearchReport,
     build_graph,
     canonical_key,
     enumerate_connected_graphs,
@@ -248,6 +259,52 @@ def record_labelled(max_vertices):
     finally:
         search._canonical_with_automorphisms = label
     return graphs, labelled
+
+
+def reference_search_conjecture(max_vertices, base_policy):
+    """The search as first written: every graph is pointed at each base
+    the policy names, and (iii), (S1) and (S2) run there in turn."""
+    graph_counts = {}
+    examined = rejected_condition = rejected_walk = 0
+    classified = []
+    for n, neighbors, first in enumerate_connected_graphs(max_vertices):
+        graph_counts[n] = graph_counts.get(n, 0) + 1
+        edges = tuple((u, v) for u in range(n) for v in neighbors[u] if u < v)
+        bases = [first] if base_policy == "canonical" else list(range(n))
+        graph = Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
+        bfs_rows = {}
+        for base in bases:
+            examined += 1
+            pg = point_graph(graph, base, bfs_rows)
+            if not check_assumptions(pg).passed:
+                rejected_condition += 1
+                continue
+            if not (check_S1(pg).passed and check_S2(pg).passed):
+                rejected_walk += 1
+                continue
+            report = classify(build_table(pg))
+            classified.append(
+                SearchEntry(
+                    n,
+                    edges,
+                    base,
+                    report.commutative,
+                    report.associative,
+                    report.verdict,
+                    report.witness,
+                )
+            )
+    counterexamples = tuple(e for e in classified if e.verdict != "Hypergroup")
+    return SearchReport(
+        max_vertices,
+        base_policy,
+        graph_counts,
+        examined,
+        rejected_condition,
+        rejected_walk,
+        tuple(classified),
+        counterexamples,
+    )
 
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -513,6 +570,84 @@ def test_search_report_bytes_are_pinned(bases):
     assert result.exit_code == 0
     digest = hashlib.sha256(result.output.encode("utf-8")).hexdigest()
     assert digest == SEARCH_6_SHA256[bases]
+
+
+# The same for `--max-vertices 7`, as written by the search that pointed
+# every graph at each base (reference_search_conjecture).
+SEARCH_7_SHA256 = {
+    "all": "7b921f04d296db4cfe45e6ba3be2d9fe9ea7dc1067f12c2ff61acc06532a8e8f",
+    "canonical": "2bebfc0ccfac47fc35709b45303343e7f8ecab83ed38cc02c77be4c1443cad0e",
+}
+
+
+@pytest.mark.parametrize("bases", sorted(SEARCH_7_SHA256))
+def test_seven_vertex_search_report_bytes_are_pinned(bases):
+    args = ["--format", "json", "search", "conjecture", "--max-vertices", "7", "--bases", bases]
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.output.encode("utf-8")).hexdigest()
+    assert digest == SEARCH_7_SHA256[bases]
+
+
+@pytest.mark.parametrize("bases", ["all", "canonical"])
+def test_search_matches_the_per_base_reference(bases):
+    for n in range(1, 8):
+        assert search_conjecture(n, bases) == reference_search_conjecture(n, bases), n
+
+
+def test_only_regular_graphs_are_pointed(monkeypatch):
+    # Up to 7 vertices the 16 regular graphs have 82 vertices between them;
+    # every other graph is decided without a pointed graph.
+    pointed = []
+
+    def counting(graph, base, bfs_cache=None):
+        pointed.append((graph, base))
+        return point_graph(graph, base, bfs_cache)
+
+    monkeypatch.setattr(search, "point_graph", counting)
+    report = search_conjecture(7, "all")
+    regular = [
+        neighbors
+        for _n, neighbors, _first in enumerate_connected_graphs(7)
+        if len({len(nbrs) for nbrs in neighbors}) == 1
+    ]
+    assert len(regular) == 16
+    assert len(pointed) == sum(len(neighbors) for neighbors in regular) == 82
+    assert report.pointed_examined == 6781
+
+
+@st.composite
+def connected_non_regular_graphs(draw):
+    """Edge lists of connected graphs on 3..10 vertices whose degrees are
+    not all equal: a random spanning tree plus random further edges."""
+    n = draw(st.integers(min_value=3, max_value=10))
+    tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    pairs = [e for e in itertools.combinations(range(n), 2) if e not in tree]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True))
+    edges = tree + extra
+    degrees = [0] * n
+    for u, v in edges:
+        degrees[u] += 1
+        degrees[v] += 1
+    assume(len(set(degrees)) > 1)
+    return n, edges
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(connected_non_regular_graphs())
+def test_eccentricity_rule_decides_non_regular_graphs(case):
+    n, edges = case
+    graph = make_graph(edges, vertex_count=n)
+    ecc = search._eccentricities(graph)
+    reference = nx.Graph(edges)
+    assert ecc == [nx.eccentricity(reference, v) for v in range(n)]
+    bfs_rows = {}
+    for base in range(n):
+        pg = point_graph(graph, base, bfs_rows)
+        assert check_assumptions(pg).passed == (ecc[base] == min(ecc))
+        # (S1) fails at index 1, where it compares the degrees.
+        s1 = check_S1(pg)
+        assert not s1.passed and s1.witness[0] == 1
 
 
 def generated_group(n, generators):
