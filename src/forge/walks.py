@@ -42,6 +42,7 @@ from .hypergroup import (
 ENUMERATION_CAP = 10**8
 PATTERN_CAP = 10**6
 PATTERN_LENGTH_CAP = 64
+MC_BLOCK = 1 << 16  # Monte-Carlo trials walked at once
 Z99 = 2.5758293035489004
 
 
@@ -194,8 +195,16 @@ def monte_carlo_conditional(
 ) -> EmpiricalDistribution:
     """Sample each jump uniformly from its sphere and tally end distances.
 
-    One counter-based stream per pattern step, keyed by (seed, step), so
-    the tally is independent of batching or execution order.
+    One counter-based Philox stream per pattern step, keyed by (seed,
+    step).  The trials run in blocks of MC_BLOCK: each block draws its
+    next MC_BLOCK values from every step's stream, so the draws, and the
+    tally, are those of one call over all trials, and memory is bounded
+    by the block and the window, not by the trial count.  Each trial moves
+    along the geodesic word of its drawn sphere element through the
+    window's generator table; when the step's |window| x |S_i| table is
+    smaller than the trials, every start is walked through every word once
+    and each trial reads its end there.  Ends are counted per window
+    element and folded onto their distances at the end.
     """
     if not isinstance(cg, cy.CayleyGraph):
         raise NotCayley("Monte-Carlo products need a Cayley graph")
@@ -205,28 +214,49 @@ def monte_carlo_conditional(
     data = pg.cayley
     import numpy as np
 
-    # One row per window element plus a row of -1 at the end, so that a
-    # product that left the window (index -1) stays at -1.
-    table = np.array(data.right + [(-1,) * len(cg.generators)], dtype=np.intp)
-    pos = np.zeros(trials, dtype=np.intp)
+    # One row per window element plus a row of -1 at the end, flattened:
+    # g_v times generator s is right[v * width + s], and a product that
+    # left the window (index -1) reads the last row and stays at -1.
+    width = len(cg.generators)
+    right = np.array(data.right + [(-1,) * width], dtype=np.intp).ravel()
+    rows = len(data.right) + 1
+
+    def walk(ends, columns):
+        for column in columns:
+            ends = right.take(ends * width + column)
+        return ends
+
+    steps = []
     for step, i in enumerate(pat):
         sphere = pg.spheres[i]
-        # letters[e]: the geodesic word of sphere element e, read back along via.
-        letters = np.empty((len(sphere), i), dtype=np.intp)
+        # letters[j, e]: letter j of the geodesic word of sphere element e,
+        # read back along via.
+        letters = np.empty((i, len(sphere)), dtype=np.intp)
         for e, v in enumerate(sphere):
             for j in reversed(range(i)):
-                v, letters[e, j] = data.via[v]
-        draws = _step_rng(seed, step).integers(0, len(sphere), size=trials)
-        # A |window| x |S_i| table smaller than the trials: walk it once.
-        compose = i > 1 and len(table) * len(sphere) < trials
-        ends, words = (np.arange(len(table))[:, None], letters) if compose else (pos, letters[draws])
-        for j in range(i):
-            ends = table[ends, words[:, j]]
-        pos = ends[pos, draws] if compose else ends
-    if (pos < 0).any():
-        raise InternalError("a sampled element lies outside the realized window")
-    values, tallies = np.unique(np.array(pg.dist)[pos], return_counts=True)
-    counts = {int(v): int(c) for v, c in zip(values, tallies)}
+                v, letters[j, e] = data.via[v]
+        # A |window| x |S_i| table smaller than the trials is walked once:
+        # ends[v * |S_i| + e] is where the word of element e leads from v.
+        compose = i > 1 and rows * len(sphere) < trials
+        ends = walk(np.arange(rows)[:, None], letters).ravel() if compose else None
+        steps.append((_step_rng(seed, step), len(sphere), letters, ends))
+    tally = np.zeros(rows, dtype=np.int64)
+    for done in range(0, trials, MC_BLOCK):
+        pos = np.zeros(min(MC_BLOCK, trials - done), dtype=np.intp)
+        for rng, size, letters, ends in steps:
+            draws = rng.integers(0, size, size=len(pos))
+            if ends is None:
+                pos = walk(pos, (column.take(draws) for column in letters))
+            else:
+                pos = ends.take(pos * size + draws)
+        if (pos < 0).any():
+            raise InternalError("a sampled element lies outside the realized window")
+        tally += np.bincount(pos, minlength=rows)
+    # Window elements come in BFS order, so the distances arrive sorted.
+    counts: dict[int, int] = {}
+    for k, c in zip(pg.dist, tally.tolist()):
+        if c:
+            counts[k] = counts.get(k, 0) + c
     return EmpiricalDistribution(counts, trials, seed, pat)
 
 

@@ -7,11 +7,18 @@ table and runs its DP on integer numerators.  Both are checked here
 against the element-by-element code they replaced, kept below as
 reference functions: the coordinate-packing sampler for vector groups,
 the per-trial sampler for free and permutation groups, and the Fraction
-DP over `cayley.multiply`.  The table itself is checked entry by entry
-against `multiply`, and the exact conditional law by enumeration
-against the jump DP on random finite abelian groups (hypothesis).
+DP over `cayley.multiply`.  The sampler runs its trials in blocks drawn
+from the same per-step streams and tallies the ends per window element,
+so it is also checked against the whole-array table sampler it replaced,
+at several block sizes and at trial counts around the block boundaries;
+its traced memory must not grow with the trial count, and a walk that
+leaves the window must be caught in whichever block it runs.  The table
+itself is checked entry by entry against `multiply`, and the exact
+conditional law by enumeration against the jump DP on random finite
+abelian groups (hypothesis).
 """
 
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -110,6 +117,31 @@ def reference_mc_generic(pg, pat, trials, seed):
         k = pg.dist[data.index[g]]
         counts[k] = counts.get(k, 0) + 1
     return counts
+
+
+def reference_mc_one_shot(cg, pattern, trials, seed):
+    """The table sampler before blocks: every array holds all the trials,
+    steps move them with 2-D gathers, and np.unique tallies the distances."""
+    pg, pat = walks._pattern_window(cg, pattern)
+    data = pg.cayley
+    table = np.array(data.right + [(-1,) * len(cg.generators)], dtype=np.intp)
+    pos = np.zeros(trials, dtype=np.intp)
+    for step, i in enumerate(pat):
+        sphere = pg.spheres[i]
+        letters = np.empty((len(sphere), i), dtype=np.intp)
+        for e, v in enumerate(sphere):
+            for j in reversed(range(i)):
+                v, letters[e, j] = data.via[v]
+        draws = _step_rng(seed, step).integers(0, len(sphere), size=trials)
+        compose = i > 1 and len(table) * len(sphere) < trials
+        ends, words = (np.arange(len(table))[:, None], letters) if compose else (pos, letters[draws])
+        for j in range(i):
+            ends = table[ends, words[:, j]]
+        pos = ends[pos, draws] if compose else ends
+    if (pos < 0).any():
+        raise InternalError("a sampled element lies outside the realized window")
+    values, tallies = np.unique(np.array(pg.dist)[pos], return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, tallies)}
 
 
 def reference_joint_law(cg, alpha, depth):
@@ -246,6 +278,92 @@ def test_monte_carlo_rejects_a_walk_that_leaves_the_window(monkeypatch):
     # its row for -1 must stay -1.
     with pytest.raises(InternalError, match="outside the realized window"):
         monte_carlo_conditional(parse_group_spec("zmod:5"), (2, 2), 100)
+
+
+# Block sizes to patch in: one trial per block, blocks that leave odd
+# remainders, and the module's own constant (None).
+BLOCKS = [1, 7, 1000, None]
+
+
+@pytest.mark.parametrize("block", BLOCKS, ids=lambda b: f"block={b or walks.MC_BLOCK}")
+def test_monte_carlo_tally_does_not_depend_on_the_block_size(block, monkeypatch, perm_specs):
+    if block is not None:
+        monkeypatch.setattr(walks, "MC_BLOCK", block)
+    b = walks.MC_BLOCK
+    cases = [(spec, patterns, 3000) for spec, patterns in MC_CASES]
+    # Trial counts on both sides of one and two block boundaries.
+    cases += [
+        (spec, patterns, trials)
+        for spec, patterns in MC_CASES
+        if spec in ("zmod:6,6", "free:2", "lattice:1")
+        for trials in (b - 1, b, b + 1, 2 * b + 3)
+        if trials >= 1
+    ]
+    for spec, patterns, trials in cases:
+        cg = parse_group_spec(perm_specs.get(spec, spec))
+        for pattern in patterns:
+            got = monte_carlo_conditional(cg, pattern, trials, seed=11)
+            want = reference_mc_one_shot(cg, pattern, trials, 11)
+            assert got.counts == want, (spec, pattern, trials)
+            assert list(got.counts) == list(want), (spec, pattern, trials)
+
+
+def _traced_peak(cg, pattern, trials):
+    tracemalloc.start()
+    try:
+        monte_carlo_conditional(cg, pattern, trials)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_trials():
+    cg = parse_group_spec("zmod:6,6")
+    monte_carlo_conditional(cg, (1, 2, 3), 10)  # numpy.random loads before tracing
+    small = _traced_peak(cg, (1, 2, 3), 10**5)
+    large = _traced_peak(cg, (1, 2, 3), 10**6)
+    assert large < 8 * 2**20
+    assert large - small < 2**20
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("composed", [False, True], ids=["per-trial", "composed"])
+def test_monte_carlo_checks_the_window_in_every_block(block, composed, monkeypatch):
+    cg = parse_group_spec("zmod:6,6")
+    pattern = (2, 2)
+    pg = realize_window(cg, sum(pattern))
+    sphere = pg.spheres[2]
+    # Steps of index 2 walk a composed table once the trials exceed it.
+    threshold = (pg.vertex_count + 1) * len(sphere)
+    lo, hi = (threshold + 1, 20 * threshold) if composed else (1, threshold)
+    draws = _step_rng(0, 0).integers(0, len(sphere), size=hi)
+    # Break the row of an element of S_2 that the first block never draws
+    # at step 0.  The torus is bipartite, so no other walk of either step
+    # stands on that element: exactly the trials that drew it leave the
+    # window, in their second step.
+    target = min(set(range(len(sphere))) - set(draws[:block].tolist()))
+    hits = np.flatnonzero(draws == target)
+    assert len(hits) and hits[0] >= block
+
+    def only_middle_blocks_leave(t):
+        last = (t - 1) // block * block
+        return hits[0] < last and not ((hits >= last) & (hits < t)).any()
+
+    trials = next(t for t in range(lo, hi + 1) if only_middle_blocks_leave(t))
+    realize = walks.cy.realize_window
+
+    def broken(cg, radius):
+        pg = realize(cg, radius)
+        pg.cayley.right[sphere[target]] = (-1,) * len(cg.generators)
+        return pg
+
+    monkeypatch.setattr(walks, "MC_BLOCK", block)
+    monkeypatch.setattr(walks.cy, "realize_window", broken)
+    with pytest.raises(InternalError, match="outside the realized window"):
+        monte_carlo_conditional(cg, pattern, trials)
+    if not composed:
+        # The trials before the first that draws it all stay inside.
+        monte_carlo_conditional(cg, pattern, int(hits[0]))
 
 
 # ---------------------------------------------------------------- joint law
