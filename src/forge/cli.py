@@ -118,7 +118,7 @@ def _alpha_arg(text: str):
             raise click.UsageError(f"alpha file key {key!r} is not an integer index")
         if isinstance(value, str):
             alpha[idx] = parse_frac(value)
-        elif isinstance(value, int):
+        elif isinstance(value, int) and not isinstance(value, bool):
             alpha[idx] = Fraction(value)
         else:
             try:

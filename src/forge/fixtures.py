@@ -239,11 +239,6 @@ def _build_figure(spec, params):
         data["base"] = _resolve_base(data, base_arg, spec)
     pg = parse_graph_json(data, name=spec)
     pg.name = spec
-    pg.meta["ambiguous"] = bool(data.get("ambiguous", False))
-    if "note" in data:
-        pg.meta["note"] = data["note"]
-    if "bases" in data:
-        pg.meta["bases"] = dict(data["bases"])
     return pg
 
 

@@ -75,7 +75,6 @@ class PointedGraph:
     truncated: bool = False
     exact_radius: float = INFINITE
     name: str = "graph"
-    meta: dict = field(default_factory=dict)
     _sphere_oracle: object = field(default=None, repr=False)
     _bfs_cache: dict = field(default_factory=dict, repr=False)
     _count_cache: dict = field(default_factory=dict, repr=False)
@@ -397,7 +396,11 @@ def check_assumptions(pg: PointedGraph) -> AssumptionReport:
 
 
 def _int_field(value, what: str) -> int:
+    """An integer field of a graph JSON: a whole number or a string of one,
+    never a boolean, which int() would also accept."""
     try:
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise BadParameter(f"graph JSON {what} must be an integer, got {value!r}") from exc
@@ -423,13 +426,22 @@ def parse_graph_json(data: dict, name: str = "file") -> PointedGraph:
             if not 0 <= idx < vertex_count:
                 raise BadParameter(f"label for unknown vertex {idx}")
             labels[idx] = str(text)
-    truncated = bool(data.get("truncated", False))
+    truncated = data.get("truncated", False)
+    if not isinstance(truncated, bool):
+        raise BadParameter(f"graph JSON truncated must be true or false, got {truncated!r}")
     exact_radius = data.get("exact_radius", INFINITE)
     if truncated:
         exact_radius = _int_field(exact_radius, "exact_radius")
+    edges = data["edges"]
+    if not isinstance(edges, list):
+        raise BadParameter(f"graph JSON edges must be a list of vertex pairs, got {edges!r}")
+    # make_graph's int() would read an endpoint 1.5 as 1 and true as 1.
+    edges = [
+        [_int_field(x, "edge endpoint") for x in e] if isinstance(e, list) else e for e in edges
+    ]
     return build_graph(
-        data["edges"],
-        data["base"],
+        edges,
+        _int_field(data["base"], "base"),
         vertex_count=vertex_count,
         labels=labels,
         name=str(data.get("name", name)),

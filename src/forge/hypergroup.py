@@ -427,26 +427,13 @@ def check_S2(pg: PointedGraph) -> ConditionReport:
 
 
 class DRReport(NamedTuple):
-    """Distance regularity verdict with the intersection numbers on success."""
+    """Distance regularity verdict with the intersection numbers on success,
+    keyed (i, j, k) in increasing order."""
 
     passed: bool
     diameter: int
     intersection_numbers: dict | None
     witness: tuple | None
-
-    def to_jsonable(self) -> dict:
-        numbers = None
-        if self.intersection_numbers is not None:
-            numbers = {
-                f"{i},{j},{k}": n
-                for (i, j, k), n in sorted(self.intersection_numbers.items())
-            }
-        return {
-            "passed": self.passed,
-            "diameter": self.diameter,
-            "intersection_numbers": numbers,
-            "witness": list(self.witness) if self.witness else None,
-        }
 
 
 def _pair_counts(rows, v: int, w: int) -> dict[tuple[int, int], int]:
@@ -498,9 +485,12 @@ def check_distance_regular(pg: PointedGraph) -> DRReport:
             continue
         break
     else:
-        order = sorted(range(diameter + 1), key=first.__getitem__)
-        numbers = {(i, j, k): count for k in order for (i, j), count in profiles[k].items()}
-        return DRReport(True, diameter, numbers, None)
+        numbers = sorted(
+            ((i, j, k), count)
+            for k, profile in enumerate(profiles)
+            for (i, j), count in profile.items()
+        )
+        return DRReport(True, diameter, dict(numbers), None)
     # Matching every reference count (they sum to n) leaves no other key.
     v, w = next(
         (v, w)

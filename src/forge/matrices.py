@@ -74,16 +74,6 @@ class TransitionMatrix:
     def support_col(self, j: int) -> tuple[int, ...]:
         return tuple(i for i in range(self.dim) if self.entries[i][j])
 
-    def to_jsonable(self) -> dict:
-        return {
-            "k": self.k,
-            "dim": self.dim,
-            "truncated": self.truncated,
-            "row_exact": list(self.row_exact),
-            "row_complete": list(self.row_complete),
-            "entries": [list(row) for row in self.entries],
-        }
-
 
 def transition_matrix(table: StructureTable, k: int) -> TransitionMatrix:
     """P_k with entry(i,j) = p[k,i][j] for i, j up to the table bound."""
@@ -298,42 +288,21 @@ class NormBound(NamedTuple):
     the columns whose full ambient support fits inside the table, so
     lower <= upper holds unconditionally; on finite tables that block is
     the whole operator and upper also bounds the ambient norm, while on
-    windows it is a sup over the certified part only (window_sup)."""
+    windows it is a sup over the certified part only (window_sup).  upper
+    and lower are the square roots of upper_sq and lower_sq, for display."""
 
     k: int
     c: Fraction
     d: int
     upper_sq: Fraction
+    upper: float
     lower_sq: Fraction
+    lower: float
     best_vector: str
     window_sup: bool
     scope: str
     row_supports: dict
     col_supports: dict
-
-    @property
-    def upper(self) -> float:
-        return sqrt(float(self.upper_sq))
-
-    @property
-    def lower(self) -> float:
-        return sqrt(float(self.lower_sq))
-
-    def to_jsonable(self) -> dict:
-        return {
-            "k": self.k,
-            "c": self.c,
-            "d": self.d,
-            "upper_sq": self.upper_sq,
-            "upper": self.upper,
-            "lower_sq": self.lower_sq,
-            "lower": self.lower,
-            "best_vector": self.best_vector,
-            "window_sup": self.window_sup,
-            "scope": self.scope,
-            "row_supports": {str(i): list(s) for i, s in sorted(self.row_supports.items())},
-            "col_supports": {str(j): list(s) for j, s in sorted(self.col_supports.items())},
-        }
 
 
 def _geometric(ratio: Fraction, dim: int) -> tuple:
@@ -407,8 +376,10 @@ def norm_bounds(table: StructureTable, k: int, extra_vectors=None) -> NormBound:
         if truncated
         else "full index set"
     )
+    upper, lower = sqrt(float(upper_sq)), sqrt(float(lower_sq))
     return NormBound(
-        k, c, d, upper_sq, lower_sq, best, truncated, scope, row_supports, col_supports
+        k, c, d, upper_sq, upper, lower_sq, lower, best, truncated, scope,
+        row_supports, col_supports,
     )
 
 

@@ -67,10 +67,6 @@ class RegressionReport(NamedTuple):
         }
 
 
-def _law(vector) -> dict:
-    return {k: w for k, w in vector.as_dict().items()}
-
-
 def paper_regression() -> RegressionReport:
     """Recompute the full worked-example table.  Deterministic, exact."""
     entries = []
@@ -183,16 +179,16 @@ def paper_regression() -> RegressionReport:
         "zline-p11",
         "on the integer line x_1 o x_1 = 1/2 x_0 + 1/2 x_2",
         {0: F(1, 2), 2: F(1, 2)},
-        _law(ztable.row(1, 1)),
+        ztable.row(1, 1).as_dict(),
     )
     add(
         "zline-product-23",
         "on the integer line x_2 o x_3 = 1/2 x_1 + 1/2 x_5",
         {1: F(1, 2), 5: F(1, 2)},
-        _law(ztable.row(2, 3)),
+        ztable.row(2, 3).as_dict(),
     )
     chebyshev = all(
-        _law(ztable.row(i, j)) == (
+        ztable.row(i, j).as_dict() == (
             {abs(i - j): F(1, 2), i + j: F(1, 2)}
             if i != j
             else {0: F(1, 2), 2 * i: F(1, 2)}
@@ -251,25 +247,25 @@ def paper_regression() -> RegressionReport:
         "prism3-pl-121",
         "on the triangular prism PL(1,2,1) = 6/27 x_0 + 10/27 x_1 + 11/27 x_2",
         {0: F(6, 27), 1: F(10, 27), 2: F(11, 27)},
-        _law(left_nested_product(p3_table, (1, 2, 1))),
+        left_nested_product(p3_table, (1, 2, 1)).as_dict(),
     )
     add(
         "prism3-j-121",
         "on the triangular prism J(1,2,1) = 2/9 x_0 + 1/3 x_1 + 4/9 x_2",
         {0: F(2, 9), 1: F(1, 3), 2: F(4, 9)},
-        _law(jump_distribution(p3, (1, 2, 1))),
+        jump_distribution(p3, (1, 2, 1)).as_dict(),
     )
     add(
         "tree-pl-112",
         "on the rooted binary tree PL(1,1,2) = 1/9 x_0 + 4/9 x_2 + 4/9 x_4",
         {0: F(1, 9), 2: F(4, 9), 4: F(4, 9)},
-        _law(left_nested_product(tree_table, (1, 1, 2))),
+        left_nested_product(tree_table, (1, 1, 2)).as_dict(),
     )
     add(
         "tree-j-112",
         "on the rooted binary tree J(1,1,2) = 1/6 x_0 + 1/6 x_2 + 2/3 x_4",
         {0: F(1, 6), 2: F(1, 6), 4: F(2, 3)},
-        _law(jump_distribution(tree, (1, 1, 2))),
+        jump_distribution(tree, (1, 1, 2)).as_dict(),
     )
     pl123 = left_nested_product(ztable2, (1, 2, 3), extended=True)
     pl231 = left_nested_product(ztable2, (2, 3, 1), extended=True)
@@ -277,7 +273,7 @@ def paper_regression() -> RegressionReport:
         "zplane-pl-not-permutable",
         "on the square lattice PL(1,2,3) differs from PL(2,3,1)",
         True,
-        _law(pl123) != _law(pl231),
+        pl123 != pl231,
     )
 
     # Distance process.
@@ -317,7 +313,7 @@ def paper_regression() -> RegressionReport:
         "point-mass-through-matrices",
         "the point mass at 0 pushed through the pattern's transition "
         "matrices recovers the jump distribution",
-        _law(jump_distribution(c6, pattern)),
+        jump_distribution(c6, pattern).as_dict(),
         coefficients,
     )
     zline24 = resolve_spec("lattice:1:r=24")

@@ -163,11 +163,6 @@ def _canonical_with_automorphisms(neighbors, colors=None) -> tuple:
     return key, best_order, tuple(generators)
 
 
-def canonical_key(neighbors, colors=None) -> tuple:
-    """Isomorphism certificate: equal keys iff isomorphic (as colored graphs)."""
-    return _canonical_with_automorphisms(neighbors, colors)[0]
-
-
 def _edges_from_neighbors(neighbors) -> tuple:
     return tuple(
         (u, v) for u in range(len(neighbors)) for v in neighbors[u] if u < v

@@ -294,8 +294,6 @@ class JointLaw(NamedTuple):
     depth: int
     law: dict
     alpha: dict
-    sizes: tuple[int, ...]
-    order: int
 
     def prefix_law(self, t: int) -> dict:
         out: dict[tuple[int, ...], Fraction] = {}
@@ -305,19 +303,20 @@ class JointLaw(NamedTuple):
         return out
 
     def marginal(self, t: int) -> dict:
-        """Law of Z_t alone."""
+        """Law of Z_t alone, by increasing distance."""
         out: dict[int, Fraction] = {}
         for pattern, p in self.law.items():
             k = pattern[t - 1]
             out[k] = out.get(k, Fraction(0)) + p
-        return out
+        return dict(sorted(out.items()))
 
     def conditional_rows(self, t: int) -> dict:
-        """P(Z_t = j | Z_1..Z_{t-1}) for every positive-probability prefix."""
+        """P(Z_t = j | Z_1..Z_{t-1}) for every positive-probability prefix,
+        each row sorted by j."""
         prefixes = self.prefix_law(t - 1)
         longer = self.prefix_law(t)
         rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
-        for key, p in longer.items():
+        for key, p in sorted(longer.items()):
             head, j = key[:-1], key[-1]
             rows.setdefault(head, {})[j] = p / prefixes[head]
         return rows
@@ -386,7 +385,18 @@ def joint_distance_law(
     if sum(totals.values()) != denominator:
         raise InternalError("the joint distance law does not sum to 1")
     law = {prefix: Fraction(num, denominator) for prefix, num in totals.items()}
-    return JointLaw(pg.name, depth, law, alpha, sphere_sizes(pg), pg.vertex_count)
+    return JointLaw(pg.name, depth, law, alpha)
+
+
+class MarkovWitness(NamedTuple):
+    """Two next-step rows at one position that a verdict needs equal:
+    row_a follows prefix_a and row_b follows prefix_b, each sorted by index."""
+
+    position: int
+    prefix_a: tuple[int, ...]
+    prefix_b: tuple[int, ...]
+    row_a: dict
+    row_b: dict
 
 
 class MarkovReport(NamedTuple):
@@ -395,29 +405,8 @@ class MarkovReport(NamedTuple):
     is_markov: bool
     is_iid: bool
     depth: int
-    markov_witness: tuple | None
-    iid_witness: tuple | None
-
-    def to_jsonable(self) -> dict:
-        def _wit(w):
-            if w is None:
-                return None
-            t, pa, pb, ra, rb = w
-            return {
-                "position": t,
-                "prefix_a": list(pa),
-                "prefix_b": list(pb),
-                "row_a": {str(k): v for k, v in sorted(ra.items())},
-                "row_b": {str(k): v for k, v in sorted(rb.items())},
-            }
-
-        return {
-            "is_markov": self.is_markov,
-            "is_iid": self.is_iid,
-            "depth": self.depth,
-            "markov_witness": _wit(self.markov_witness),
-            "iid_witness": _wit(self.iid_witness),
-        }
+    markov_witness: MarkovWitness | None
+    iid_witness: MarkovWitness | None
 
 
 def markov_check(law: JointLaw) -> MarkovReport:
@@ -440,12 +429,12 @@ def markov_check(law: JointLaw) -> MarkovReport:
                 ref_prefix, ref_row = by_last[last]
                 if ref_row != row and is_markov:
                     is_markov = False
-                    markov_witness = (t, ref_prefix, prefix, ref_row, row)
+                    markov_witness = MarkovWitness(t, ref_prefix, prefix, ref_row, row)
             else:
                 by_last[last] = (prefix, row)
             if row != step_law and is_iid:
                 is_iid = False
-                iid_witness = (t, prefix, prefix, row, step_law)
+                iid_witness = MarkovWitness(t, prefix, prefix, row, step_law)
     return MarkovReport(is_markov, is_iid, law.depth, markov_witness, iid_witness)
 
 
@@ -456,23 +445,9 @@ class StepIdentityReport(NamedTuple):
     j: int
     lhs: Fraction
     rhs: Fraction
+    equal: bool
     uniform: bool
     sphere_identity: bool | None
-
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
-
-    def to_jsonable(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "equal": self.equal,
-            "uniform": self.uniform,
-            "sphere_identity": self.sphere_identity,
-        }
 
 
 def conditional_step_identity(cg: cy.CayleyGraph, alpha, i: int, j: int) -> StepIdentityReport:
@@ -512,7 +487,15 @@ def conditional_step_identity(cg: cy.CayleyGraph, alpha, i: int, j: int) -> Step
         sphere_identity = sizes[j] == sum(
             (table.entry(i, k, j) * sizes[k] for k in range(top + 1)), Fraction(0)
         )
-    return StepIdentityReport(i, j, lhs, rhs, uniform, sphere_identity)
+    return StepIdentityReport(i, j, lhs, rhs, lhs == rhs, uniform, sphere_identity)
+
+
+class PermutationWitness(NamedTuple):
+    """Two reorderings of a pattern whose PL differ first at index."""
+
+    pattern_a: tuple[int, ...]
+    pattern_b: tuple[int, ...]
+    index: int
 
 
 class PermutationReport(NamedTuple):
@@ -522,20 +505,7 @@ class PermutationReport(NamedTuple):
     pattern: tuple[int, ...]
     patterns_checked: int
     hypothesis_met: bool
-    witness: tuple | None
-
-    def to_jsonable(self) -> dict:
-        witness = None
-        if self.witness is not None:
-            pat_a, pat_b, k = self.witness
-            witness = {"pattern_a": list(pat_a), "pattern_b": list(pat_b), "index": k}
-        return {
-            "passed": self.passed,
-            "pattern": list(self.pattern),
-            "patterns_checked": self.patterns_checked,
-            "hypothesis_met": self.hypothesis_met,
-            "witness": witness,
-        }
+    witness: PermutationWitness | None
 
 
 def permutation_invariance_check(table: StructureTable, pattern) -> PermutationReport:
@@ -561,5 +531,6 @@ def permutation_invariance_check(table: StructureTable, pattern) -> PermutationR
                 for k in sorted(set(reference.support) | set(value.support))
                 if reference.coefficient(k) != value.coefficient(k)
             )
-            return PermutationReport(False, pat, len(variants), hypothesis, (variants[0], other, k))
+            witness = PermutationWitness(variants[0], other, k)
+            return PermutationReport(False, pat, len(variants), hypothesis, witness)
     return PermutationReport(True, pat, len(variants), hypothesis, None)

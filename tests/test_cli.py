@@ -440,21 +440,42 @@ def test_bad_input_exits_2_with_one_error_line(runner, args):
         {"vertices": "three", "edges": [[0, 1], [1, 2]], "base": 0},
         {"vertices": 3, "edges": [[0, 1], [1, 2]], "base": 0, "labels": {"a": "x"}},
         {"vertices": 3, "edges": [[0, 1], [1, 2]], "base": 0, "truncated": True},
+        {"vertices": 3.9, "edges": [[0, 1], [1, 2]], "base": 0},
+        {"vertices": True, "edges": [], "base": 0},
+        {"vertices": 3, "edges": [[0, 1], [1, 2]], "base": 0.7},
+        {"vertices": 3, "edges": [[0, 1], [1.5, 2]], "base": 0},
+        {"vertices": 3, "edges": [[0, 1], [1, 2]], "base": 0, "truncated": True, "exact_radius": 2.9},
+        {"vertices": 3, "edges": [[0, 1], [1, 2]], "base": 0, "truncated": "no"},
+        {"vertices": 3, "edges": 5, "base": 0},
     ],
-    ids=["vertices-not-integer", "label-key-not-integer", "window-without-radius"],
+    ids=[
+        "vertices-not-integer",
+        "label-key-not-integer",
+        "window-without-radius",
+        "vertices-fractional",
+        "vertices-boolean",
+        "base-fractional",
+        "edge-endpoint-fractional",
+        "exact-radius-fractional",
+        "truncated-not-boolean",
+        "edges-not-a-list",
+    ],
 )
 def test_malformed_graph_json_exits_2(runner, tmp_path, graph):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(graph))
     result = run(runner, ["graph", "check", str(path)])
     assert result.exit_code == 2
-    assert "error: BadParameter:" in result.stderr
+    assert result.stderr.startswith("error: BadParameter:")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize(
     "alpha",
-    [{"a": "1/2"}, {"1": [1, 2]}],
-    ids=["key-not-integer", "weight-is-a-list"],
+    [{"a": "1/2"}, {"1": [1, 2]}, {"0": None}, {"0": True}, {"0": False, "1": "1/2"}],
+    ids=["key-not-integer", "weight-is-a-list", "weight-is-null", "weight-is-true", "weight-is-false"],
 )
 def test_malformed_alpha_file_exits_2(runner, tmp_path, alpha):
     path = tmp_path / "alpha.json"
@@ -462,6 +483,8 @@ def test_malformed_alpha_file_exits_2(runner, tmp_path, alpha):
     result = run(runner, ["walk", "joint", "zmod:4", "--alpha", str(path)])
     assert result.exit_code == 2
     assert "Error: alpha" in result.stderr
+    if list(alpha) == ["0"]:
+        assert f"Error: alpha weight {alpha['0']!r} of index 0 is not a rational" in result.stderr
     assert "Traceback" not in result.output + result.stderr
 
 
