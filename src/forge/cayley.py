@@ -449,9 +449,8 @@ def realize_window(cg: CayleyGraph, radius: int, cap: int = WINDOW_CAP) -> Point
     pg = point_graph(
         Graph(len(elements), adjacency, tuple(labels)),
         0,
-        bfs_cache={0: dist},
+        dist,
         name=f"window({cg.spec_name},r={radius})",
-        truncated=not saturated,
         exact_radius=INFINITE if saturated else radius,
     )
     index = dict(zip(elements, range(len(elements))))

@@ -34,9 +34,11 @@ from .matrices import (
     verify_regular_representation,
 )
 from .regression import paper_regression
-from .search import replay_counterexample, search_conjecture
+from .search import DEFAULT_GRAPH_CAP, replay_counterexample, search_conjecture
 from .serialize import dumps_json, dumps_tsv, jsonable, parse_frac
 from .walks import (
+    ENUMERATION_CAP,
+    PATTERN_CAP,
     brute_force_conditional,
     joint_distance_law,
     jump_distribution,
@@ -116,6 +118,8 @@ def _alpha_arg(text: str):
             idx = int(key)
         except ValueError:
             raise click.UsageError(f"alpha file key {key!r} is not an integer index")
+        if idx in alpha:
+            raise click.UsageError(f"alpha file names index {idx} twice")
         if isinstance(value, str):
             alpha[idx] = parse_frac(value)
         elif isinstance(value, int) and not isinstance(value, bool):
@@ -145,10 +149,10 @@ def _group_for(spec: str) -> cy.CayleyGraph:
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report to a file instead of stdout.")
 @click.option("--format", "fmt", type=click.Choice(["json", "tsv"]), default="json", show_default=True, help="Report serialization.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Monte-Carlo seed.")
-@click.option("--cap-enumeration", type=int, default=None, help="Max step tuples that `product brute` enumerates.")
-@click.option("--cap-pattern", type=int, default=None, help="Max distance patterns in the joint law of `walk joint` and `walk markov`.")
-@click.option("--cap-graphs", type=int, default=None, help="Max graphs that `search conjecture` enumerates.")
-@click.option("--cap-window", type=int, default=None, help="Max vertices that `cayley realize` builds; fixtures and other commands keep the 200000 default.")
+@click.option("--cap-enumeration", type=int, default=ENUMERATION_CAP, help="Max step tuples that `product brute` enumerates.")
+@click.option("--cap-pattern", type=int, default=PATTERN_CAP, help="Max distance patterns in the joint law of `walk joint` and `walk markov`.")
+@click.option("--cap-graphs", type=int, default=DEFAULT_GRAPH_CAP, help="Max graphs that `search conjecture` enumerates.")
+@click.option("--cap-window", type=int, default=cy.WINDOW_CAP, help="Max vertices that `cayley realize` builds; fixtures and other commands keep the 200000 default.")
 @click.pass_context
 def main(ctx, out, fmt, seed, cap_enumeration, cap_pattern, cap_graphs, cap_window):
     """Exact hypergroup products, walk laws, and operator bounds on pointed graphs."""
@@ -158,7 +162,7 @@ def main(ctx, out, fmt, seed, cap_enumeration, cap_pattern, cap_graphs, cap_wind
         ("--cap-graphs", cap_graphs),
         ("--cap-window", cap_window),
     ):
-        if cap is not None and cap < 1:
+        if cap < 1:
             raise click.UsageError(f"{name} must be positive")
     ctx.obj = {
         "out": out,
@@ -209,11 +213,10 @@ def cayley_realize(ctx, spec, radius):
     """Realize a group window as a pointed-graph JSON object."""
     cg = _group_for(spec)
     cap = ctx.obj["cap_window"]
-    kwargs = {"cap": cap} if cap else {}
     if radius is None:
-        pg = cy.realize_full(cg, **kwargs)
+        pg = cy.realize_full(cg, cap=cap)
     else:
-        pg = cy.realize_window(cg, radius, **kwargs)
+        pg = cy.realize_window(cg, radius, cap=cap)
     _emit(ctx, pg)
 
 
@@ -300,9 +303,8 @@ def product_brute(ctx, spec, pattern):
     """Exact conditional law by full enumeration (Cayley graphs)."""
     pat = _pattern_arg(pattern)
     cg = _group_for(spec)
-    cap = ctx.obj["cap_enumeration"]
-    kwargs = {"cap": cap} if cap else {}
-    _emit(ctx, {"pattern": pat, "law": brute_force_conditional(cg, pat, **kwargs)})
+    law = brute_force_conditional(cg, pat, cap=ctx.obj["cap_enumeration"])
+    _emit(ctx, {"pattern": pat, "law": law})
 
 
 @product.command("mc")
@@ -330,9 +332,7 @@ def walk():
 def walk_joint(ctx, spec, alpha, depth):
     """Exact joint law of (Z_1, ..., Z_depth) for a finite Cayley walk."""
     cg = _group_for(spec)
-    cap = ctx.obj["cap_pattern"]
-    kwargs = {"pattern_cap": cap} if cap else {}
-    _emit(ctx, joint_distance_law(cg, _alpha_arg(alpha), depth, **kwargs))
+    _emit(ctx, joint_distance_law(cg, _alpha_arg(alpha), depth, pattern_cap=ctx.obj["cap_pattern"]))
 
 
 @walk.command("markov")
@@ -343,9 +343,7 @@ def walk_joint(ctx, spec, alpha, depth):
 def walk_markov(ctx, spec, alpha, depth):
     """Markov / i.i.d. verdicts for the distance process."""
     cg = _group_for(spec)
-    cap = ctx.obj["cap_pattern"]
-    kwargs = {"pattern_cap": cap} if cap else {}
-    law = joint_distance_law(cg, _alpha_arg(alpha), depth, **kwargs)
+    law = joint_distance_law(cg, _alpha_arg(alpha), depth, pattern_cap=ctx.obj["cap_pattern"])
     report = markov_check(law)
     _emit(ctx, report, ok=report.is_markov)
 
@@ -440,9 +438,7 @@ def search_cmd(ctx, max_vertices, bases):
     """Scan for graphs that satisfy the walk conditions without being hypergroups."""
     if max_vertices > 10:
         raise click.UsageError("--max-vertices capped at 10")
-    cap = ctx.obj["cap_graphs"]
-    kwargs = {"cap": cap} if cap else {}
-    report = search_conjecture(max_vertices, base_policy=bases, **kwargs)
+    report = search_conjecture(max_vertices, base_policy=bases, cap=ctx.obj["cap_graphs"])
     replay_ok = True
     for entry in report.counterexamples:
         replayed = replay_counterexample(entry)[3]

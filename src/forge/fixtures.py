@@ -14,9 +14,7 @@ Grammar (params joined by ":"):
     perm:<file>[:r=<R>]  permutation group from a generator file
 
 Infinite families require an explicit radius; finite Cayley fixtures
-realize the whole group unless a radius is given.  The FORGE_FIXTURES
-environment variable points at a directory whose figure<n>.json files
-override the bundled transcriptions.
+realize the whole group unless a radius is given.
 """
 
 from __future__ import annotations
@@ -208,20 +206,12 @@ def _build_tree(spec, params):
         vertex_count=count,
         labels=labels,
         name=spec,
-        truncated=True,
         exact_radius=depth // 3,
     )
 
 
 def _figure_data(number: int) -> dict:
-    filename = f"figure{number}.json"
-    override = os.environ.get("FORGE_FIXTURES")
-    if override:
-        path = os.path.join(override, filename)
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-    ref = resources.files("forge").joinpath("fixtures_data", filename)
+    ref = resources.files("forge").joinpath("fixtures_data", f"figure{number}.json")
     if not ref.is_file():
         raise UnknownFixture(f"no transcription for figure {number}")
     return json.loads(ref.read_text(encoding="utf-8"))

@@ -9,7 +9,8 @@ One kernel, sphere_counts, counts |S_n(v) ∩ S_k(base)| for every n at
 once, and sphere_at reads single spheres from the same source: the base
 ball translated by pg._sphere_oracle on Cayley graphs, else a BFS row
 (on windows, cut at the depth the query reads).  The counts are cached
-once per vertex, the deepest read so far.
+once per vertex, the deepest read so far; sphere sizes are their sums.
+Each pointed graph keeps its own caches.
 
 Truncated windows (finite pieces of infinite graphs) carry an exactness
 radius: spheres S_n(v) are only served when |v| + n stays within it, so
@@ -65,14 +66,14 @@ class PointedGraph:
     dist[v] is the distance from the base; spheres maps n to the sorted
     vertices at distance n from the base.  For truncated windows,
     exact_radius bounds the region where sphere queries are honest;
-    finite complete graphs use exact_radius = INFINITE.
+    finite complete graphs use exact_radius = INFINITE, and a graph is
+    truncated exactly when its exact_radius is finite.
     """
 
     graph: Graph
     base: int
     dist: tuple[int, ...]
     spheres: dict[int, tuple[int, ...]]
-    truncated: bool = False
     exact_radius: float = INFINITE
     name: str = "graph"
     _sphere_oracle: object = field(default=None, repr=False)
@@ -83,6 +84,10 @@ class PointedGraph:
     @property
     def vertex_count(self) -> int:
         return self.graph.vertex_count
+
+    @property
+    def truncated(self) -> bool:
+        return self.exact_radius < INFINITE
 
     def label(self, v: int) -> str:
         return self.graph.label(v)
@@ -175,37 +180,30 @@ def build_graph(
     vertex_count=None,
     labels=None,
     name: str = "graph",
-    truncated: bool = False,
     exact_radius: float = INFINITE,
 ) -> PointedGraph:
     """Build a pointed graph, rejecting loops, duplicate edges, and
     disconnection from the base."""
     graph = make_graph(edge_list, vertex_count, labels)
-    return point_graph(graph, base, name=name, truncated=truncated, exact_radius=exact_radius)
+    return point_graph(graph, base, name=name, exact_radius=exact_radius)
 
 
 def point_graph(
     graph: Graph,
     base: int,
-    bfs_cache: dict | None = None,
+    dist: tuple[int, ...] | None = None,
     name: str = "graph",
-    truncated: bool = False,
     exact_radius: float = INFINITE,
 ) -> PointedGraph:
     """Point a validated graph at base, rejecting disconnection from it.
 
-    Pointed graphs of one graph may share bfs_cache, the BFS rows by
-    start vertex (and the sphere sizes read from them), so each row is
-    computed once whatever the base.
+    dist is the base's BFS row when the caller already has it.
     """
     base = int(base)
     if not 0 <= base < graph.vertex_count:
         raise BadParameter(f"base {base} outside vertex range 0..{graph.vertex_count - 1}")
-    if bfs_cache is None:
-        bfs_cache = {}
-    if base not in bfs_cache:
-        bfs_cache[base] = bfs_from(graph, base)
-    dist = bfs_cache[base]
+    if dist is None:
+        dist = bfs_from(graph, base)
     if -1 in dist:
         missing = [v for v, d in enumerate(dist) if d < 0]
         raise DisconnectedGraph(
@@ -215,17 +213,14 @@ def point_graph(
     for v, d in enumerate(dist):
         spheres.setdefault(d, []).append(v)
     sphere_map = {n: tuple(vs) for n, vs in spheres.items()}
-    if truncated and exact_radius == INFINITE:
-        raise BadParameter("truncated graphs need a finite exact_radius")
     return PointedGraph(
         graph=graph,
         base=base,
         dist=dist,
         spheres=sphere_map,
-        truncated=truncated,
         exact_radius=exact_radius,
         name=name,
-        _bfs_cache=bfs_cache,
+        _bfs_cache={base: dist},
     )
 
 
@@ -326,23 +321,9 @@ def sphere_counts(pg: PointedGraph, v: int, top: int | None = None) -> list[dict
 
 
 def sphere_sizes_at(pg: PointedGraph, v: int) -> tuple[int, ...]:
-    """(|S_0(v)|, |S_1(v)|, ...) out to the largest index v certifies.
-
-    On finite graphs without a sphere oracle this is the histogram of v's
-    BFS row, which does not depend on the base: it is computed once and
-    kept beside the row, in the BFS cache pointed graphs of one graph
-    share.  Elsewhere it sums sphere_counts.
-    """
-    if pg.truncated or pg._sphere_oracle is not None:
-        return tuple(sum(counts.values()) for counts in sphere_counts(pg, v))
-    key = ("sizes", v)
-    if key not in pg._bfs_cache:
-        row = bfs_distances(pg, v)
-        sizes = [0] * (max(row) + 1)
-        for d in row:
-            sizes[d] += 1
-        pg._bfs_cache[key] = tuple(sizes)
-    return pg._bfs_cache[key]
+    """(|S_0(v)|, |S_1(v)|, ...) out to the largest index v certifies:
+    the sums of sphere_counts."""
+    return tuple(sum(counts.values()) for counts in sphere_counts(pg, v))
 
 
 class AssumptionReport(NamedTuple):
@@ -373,21 +354,15 @@ def check_assumptions(pg: PointedGraph) -> AssumptionReport:
     """Re-verify simplicity and connectivity, then test condition (iii):
     every vertex has a nonempty sphere at the top base index M."""
     graph = pg.graph
-    # Simplicity is a property of the graph: decided once, beside the BFS
-    # rows all bases of the graph share.
-    simple = pg._bfs_cache.get("simple")
-    if simple is None:
-        simple = pg._bfs_cache["simple"] = all(
-            v not in adj and len(set(adj)) == len(adj) for v, adj in enumerate(graph.adjacency)
-        )
+    simple = all(
+        v not in adj and len(set(adj)) == len(adj) for v, adj in enumerate(graph.adjacency)
+    )
     connected = min(pg.dist) >= 0
     locally_finite = True
     if pg.truncated:
         return AssumptionReport(simple, connected, locally_finite, "vacuous")
     # S_M(v) is nonempty iff the eccentricity of v, one less than the length
-    # of its sphere sizes, is at least M.  Without a sphere oracle the sizes
-    # are cached beside the BFS row all bases of a graph share: check_S1
-    # reads them next.
+    # of its sphere sizes, is at least M.
     top = max(pg.spheres)
     short = (v for v in range(graph.vertex_count) if len(sphere_sizes_at(pg, v)) <= top)
     witness = next(short, None)
@@ -421,10 +396,14 @@ def parse_graph_json(data: dict, name: str = "file") -> PointedGraph:
         if not isinstance(raw, dict):
             raise BadParameter("labels must map vertex ids to strings")
         labels = [str(v) for v in range(vertex_count)]
+        named = set()
         for k, text in raw.items():
             idx = _int_field(k, "label key")
             if not 0 <= idx < vertex_count:
                 raise BadParameter(f"label for unknown vertex {idx}")
+            if idx in named:
+                raise BadParameter(f"labels name vertex {idx} twice")
+            named.add(idx)
             labels[idx] = str(text)
     truncated = data.get("truncated", False)
     if not isinstance(truncated, bool):
@@ -435,17 +414,18 @@ def parse_graph_json(data: dict, name: str = "file") -> PointedGraph:
     edges = data["edges"]
     if not isinstance(edges, list):
         raise BadParameter(f"graph JSON edges must be a list of vertex pairs, got {edges!r}")
+    for e in edges:
+        # make_graph would read [0, 1, 2] or "01" as the pair (0, 1).
+        if not (isinstance(e, list) and len(e) == 2):
+            raise BadParameter(f"graph JSON edge {e!r} is not a pair of vertex ids")
     # make_graph's int() would read an endpoint 1.5 as 1 and true as 1.
-    edges = [
-        [_int_field(x, "edge endpoint") for x in e] if isinstance(e, list) else e for e in edges
-    ]
+    edges = [[_int_field(x, "edge endpoint") for x in e] for e in edges]
     return build_graph(
         edges,
         _int_field(data["base"], "base"),
         vertex_count=vertex_count,
         labels=labels,
         name=str(data.get("name", name)),
-        truncated=truncated,
         exact_radius=exact_radius if truncated else INFINITE,
     )
 

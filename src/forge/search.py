@@ -5,9 +5,8 @@ dedup (color refinement plus an ordered minimum adjacency string).  A
 graph whose degrees differ is decided at all its bases at once from its
 eccentricities: condition (iii) holds exactly at the bases of least
 eccentricity, and there (S1) fails at index 1, which compares degrees.
-A regular graph is pointed at each base on one shared graph and its BFS
-rows, and each pointed graph that satisfies the two random-walk
-conditions is classified exactly.
+A regular graph is pointed at each base, and each pointed graph that
+satisfies the two random-walk conditions is classified exactly.
 
 The labelling of a kept graph also yields generators of its automorphism
 group, and its children are labelled for one attachment subset per orbit
@@ -305,9 +304,8 @@ def search_conjecture(
             rejected_condition += off_centre
             rejected_walk += len(bases) - off_centre
             continue
-        bfs_rows: dict[int, tuple[int, ...]] = {}
         for base in bases:
-            pg = point_graph(graph, base, bfs_rows)
+            pg = point_graph(graph, base)
             if not check_assumptions(pg).passed:
                 rejected_condition += 1
                 continue

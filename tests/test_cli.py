@@ -447,6 +447,9 @@ def test_bad_input_exits_2_with_one_error_line(runner, args):
         {"vertices": 3, "edges": [[0, 1], [1, 2]], "base": 0, "truncated": True, "exact_radius": 2.9},
         {"vertices": 3, "edges": [[0, 1], [1, 2]], "base": 0, "truncated": "no"},
         {"vertices": 3, "edges": 5, "base": 0},
+        {"vertices": 3, "edges": [[0, 1, 2], [1, 2]], "base": 0},
+        {"vertices": 3, "edges": ["01", "12"], "base": 0},
+        {"vertices": 3, "edges": [[0, 1], [1, 2]], "base": 0, "labels": {"0": "a", "00": "b"}},
     ],
     ids=[
         "vertices-not-integer",
@@ -459,6 +462,9 @@ def test_bad_input_exits_2_with_one_error_line(runner, args):
         "exact-radius-fractional",
         "truncated-not-boolean",
         "edges-not-a-list",
+        "edge-not-a-pair",
+        "edge-is-a-string",
+        "label-key-repeated",
     ],
 )
 def test_malformed_graph_json_exits_2(runner, tmp_path, graph):
@@ -474,8 +480,22 @@ def test_malformed_graph_json_exits_2(runner, tmp_path, graph):
 
 @pytest.mark.parametrize(
     "alpha",
-    [{"a": "1/2"}, {"1": [1, 2]}, {"0": None}, {"0": True}, {"0": False, "1": "1/2"}],
-    ids=["key-not-integer", "weight-is-a-list", "weight-is-null", "weight-is-true", "weight-is-false"],
+    [
+        {"a": "1/2"},
+        {"1": [1, 2]},
+        {"0": None},
+        {"0": True},
+        {"0": False, "1": "1/2"},
+        {"0": "1/2", "1": "1/4", "01": "1/8", "2": "1/4"},
+    ],
+    ids=[
+        "key-not-integer",
+        "weight-is-a-list",
+        "weight-is-null",
+        "weight-is-true",
+        "weight-is-false",
+        "index-repeated",
+    ],
 )
 def test_malformed_alpha_file_exits_2(runner, tmp_path, alpha):
     path = tmp_path / "alpha.json"

@@ -2,10 +2,14 @@
 
 import itertools
 import json
+import os
 
 import networkx as nx
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
+
+from forge.cli import main
 
 from forge.errors import (
     BadParameter,
@@ -130,6 +134,70 @@ def test_truncated_roundtrip_preserves_scope(tmp_path):
     assert back.truncated and back.exact_radius == 5
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+S4_FILE = os.path.join(ROOT, "tools", "s4.txt")
+
+# One spec or more per catalog family, finite and windowed.
+FAMILY_SPECS = [
+    "cycle:5",
+    "prism:4",
+    "bipartite:2,3",
+    "odd:3",
+    "lattice:1:r=4",
+    "lattice:2:r=3",
+    "free:2:r=3",
+    "ladder:r=4",
+    "tree:binary:2",
+    "tree:binary:6",
+    "figure:3",
+    "figure:3:base=w0p",
+    "figure:4",
+    "figure:5",
+    "figure:6",
+    "zmod:4",
+    "zmod:3,3:r=1",
+    f"perm:{S4_FILE}",
+    f"perm:{S4_FILE}:r=2",
+]
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS)
+def test_truncated_is_a_finite_exact_radius(spec):
+    """A pointed graph is truncated exactly when its exact radius is finite,
+    and its JSON reads back with the same scope."""
+    pg = resolve_spec(spec)
+    assert pg.truncated == (pg.exact_radius < INFINITE)
+    back = parse_graph_json(pg.to_jsonable())
+    assert (back.truncated, back.exact_radius) == (pg.truncated, pg.exact_radius)
+
+
+def test_graph_json_truncated_key_sets_the_exact_radius():
+    path = {"vertices": 3, "edges": [[0, 1], [1, 2]], "base": 1}
+    for data, radius in (
+        (path, INFINITE),
+        ({**path, "exact_radius": 1}, INFINITE),
+        ({**path, "truncated": False, "exact_radius": 1}, INFINITE),
+        ({**path, "truncated": True, "exact_radius": 1}, 1),
+        ({**path, "truncated": True, "exact_radius": 0}, 0),
+    ):
+        pg = parse_graph_json(data)
+        assert pg.exact_radius == radius, data
+        assert pg.truncated == (radius < INFINITE) == pg.to_jsonable()["truncated"]
+
+
+@pytest.mark.parametrize(
+    "args, radius",
+    [(["free:2", "--radius", "3"], 3), (["zmod:3,3", "--radius", "1"], 1), (["zmod:4"], INFINITE)],
+)
+def test_cayley_realize_output_reads_back_with_its_scope(args, radius):
+    result = CliRunner().invoke(main, ["cayley", "realize", *args])
+    assert result.exit_code == 0, result.output
+    data = json.loads(result.output)
+    pg = parse_graph_json(data)
+    assert pg.exact_radius == radius
+    assert pg.truncated == (radius < INFINITE) == data["truncated"]
+
+
 def test_labels_roundtrip(tmp_path):
     pg = resolve_spec("figure:4")
     path = tmp_path / "fig4.json"
@@ -154,20 +222,17 @@ def connected_graphs(draw):
 @given(connected_graphs())
 def test_condition_iii_matches_networkx_eccentricity(case):
     """At every base, (iii) fails exactly when some vertex's eccentricity
-    is below the base's, with the least such vertex as witness, whether
-    or not the pointed graphs share one BFS cache."""
+    is below the base's, with the least such vertex as witness."""
     n, edges = case
     reference = nx.Graph(edges)
     reference.add_nodes_from(range(n))
     eccentricity = nx.eccentricity(reference)
     graph = make_graph(edges, vertex_count=n)
-    shared = {}
     for base in range(n):
         witness = next((v for v in range(n) if eccentricity[v] < eccentricity[base]), None)
-        for pg in (point_graph(graph, base, shared), point_graph(graph, base)):
-            report = check_assumptions(pg)
-            assert report.condition_iii == ("pass" if witness is None else "fail")
-            assert report.witness == witness
+        report = check_assumptions(point_graph(graph, base))
+        assert report.condition_iii == ("pass" if witness is None else "fail")
+        assert report.witness == witness
 
 
 @pytest.mark.parametrize(
@@ -175,12 +240,11 @@ def test_condition_iii_matches_networkx_eccentricity(case):
     [((0, 1), (0, 2), (1,)), ((1, 1), (0, 0, 2), (1,))],
     ids=["loop", "double-edge"],
 )
-def test_simplicity_is_decided_once_per_shared_graph(adjacency):
-    """A graph that is not simple reports simple: false at every base that
-    shares its BFS rows, and a simple one true, whichever base came first."""
+def test_simplicity_is_reported_at_every_base(adjacency):
+    """A graph that is not simple reports simple: false at every base, and
+    a simple one true."""
     for graph, simple in ((Graph(3, adjacency), False), (make_graph([(0, 1), (1, 2)]), True)):
-        shared = {}
         for base in (2, 0, 1, 2):
-            report = check_assumptions(point_graph(graph, base, shared))
+            report = check_assumptions(point_graph(graph, base))
             assert report.simple is simple, base
             assert simple or not report.passed

@@ -271,10 +271,9 @@ def reference_search_conjecture(max_vertices, base_policy):
         edges = tuple((u, v) for u in range(n) for v in neighbors[u] if u < v)
         bases = [first] if base_policy == "canonical" else list(range(n))
         graph = Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
-        bfs_rows = {}
         for base in bases:
             examined += 1
-            pg = point_graph(graph, base, bfs_rows)
+            pg = point_graph(graph, base)
             if not check_assumptions(pg).passed:
                 rejected_condition += 1
                 continue
@@ -646,9 +645,8 @@ def test_eccentricity_rule_decides_non_regular_graphs(case):
     ecc = search._eccentricities(graph)
     reference = nx.Graph(edges)
     assert ecc == [nx.eccentricity(reference, v) for v in range(n)]
-    bfs_rows = {}
     for base in range(n):
-        pg = point_graph(graph, base, bfs_rows)
+        pg = point_graph(graph, base)
         assert check_assumptions(pg).passed == (ecc[base] == min(ecc))
         # (S1) fails at index 1, where it compares the degrees.
         s1 = check_S1(pg)

@@ -53,6 +53,7 @@ from forge.hypergroup import (
     build_table,
     check_S1,
     check_S2,
+    check_distance_regular,
     classify,
     product,
 )
@@ -367,17 +368,30 @@ def test_check_s2_matches_the_triple_loop_on_large_graphs(spec):
     assert check_S2(pg) == triple_loop_check_S2(pg)
 
 
-def test_s1_on_every_base_sharing_one_bfs_cache():
-    """The search points one graph at every base through one BFS cache;
-    (S1) and the uniform bound read sphere sizes kept in it, per row."""
+def test_s1_and_uniform_bound_at_every_base():
+    """The search points one graph at every base; (S1) and the uniform
+    bound sum the sphere counts at each."""
     for pg in random_pointed_graphs(count=20, seed=77):
-        rows = {}
         for base in range(pg.vertex_count):
-            at_base = point_graph(pg.graph, base, rows)
+            at_base = point_graph(pg.graph, base)
             assert check_S1(at_base) == reference_check_S1(at_base), (pg.name, base)
             assert uniform_norm_bound(at_base) == reference_uniform_norm_bound(at_base)
-        for v in range(pg.vertex_count):
-            assert rows[("sizes", v)] == tuple(Counter(rows[v])[d] for d in range(max(rows[v]) + 1))
+
+
+@pytest.mark.parametrize("spec", FINITE_FIXTURES + WINDOWS)
+def test_bfs_cache_holds_only_rows_by_vertex(spec):
+    """After (iii), S1, S2, the uniform bound and, on finite graphs,
+    distance regularity, a pointed graph's BFS cache keys are its vertices
+    and nothing else."""
+    pg = resolve_spec(spec)
+    check_assumptions(pg)
+    check_S1(pg)
+    check_S2(pg)
+    uniform_norm_bound(pg)
+    if not pg.truncated:
+        check_distance_regular(pg)
+    assert pg._bfs_cache
+    assert all(isinstance(v, int) and 0 <= v < pg.vertex_count for v in pg._bfs_cache)
 
 
 def test_reference_patterns_cover_the_jump_law_errors():
