@@ -107,19 +107,19 @@ def _alpha_arg(text: str):
         with open(text, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise click.UsageError(f"cannot read alpha file {text}: {exc}")
+        raise BadParameter(f"cannot read alpha file {text}: {exc}")
     except json.JSONDecodeError as exc:
-        raise click.UsageError(f"alpha file {text} is not valid JSON: {exc}")
+        raise BadParameter(f"alpha file {text} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
-        raise click.UsageError("alpha file must be a JSON object of index -> weight")
+        raise BadParameter("alpha file must be a JSON object of index -> weight")
     alpha = {}
     for key, value in raw.items():
         try:
             idx = int(key)
         except ValueError:
-            raise click.UsageError(f"alpha file key {key!r} is not an integer index")
+            raise BadParameter(f"alpha file key {key!r} is not an integer index")
         if idx in alpha:
-            raise click.UsageError(f"alpha file names index {idx} twice")
+            raise BadParameter(f"alpha file names index {idx} twice")
         if isinstance(value, str):
             alpha[idx] = parse_frac(value)
         elif isinstance(value, int) and not isinstance(value, bool):
@@ -128,7 +128,7 @@ def _alpha_arg(text: str):
             try:
                 alpha[idx] = Fraction(str(value))
             except ValueError:
-                raise click.UsageError(f"alpha weight {value!r} of index {idx} is not a rational")
+                raise BadParameter(f"alpha weight {value!r} of index {idx} is not a rational")
     return alpha
 
 
@@ -408,9 +408,7 @@ def matrix_stationary(ctx, spec):
 @click.pass_context
 def matrix_maincoro(ctx, spec, pattern, bound):
     """Check the product of transition matrices against the jump law."""
-    pat = _pattern_arg(pattern)
-    table = build_table(resolve_spec(spec), bound=bound)
-    report = verify_maincoro(table, pat)
+    report = verify_maincoro(resolve_spec(spec), _pattern_arg(pattern), bound)
     _emit(ctx, report, ok=report.passed)
 
 

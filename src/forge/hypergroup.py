@@ -15,6 +15,9 @@ sphere sizes; constant sphere intersections) and full distance
 regularity.  The products, (S1) and (S2) reduce over the integer counts
 |S_n(v) ∩ S_k| that graphs.sphere_counts returns, read once per vertex.
 
+A structure table is its rows plus a row source for rows past its
+bound; only build_table reads a graph to fill one.
+
 A probability vector is its integer row in lowest terms, and one
 kernel, convex_combination, sums every exact law on those rows: the
 product rows (mixtures of the rows of the v in S_i), both sides of
@@ -24,7 +27,7 @@ associativity, the left-nested product PL and the jump law J in walks.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from math import gcd, lcm
 from operator import or_
 from typing import NamedTuple
@@ -174,16 +177,17 @@ def _product_rows(pg: PointedGraph, i: int, js) -> list[ProbabilityVector]:
 
 
 class StructureTable:
-    """Cached products x_i o x_j for i, j up to a bound.
+    """The products x_i o x_j for i, j up to a bound, plus a row source:
+    extend(i, j) certifies a row past the bound or raises.  truncated:
+    rows may lose mass past the bound (a window, or a finite graph's
+    table cut below its top index)."""
 
-    Rows beyond the bound are computed lazily when the underlying graph
-    can still certify them.
-    """
-
-    def __init__(self, pg: PointedGraph, bound: int, rows: dict):
-        self.pg = pg
+    def __init__(self, name: str, bound: int, rows: dict, truncated: bool, extend):
+        self.name = name
         self.bound = bound
         self.rows = rows
+        self.truncated = truncated
+        self.extend = extend
 
     def row(self, i: int, j: int) -> ProbabilityVector:
         if i > self.bound or j > self.bound or i < 0 or j < 0:
@@ -195,12 +199,9 @@ class StructureTable:
 
     def row_extended(self, i: int, j: int) -> ProbabilityVector:
         """Row lookup allowed past the bound, certified per entry."""
-        key = (i, j)
-        if key in self.rows:
-            return self.rows[key]
-        vec = product(self.pg, i, j)
-        self.rows[key] = vec
-        return vec
+        if (i, j) not in self.rows:
+            self.rows[i, j] = self.extend(i, j)
+        return self.rows[i, j]
 
     @property
     def indices(self) -> range:
@@ -209,13 +210,13 @@ class StructureTable:
     def to_jsonable(self) -> dict:
         return {
             "bound": self.bound,
-            "graph": self.pg.name,
+            "graph": self.name,
             "rows": {f"{i},{j}": self.rows[(i, j)] for (i, j) in sorted(self.rows)},
         }
 
 
 def build_table(pg: PointedGraph, bound: int | None = None) -> StructureTable:
-    """Compute all products with i, j <= bound.
+    """Compute all products with i, j <= bound; rows past it come from pg.
 
     Finite graphs default to the full index set; truncated windows
     require 2 * bound <= exact_radius so every row is ambient-exact.
@@ -242,7 +243,8 @@ def build_table(pg: PointedGraph, bound: int | None = None) -> StructureTable:
         unit = ProbabilityVector.point(n)
         if rows[(0, n)] != unit or rows[(n, 0)] != unit:
             raise InternalError(f"x_0 is not the unit on row {n}")
-    return StructureTable(pg, bound, rows)
+    truncated = pg.truncated or bound < max(pg.spheres)
+    return StructureTable(pg.name, bound, rows, truncated, partial(product, pg))
 
 
 class Violation(NamedTuple):

@@ -83,11 +83,11 @@ def transition_matrix(table: StructureTable, k: int) -> TransitionMatrix:
     entries = []
     complete = []
     for i in range(dim):
-        row = tuple(table.entry(k, i, j) for j in range(dim))
+        coefficients = table.row(k, i).as_dict()
+        row = tuple(coefficients.get(j, ZERO) for j in range(dim))
         entries.append(row)
         complete.append(sum(row, ZERO) == 1)
-    truncated = table.pg.truncated or table.bound < max(table.pg.spheres)
-    if not truncated and not all(complete):
+    if not table.truncated and not all(complete):
         raise InternalError(f"row {complete.index(False)} of P_{k} does not sum to 1")
     return TransitionMatrix(
         k,
@@ -95,7 +95,7 @@ def transition_matrix(table: StructureTable, k: int) -> TransitionMatrix:
         tuple(entries),
         tuple(True for _ in range(dim)),
         tuple(complete),
-        truncated,
+        table.truncated,
         label=f"P_{k}",
     )
 
@@ -493,18 +493,17 @@ class MaincoroReport(NamedTuple):
 
 
 def verify_maincoro(
-    table: StructureTable, pattern, require_hypothesis: bool = False
+    pg: PointedGraph, pattern, bound: int | None = None, require_hypothesis: bool = False
 ) -> MaincoroReport:
-    """Check the m-fold product of transition matrices against the jump law."""
+    """Check the product of transition matrices against the jump law on pg's table."""
+    table = build_table(pg, bound)
     pat = tuple(int(i) for i in pattern)
     hypothesis = (
-        check_S1(table.pg).passed
-        and check_S2(table.pg).passed
-        and classify(table).verdict == "Hypergroup"
+        check_S1(pg).passed and check_S2(pg).passed and classify(table).verdict == "Hypergroup"
     )
     if require_hypothesis and not hypothesis:
         raise HypothesisNotMet("graph fails (S1)+(S2)+hypergroup")
-    tilde = jump_distribution(table.pg, pat)
+    tilde = jump_distribution(pg, pat)
     if any(k > table.bound for k in tilde.support):
         raise RadiusExceeded(
             f"pattern law reaches index beyond table bound {table.bound}"

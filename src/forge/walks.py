@@ -66,8 +66,8 @@ def left_nested_product(
 
     Intermediate supports must stay within the table bound; the final
     support may exceed it.  With extended=True, rows past the bound are
-    computed lazily as long as the graph can still certify them, which
-    the permutation-invariance comparison needs.
+    read from the table's row source as long as it can certify them,
+    which the permutation-invariance comparison needs.
     """
     pat = validate_pattern(pattern, table.bound)
     law = ProbabilityVector.point(pat[0])
@@ -508,19 +508,20 @@ class PermutationReport(NamedTuple):
     witness: PermutationWitness | None
 
 
-def permutation_invariance_check(table: StructureTable, pattern) -> PermutationReport:
-    """Compare PL over all distinct reorderings of the pattern.
+def permutation_invariance_check(
+    pg: PointedGraph, pattern, bound: int | None = None
+) -> PermutationReport:
+    """Compare PL over all distinct reorderings of the pattern on pg's table.
 
     The invariance theorem assumes a Cayley graph with constant sphere
     intersections; the result is informational when that hypothesis
     fails, and hypothesis_met records it.
     """
+    table = build_table(pg, bound)
     pat = validate_pattern(pattern, table.bound)
     if len(pat) > 8:
         raise BadParameter("permutation check capped at pattern length 8")
-    hypothesis = False
-    if table.pg is not None and table.pg.cayley is not None:
-        hypothesis = check_S2(table.pg).passed
+    hypothesis = pg.cayley is not None and check_S2(pg).passed
     variants = sorted(set(permutations(pat)))
     reference = left_nested_product(table, variants[0], extended=True)
     for other in variants[1:]:

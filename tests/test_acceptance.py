@@ -459,7 +459,7 @@ def test_criterion_6_maincoro_identity():
             top = table.bound
             for m in range(1, 5):
                 for pat in iproduct(range(top + 1), repeat=m):
-                    report = verify_maincoro(table, pat)
+                    report = verify_maincoro(resolve_spec(spec), pat)
                     assert report.passed, (spec, pat)
                     assert report.hypothesis_met, (spec, pat)
 

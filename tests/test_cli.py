@@ -502,9 +502,12 @@ def test_malformed_alpha_file_exits_2(runner, tmp_path, alpha):
     path.write_text(json.dumps(alpha))
     result = run(runner, ["walk", "joint", "zmod:4", "--alpha", str(path)])
     assert result.exit_code == 2
-    assert "Error: alpha" in result.stderr
+    assert result.stderr.startswith("error: BadParameter: alpha")
+    assert result.stderr.count("\n") == 1
+    assert "Usage:" not in result.stderr
     if list(alpha) == ["0"]:
-        assert f"Error: alpha weight {alpha['0']!r} of index 0 is not a rational" in result.stderr
+        line = f"error: BadParameter: alpha weight {alpha['0']!r} of index 0 is not a rational\n"
+        assert result.stderr == line
     assert "Traceback" not in result.output + result.stderr
 
 

@@ -141,6 +141,14 @@ def test_row_extended_is_certified_per_entry():
     assert table.row_extended(6, 5).as_dict() == {1: F(1, 2), 11: F(1, 2)}
     with pytest.raises(RadiusExceeded):
         table.row_extended(7, 6)
+    finite = resolve_spec("cycle:6")
+    table = build_table(finite, bound=1)
+    for i, j in ((2, 1), (1, 3), (3, 3)):
+        row = table.row_extended(i, j)
+        assert row == product(finite, i, j)
+        assert table.rows[(i, j)] is row
+    with pytest.raises(IndexOutOfRange):
+        table.row_extended(4, 1)
 
 
 def test_classify_hypergroups():

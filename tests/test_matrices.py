@@ -15,7 +15,7 @@ fixture, at every bound, and on random connected graphs.
 
 import dataclasses
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product as iproduct
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +34,14 @@ from forge.errors import (
 )
 from forge.fixtures import fixture_group, resolve_spec
 from forge.graphs import build_graph
-from forge.hypergroup import build_table, check_S1, check_S2, classify, sphere_sizes
+from forge.hypergroup import (
+    ProbabilityVector,
+    build_table,
+    check_S1,
+    check_S2,
+    classify,
+    sphere_sizes,
+)
 from forge.matrices import (
     CommuteReport,
     MaincoroReport,
@@ -55,7 +62,7 @@ from forge.matrices import (
     verify_regular_representation,
 )
 from forge.serialize import dumps_json, jsonable
-from forge.walks import jump_distribution
+from forge.walks import jump_distribution, left_nested_product
 
 
 def test_transition_matrix_rows_are_products():
@@ -215,29 +222,29 @@ def test_irreducibility_needs_complete_rows():
 
 
 def test_maincoro_identity():
-    assert verify_maincoro(build_table(resolve_spec("odd:3")), (1, 2, 1)).passed
-    assert verify_maincoro(build_table(resolve_spec("cycle:4")), (1, 1, 1, 1)).passed
+    assert verify_maincoro(resolve_spec("odd:3"), (1, 2, 1)).passed
+    assert verify_maincoro(resolve_spec("cycle:4"), (1, 1, 1, 1)).passed
 
 
 def test_maincoro_informational_failure_without_hypothesis():
-    table = build_table(resolve_spec("tree:binary:12"))
-    report = verify_maincoro(table, (1, 1))
+    tree = resolve_spec("tree:binary:12")
+    report = verify_maincoro(tree, (1, 1))
     assert not report.hypothesis_met
     with pytest.raises(HypothesisNotMet):
-        verify_maincoro(table, (1, 1), require_hypothesis=True)
+        verify_maincoro(tree, (1, 1), require_hypothesis=True)
 
 
 def test_maincoro_window_scope():
-    table = build_table(resolve_spec("lattice:1:r=12"), bound=6)
-    assert verify_maincoro(table, (1, 2, 3)).passed
+    line = resolve_spec("lattice:1:r=12")
+    assert verify_maincoro(line, (1, 2, 3), 6).passed
     with pytest.raises(RadiusExceeded):
-        verify_maincoro(table, (3, 3, 1))
+        verify_maincoro(line, (3, 3, 1), 6)
 
 
 def test_broken_invariants_raise_internal_error(monkeypatch):
     table = build_table(resolve_spec("cycle:6"))
     with monkeypatch.context() as m:
-        m.setattr(table, "entry", lambda k, i, j: F(0))
+        m.setattr(table, "row", lambda k, i: ProbabilityVector.point(table.bound + 1))
         with pytest.raises(InternalError, match="sum to 1"):
             transition_matrix(table, 1)
     p1 = transition_matrix(table, 1)
@@ -248,6 +255,30 @@ def test_broken_invariants_raise_internal_error(monkeypatch):
         m.setattr(matrices, "transition_matrix", lambda table, k: broken)
         with pytest.raises(InternalError, match="support bound"):
             norm_bounds(table, 1)
+
+
+@pytest.mark.parametrize("spec", ["odd:4", "cycle:6", "figure:3"])
+def test_full_finite_tables_never_call_their_row_source(spec):
+    """Every row a check reads on a finite graph's full table is stored, so
+    a row source that raises changes no report."""
+
+    def reports(table):
+        return (
+            classify(table),
+            commute_check(table),
+            verify_regular_representation(table),
+            [norm_bounds(table, k) for k in table.indices],
+            [left_nested_product(table, pat) for pat in iproduct(table.indices, repeat=3)],
+        )
+
+    def extend(i, j):
+        raise AssertionError(f"row ({i},{j}) read from the row source")
+
+    pg = resolve_spec(spec)
+    expected = reports(build_table(pg))
+    table = build_table(pg)
+    table.extend = extend
+    assert reports(table) == expected
 
 
 def test_sub_bound_tables_of_finite_graphs_are_truncated():
@@ -265,7 +296,7 @@ def test_sub_bound_tables_of_finite_graphs_are_truncated():
     with pytest.raises(TruncatedMatrix):
         irreducibility(p1)
     with pytest.raises(IndexOutOfRange):
-        verify_maincoro(table, (3, 3))
+        verify_maincoro(resolve_spec("cycle:6"), (3, 3), 1)
     assert not transition_matrix(build_table(resolve_spec("cycle:6")), 1).truncated
 
 
@@ -319,14 +350,15 @@ def reference_commute(table):
     return CommuteReport(commutes, report.commutative, report.associative, agrees, rows, witness)
 
 
-def reference_maincoro(table, pattern):
+def reference_maincoro(pg, pattern, bound):
+    table = build_table(pg, bound)
     pat = tuple(pattern)
     hypothesis = (
-        check_S1(table.pg).passed
-        and check_S2(table.pg).passed
+        check_S1(pg).passed
+        and check_S2(pg).passed
         and classify(table).verdict == "Hypergroup"
     )
-    tilde = jump_distribution(table.pg, pat)
+    tilde = jump_distribution(pg, pat)
     if any(k > table.bound for k in tilde.support):
         raise RadiusExceeded("pattern law reaches index beyond table bound")
     # transition_matrix raises IndexOutOfRange for a pattern index past the bound
@@ -424,19 +456,21 @@ def tables_at_every_bound(pg):
             return
 
 
-def assert_verdicts_match_reference(table, patterns):
+def assert_verdicts_match_reference(pg, table, patterns):
     assert outcome(verify_regular_representation, table) == outcome(
         reference_regular_representation, table
     )
     assert outcome(commute_check, table) == outcome(reference_commute, table)
     for pat in patterns:
-        assert outcome(verify_maincoro, table, pat) == outcome(reference_maincoro, table, pat), pat
+        args = (pg, pat, table.bound)
+        assert outcome(verify_maincoro, *args) == outcome(reference_maincoro, *args), pat
 
 
 @pytest.mark.parametrize("spec", REFERENCE_FIXTURES)
 def test_verdicts_match_the_dense_reference(spec):
-    for table in tables_at_every_bound(resolve_spec(spec)):
-        assert_verdicts_match_reference(table, REFERENCE_PATTERNS)
+    pg = resolve_spec(spec)
+    for table in tables_at_every_bound(pg):
+        assert_verdicts_match_reference(pg, table, REFERENCE_PATTERNS)
 
 
 @pytest.mark.parametrize(
@@ -463,7 +497,7 @@ def pointed_connected_graphs(draw):
 @given(pointed_connected_graphs(), st.lists(st.integers(0, 4), min_size=1, max_size=3))
 def test_verdicts_match_the_dense_reference_on_random_graphs(pg, pattern):
     for table in tables_at_every_bound(pg):
-        assert_verdicts_match_reference(table, [tuple(pattern)])
+        assert_verdicts_match_reference(pg, table, [tuple(pattern)])
 
 
 def test_rows_are_compared_up_to_the_bound_only():
@@ -484,8 +518,9 @@ def test_verdicts_build_no_dense_matrix(monkeypatch):
     for name in ("TransitionMatrix", "transition_matrix", "matmul", "matrix_combination", "apply"):
         monkeypatch.setattr(matrices, name, dense)
     for spec in ("odd:4", "tree:binary:12", "lattice:2:r=9"):
-        table = build_table(resolve_spec(spec))
+        pg = resolve_spec(spec)
+        table = build_table(pg)
         verify_regular_representation(table)
         commute_check(table)
-        verify_maincoro(table, (1, 1))
+        verify_maincoro(pg, (1, 1))
     assert stationary_check(parse_group_spec("zmod:3,3,3")).passed

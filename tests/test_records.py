@@ -170,7 +170,7 @@ def records():
     regression = paper_regression()
     law = joint_distance_law(z4, None, 2)
     skewed = markov_check(joint_distance_law(cy.parse_group_spec("zmod:3,2"), SKEW_32, 3))
-    plane = build_table(resolve_spec("lattice:2:r=9"), bound=3)
+    plane = resolve_spec("lattice:2:r=9")
     found = [
         c4.graph,
         check_assumptions(c4),
@@ -188,7 +188,7 @@ def records():
         uniform_norm_bound(c4),
         stationary_check(z4),
         irreducibility(transition_matrix(table, 1)),
-        verify_maincoro(table, (1, 1)),
+        verify_maincoro(c4, (1, 1)),
         search.classified[0],
         search,
         regression.entries[0],
@@ -198,8 +198,8 @@ def records():
         markov_check(law),
         skewed.markov_witness,
         conditional_step_identity(z4, None, 1, 1),
-        permutation_invariance_check(table, (1, 2)),
-        permutation_invariance_check(plane, (1, 1, 2)).witness,
+        permutation_invariance_check(c4, (1, 2)),
+        permutation_invariance_check(plane, (1, 1, 2), 3).witness,
     ]
     return {type(obj).__name__: obj for obj in found}
 
@@ -433,9 +433,8 @@ def test_walk_reports_keep_their_layout():
                 report = conditional_step_identity(z32, alpha, i, j)
                 assert report.equal == (report.lhs == report.rhs)
                 assert_same_layout(report, reference_step_identity)
-    passing = permutation_invariance_check(build_table(resolve_spec("cycle:6")), (1, 2, 2))
-    plane = build_table(resolve_spec("lattice:2:r=9"), bound=3)
-    failing = permutation_invariance_check(plane, (1, 1, 2))
+    passing = permutation_invariance_check(resolve_spec("cycle:6"), (1, 2, 2))
+    failing = permutation_invariance_check(resolve_spec("lattice:2:r=9"), (1, 1, 2), 3)
     assert passing.passed and not failing.passed
     for report in (passing, failing):
         assert_same_layout(report, reference_permutation_report)

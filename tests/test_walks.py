@@ -232,14 +232,13 @@ def test_conditional_step_identity_zero_condition():
 
 
 def test_permutation_invariance_on_cycle():
-    report = permutation_invariance_check(build_table(resolve_spec("cycle:6")), (1, 2, 2))
+    report = permutation_invariance_check(resolve_spec("cycle:6"), (1, 2, 2))
     assert report.passed and report.hypothesis_met
     assert report.patterns_checked == 3
 
 
 def test_permutation_invariance_fails_on_plane():
-    table = build_table(resolve_spec("lattice:2:r=9"), bound=3)
-    report = permutation_invariance_check(table, (1, 1, 2))
+    report = permutation_invariance_check(resolve_spec("lattice:2:r=9"), (1, 1, 2), 3)
     assert not report.passed and not report.hypothesis_met
     pat_a, pat_b, k = report.witness
     assert sorted(pat_a) == sorted(pat_b) == [1, 1, 2]
