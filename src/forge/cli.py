@@ -28,7 +28,6 @@ from .matrices import (
     irreducibility,
     norm_bounds,
     stationary_check,
-    transition_matrix,
     uniform_norm_bound,
     verify_maincoro,
     verify_regular_representation,
@@ -420,7 +419,7 @@ def matrix_maincoro(ctx, spec, pattern, bound):
 def matrix_irreducible(ctx, spec, k, bound):
     """Communicating classes of P_k."""
     table = build_table(resolve_spec(spec), bound=bound)
-    _emit(ctx, irreducibility(transition_matrix(table, k)))
+    _emit(ctx, irreducibility(table, k))
 
 
 @main.group()

@@ -98,7 +98,3 @@ class DimensionMismatch(ForgeError):
 
 class TruncatedMatrix(ForgeError):
     """Operation requires a complete (untruncated) matrix."""
-
-
-class HypothesisNotMet(ForgeError):
-    """Identity checked only under hypotheses the input fails."""

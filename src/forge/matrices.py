@@ -1,12 +1,15 @@
 """Transition matrices P_k = (p[k,i][j]) and their exact verifications.
 
 Row-vector convention: (xi P)_j = sum_i xi_i P[i][j], so P_k realizes
-left multiplication by x_k on coefficient rows.  Row a of P_i P_j mixes
-the table rows (j, c) by row (i, a), so the four verdicts read integer
-rows through convex_combination: a product row is exact iff each
-intermediate row stays inside the bound, and only exact rows, cut to
-the bound, are compared.  The dense matrices below, with per-row
-exactness flags, serve the norm bounds and are the verdicts' oracle.
+left multiplication by x_k on coefficient rows, and row i of P_k is the
+table row x_k o x_i.  Every check reads those rows.  Row a of P_i P_j
+mixes the table rows (j, c) by row (i, a), so the four verdicts read
+integer rows through convex_combination: a product row is exact iff
+each intermediate row stays inside the bound, and only exact rows, cut
+to the bound, are compared.  The norm bounds read the rows' entries and
+supports, and irreducibility their supports.  The dense matrices below,
+with per-row exactness flags, serve only the paper regression's two
+matrix examples and are the checks' oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from typing import NamedTuple
 from .errors import (
     BadParameter,
     DimensionMismatch,
-    HypothesisNotMet,
     IndexOutOfRange,
     InternalError,
     NotFinite,
@@ -75,26 +77,39 @@ class TransitionMatrix:
         return tuple(i for i in range(self.dim) if self.entries[i][j])
 
 
-def transition_matrix(table: StructureTable, k: int) -> TransitionMatrix:
-    """P_k with entry(i,j) = p[k,i][j] for i, j up to the table bound."""
+def _rows(table: StructureTable, k: int) -> list:
+    """The rows of P_k: row i is the table row x_k o x_i as (j, p[k,i][j])
+    pairs, sorted by j, possibly reaching past the bound on a truncated
+    table."""
     if not 0 <= k <= table.bound:
         raise IndexOutOfRange(f"k={k} outside table bound {table.bound}")
-    dim = table.bound + 1
+    rows = [table.row(k, i).items for i in table.indices]
+    if not table.truncated:
+        for i, row in enumerate(rows):
+            if not _inside(table, row):
+                raise InternalError(f"row {i} of P_{k} does not sum to 1")
+    return rows
+
+
+def _inside(table: StructureTable, row) -> bool:
+    """Does the row's support stay within the bound (its visible mass is 1)?"""
+    return row[-1][0] <= table.bound
+
+
+def transition_matrix(table: StructureTable, k: int) -> TransitionMatrix:
+    """P_k with entry(i,j) = p[k,i][j] for i, j up to the table bound."""
+    rows = _rows(table, k)
+    dim = len(rows)
     entries = []
-    complete = []
-    for i in range(dim):
-        coefficients = table.row(k, i).as_dict()
-        row = tuple(coefficients.get(j, ZERO) for j in range(dim))
-        entries.append(row)
-        complete.append(sum(row, ZERO) == 1)
-    if not table.truncated and not all(complete):
-        raise InternalError(f"row {complete.index(False)} of P_{k} does not sum to 1")
+    for row in rows:
+        coefficients = dict(row)
+        entries.append(tuple(coefficients.get(j, ZERO) for j in range(dim)))
     return TransitionMatrix(
         k,
         dim,
         tuple(entries),
         tuple(True for _ in range(dim)),
-        tuple(complete),
+        tuple(_inside(table, row) for row in rows),
         table.truncated,
         label=f"P_{k}",
     )
@@ -305,11 +320,7 @@ class NormBound(NamedTuple):
     col_supports: dict
 
 
-def _geometric(ratio: Fraction, dim: int) -> tuple:
-    return tuple(ratio**n for n in range(dim))
-
-
-def norm_bounds(table: StructureTable, k: int, extra_vectors=None) -> NormBound:
+def norm_bounds(table: StructureTable, k: int) -> NormBound:
     """Exact c_k, d_k and Rayleigh lower bounds for P_k on its certified block.
 
     A column j is certified when its full ambient support [|j-k|, j+k]
@@ -317,55 +328,52 @@ def norm_bounds(table: StructureTable, k: int, extra_vectors=None) -> NormBound:
     support sizes over that block, and the Cauchy-Schwarz bound
     ||xi P_k|_block||^2 <= c_k d_k ||xi||^2 then holds for every vector.
     Lower bounds evaluate that block quotient in exact rationals over
-    default test vectors (point mass, uniform, geometric ratios 1/2,
-    1/4, 3/4) plus any caller-supplied ones; each certified column is
-    ambient-complete, so every quotient is also a valid lower
-    certificate for the ambient operator norm.
+    the test vectors point mass, uniform and geometric ratios 1/2, 1/4,
+    3/4; each certified column is ambient-complete, so every quotient is
+    also a valid lower certificate for the ambient operator norm.  All
+    of it reads the rows of P_k cut to the certified columns.
     """
-    p = transition_matrix(table, k)
-    dim = p.dim
-    truncated = p.truncated
-    cols = tuple(
-        j for j in range(dim) if not (truncated and j + k > table.bound)
-    )
-    col_set = set(cols)
-    col_supports = {}
-    c = ZERO
-    for j in cols:
-        supp = p.support_col(j)
-        col_supports[j] = supp
+    rows = _rows(table, k)
+    dim = len(rows)
+    truncated = table.truncated
+    cols = range(table.bound - k + 1 if truncated else dim)
+    block = [[(j, w) for j, w in row if j in cols] for row in rows]
+    col_supports = {j: [] for j in cols}
+    col_sums = dict.fromkeys(cols, ZERO)
+    for i, row in enumerate(block):
+        for j, w in row:
+            col_supports[j].append(i)
+            col_sums[j] += w * w
+    # An entry breaks its row's support bound iff it breaks its column's:
+    # both say |i - j| <= k <= i + j.
+    for j, supp in col_supports.items():
         if not all(abs(j - k) <= i <= j + k for i in supp):
             raise InternalError(f"column {j} of P_{k} breaks the support bound")
-        total = sum((p.entries[i][j] ** 2 for i in supp), ZERO)
-        c = max(c, total)
-    row_supports = {}
-    d = 0
-    for i in range(dim):
-        supp = tuple(j for j in p.support_row(i) if j in col_set)
-        if supp:
-            row_supports[i] = supp
-            if not all(abs(i - k) <= j <= i + k for j in supp):
-                raise InternalError(f"row {i} of P_{k} breaks the support bound")
-            d = max(d, len(supp))
+    col_supports = {j: tuple(supp) for j, supp in col_supports.items()}
+    c = max(col_sums.values())
+    row_supports = {i: tuple(j for j, _ in row) for i, row in enumerate(block) if row}
+    d = max(map(len, row_supports.values()), default=0)
     if not d or c == 0:
         raise RadiusExceeded(f"no certified rows/columns for k={k} at this bound")
-    candidates = [
-        ("e0", tuple(ONE if n == 0 else ZERO for n in range(dim))),
-        ("uniform", tuple(ONE for _ in range(dim))),
-        ("geometric-1/2", _geometric(Fraction(1, 2), dim)),
-        ("geometric-1/4", _geometric(Fraction(1, 4), dim)),
-        ("geometric-3/4", _geometric(Fraction(3, 4), dim)),
-    ]
-    for idx, vec in enumerate(extra_vectors or []):
-        candidates.append((f"custom-{idx}", tuple(Fraction(x) for x in vec)))
+    # The test vectors are geometric, xi_n = r^n: the point mass e0 is
+    # r = 0 (as 0^0 = 1) and the uniform vector r = 1.
+    ratios = {
+        "e0": ZERO,
+        "uniform": ONE,
+        "geometric-1/2": Fraction(1, 2),
+        "geometric-1/4": Fraction(1, 4),
+        "geometric-3/4": Fraction(3, 4),
+    }
     lower_sq = ZERO
     best = ""
-    for name, vec in candidates:
-        denom = norm_sq(vec)
-        if denom == 0:
-            continue
-        image = apply(p, vec)
-        quotient = norm_sq(tuple(image[j] for j in cols)) / denom
+    for name, ratio in ratios.items():
+        vec = [ratio**n for n in range(dim)]
+        image = dict.fromkeys(cols, ZERO)
+        for x, row in zip(vec, block):
+            if x:
+                for j, w in row:
+                    image[j] += x * w
+        quotient = norm_sq(image.values()) / norm_sq(vec)
         if quotient > lower_sq:
             lower_sq, best = quotient, name
     upper_sq = c * d
@@ -446,13 +454,14 @@ class IrreducibilityReport(NamedTuple):
     classes: tuple
 
 
-def irreducibility(p: TransitionMatrix) -> IrreducibilityReport:
-    """Communicating classes = strongly connected components of the
-    support digraph."""
-    if not all(p.row_complete):
+def irreducibility(table: StructureTable, k: int) -> IrreducibilityReport:
+    """Communicating classes of P_k = strongly connected components of the
+    digraph i -> j for j in the support of row i."""
+    rows = _rows(table, k)
+    if not all(_inside(table, row) for row in rows):
         raise TruncatedMatrix("irreducibility needs a complete matrix")
-    dim = p.dim
-    forward = [set(p.support_row(i)) for i in range(dim)]
+    dim = len(rows)
+    forward = [{j for j, _ in row} for row in rows]
 
     def reach(start: int, adj) -> set:
         seen = {start}
@@ -492,17 +501,13 @@ class MaincoroReport(NamedTuple):
     witness: tuple | None
 
 
-def verify_maincoro(
-    pg: PointedGraph, pattern, bound: int | None = None, require_hypothesis: bool = False
-) -> MaincoroReport:
+def verify_maincoro(pg: PointedGraph, pattern, bound: int | None = None) -> MaincoroReport:
     """Check the product of transition matrices against the jump law on pg's table."""
     table = build_table(pg, bound)
     pat = tuple(int(i) for i in pattern)
     hypothesis = (
         check_S1(pg).passed and check_S2(pg).passed and classify(table).verdict == "Hypergroup"
     )
-    if require_hypothesis and not hypothesis:
-        raise HypothesisNotMet("graph fails (S1)+(S2)+hypergroup")
     tilde = jump_distribution(pg, pat)
     if any(k > table.bound for k in tilde.support):
         raise RadiusExceeded(

@@ -342,8 +342,8 @@ def paper_regression() -> RegressionReport:
         (lambda ub: (ub.s, ub.bound))(uniform_norm_bound(resolve_spec("ladder:r=5"))),
     )
     c4_table = build_table(c4)
-    irr1 = irreducibility(transition_matrix(c4_table, 1))
-    irr2 = irreducibility(transition_matrix(c4_table, 2))
+    irr1 = irreducibility(c4_table, 1)
+    irr2 = irreducibility(c4_table, 2)
     add(
         "c4-irreducibility",
         "on the 4-cycle P_1 is irreducible while P_2 splits into classes "

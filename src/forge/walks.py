@@ -455,10 +455,8 @@ def conditional_step_identity(cg: cy.CayleyGraph, alpha, i: int, j: int) -> Step
     if not isinstance(cg, cy.CayleyGraph):
         raise NotCayley("the step identity is defined over a Cayley graph")
     pg = cy.realize_full(cg)
-    if alpha is None:
-        alpha = uniform_distribution(pg)
     law = joint_distance_law(cg, alpha, 2)
-    alpha = validate_alpha(pg, alpha)
+    alpha = law.alpha
     top = max(pg.spheres)
     if not 0 <= i <= top or not 0 <= j <= top:
         raise IndexOutOfRange(f"indices ({i},{j}) outside 0..{top}")

@@ -423,8 +423,8 @@ def test_criterion_6_commute_iff_associative():
 def test_criterion_6_cycle_irreducibility():
     with criterion("6 (C_4: P_1 irreducible, P_2 classes {0,2},{1})"):
         table = fixture_table("cycle:4", None)
-        assert irreducibility(transition_matrix(table, 1)).irreducible
-        report = irreducibility(transition_matrix(table, 2))
+        assert irreducibility(table, 1).irreducible
+        report = irreducibility(table, 2)
         assert not report.irreducible
         assert report.classes == ((0, 2), (1,))
 

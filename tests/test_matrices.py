@@ -6,16 +6,17 @@ fully complete rows may feed mass-based arguments.  The rooted binary
 tree at bound 2 exercises both flags.
 
 The four verdicts (regular representation, commutation, the main
-corollary, stationarity) read the table's integer rows; the dense
-matrices are their oracle.  The reference_* functions below check the
-same identities on transition_matrix, matmul, matrix_combination and
-apply, and must give the same reports and the same errors on every
-fixture, at every bound, and on random connected graphs.
+corollary, stationarity), the norm bounds and irreducibility read the
+table's rows; the dense matrices are their oracle.  The reference_*
+functions below compute the same reports on transition_matrix, matmul,
+matrix_combination and apply, and must give the same reports and the
+same errors on every fixture, at every bound, and on random connected
+graphs.
 """
 
-import dataclasses
 from fractions import Fraction as F
 from itertools import combinations, product as iproduct
+from math import sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,6 @@ from forge.cayley import parse_group_spec, realize_full
 from forge.errors import (
     DimensionMismatch,
     EmptySphere,
-    HypothesisNotMet,
     IndexOutOfRange,
     InternalError,
     RadiusExceeded,
@@ -44,7 +44,9 @@ from forge.hypergroup import (
 )
 from forge.matrices import (
     CommuteReport,
+    IrreducibilityReport,
     MaincoroReport,
+    NormBound,
     RegRepReport,
     StationaryReport,
     TransitionMatrix,
@@ -173,15 +175,6 @@ def test_norm_bounds_stay_consistent_on_starved_windows():
     assert list(nb.col_supports) == [0]
 
 
-def test_norm_bounds_accepts_custom_vectors():
-    table = build_table(resolve_spec("lattice:1:r=24"), bound=12)
-    vec = tuple(F(1, 2**n) for n in range(13))
-    nb = norm_bounds(table, 1, extra_vectors=[vec])
-    assert nb.lower_sq >= F(97867089, 89478484)
-    p1 = transition_matrix(table, 1)
-    assert norm_sq(apply(p1, vec)) / norm_sq(vec) == F(97867089, 89478484)
-
-
 def test_uniform_norm_bound():
     zline = uniform_norm_bound(resolve_spec("lattice:1:r=8"))
     assert (zline.s, zline.bound) == (2, 4)
@@ -207,18 +200,18 @@ def test_stationary_distribution_on_cycle():
 
 def test_irreducibility_classes():
     table = build_table(resolve_spec("cycle:4"))
-    assert irreducibility(transition_matrix(table, 1)).irreducible
-    p2 = irreducibility(transition_matrix(table, 2))
+    assert irreducibility(table, 1).irreducible
+    p2 = irreducibility(table, 2)
     assert not p2.irreducible
     assert p2.classes == ((0, 2), (1,))
-    p0 = irreducibility(transition_matrix(table, 0))
+    p0 = irreducibility(table, 0)
     assert p0.classes == ((0,), (1,), (2,))
 
 
 def test_irreducibility_needs_complete_rows():
     table = build_table(resolve_spec("lattice:1:r=12"), bound=6)
     with pytest.raises(TruncatedMatrix):
-        irreducibility(transition_matrix(table, 1))
+        irreducibility(table, 1)
 
 
 def test_maincoro_identity():
@@ -230,8 +223,6 @@ def test_maincoro_informational_failure_without_hypothesis():
     tree = resolve_spec("tree:binary:12")
     report = verify_maincoro(tree, (1, 1))
     assert not report.hypothesis_met
-    with pytest.raises(HypothesisNotMet):
-        verify_maincoro(tree, (1, 1), require_hypothesis=True)
 
 
 def test_maincoro_window_scope():
@@ -247,12 +238,15 @@ def test_broken_invariants_raise_internal_error(monkeypatch):
         m.setattr(table, "row", lambda k, i: ProbabilityVector.point(table.bound + 1))
         with pytest.raises(InternalError, match="sum to 1"):
             transition_matrix(table, 1)
-    p1 = transition_matrix(table, 1)
-    entries = [list(row) for row in p1.entries]
-    entries[0][p1.dim - 1] = F(1)
-    broken = dataclasses.replace(p1, entries=tuple(tuple(row) for row in entries))
+    # Row 0 of P_1 moved to the top index: x_1 o x_0 = x_3 breaks
+    # |i - j| <= k <= i + j, and the row still sums to 1.
+    row = table.row
     with monkeypatch.context() as m:
-        m.setattr(matrices, "transition_matrix", lambda table, k: broken)
+        m.setattr(
+            table,
+            "row",
+            lambda k, i: ProbabilityVector.point(table.bound) if (k, i) == (1, 0) else row(k, i),
+        )
         with pytest.raises(InternalError, match="support bound"):
             norm_bounds(table, 1)
 
@@ -294,7 +288,7 @@ def test_sub_bound_tables_of_finite_graphs_are_truncated():
     assert commute_check(table).commutes
     assert verify_regular_representation(table).passed
     with pytest.raises(TruncatedMatrix):
-        irreducibility(p1)
+        irreducibility(table, 1)
     with pytest.raises(IndexOutOfRange):
         verify_maincoro(resolve_spec("cycle:6"), (3, 3), 1)
     assert not transition_matrix(build_table(resolve_spec("cycle:6")), 1).truncated
@@ -398,6 +392,94 @@ def reference_stationary(cg):
     return StationaryReport(pi, idempotent, pi_fixed, witness is None, witness)
 
 
+def reference_norm_bounds(table, k):
+    p = transition_matrix(table, k)
+    dim = p.dim
+    truncated = p.truncated
+    cols = tuple(j for j in range(dim) if not (truncated and j + k > table.bound))
+    col_set = set(cols)
+    col_supports = {}
+    c = F(0)
+    for j in cols:
+        supp = p.support_col(j)
+        col_supports[j] = supp
+        if not all(abs(j - k) <= i <= j + k for i in supp):
+            raise InternalError(f"column {j} of P_{k} breaks the support bound")
+        c = max(c, sum((p.entries[i][j] ** 2 for i in supp), F(0)))
+    row_supports = {}
+    d = 0
+    for i in range(dim):
+        supp = tuple(j for j in p.support_row(i) if j in col_set)
+        if supp:
+            row_supports[i] = supp
+            if not all(abs(i - k) <= j <= i + k for j in supp):
+                raise InternalError(f"row {i} of P_{k} breaks the support bound")
+            d = max(d, len(supp))
+    if not d or c == 0:
+        raise RadiusExceeded(f"no certified rows/columns for k={k} at this bound")
+    candidates = [
+        ("e0", tuple(F(int(n == 0)) for n in range(dim))),
+        ("uniform", tuple(F(1) for _ in range(dim))),
+        ("geometric-1/2", tuple(F(1, 2) ** n for n in range(dim))),
+        ("geometric-1/4", tuple(F(1, 4) ** n for n in range(dim))),
+        ("geometric-3/4", tuple(F(3, 4) ** n for n in range(dim))),
+    ]
+    lower_sq = F(0)
+    best = ""
+    for name, vec in candidates:
+        image = apply(p, vec)
+        quotient = norm_sq(tuple(image[j] for j in cols)) / norm_sq(vec)
+        if quotient > lower_sq:
+            lower_sq, best = quotient, name
+    upper_sq = c * d
+    if lower_sq > upper_sq:
+        raise InternalError(f"lower bound {lower_sq} exceeds upper bound {upper_sq} for P_{k}")
+    scope = (
+        f"block of columns j <= {table.bound - k} (window-sup)"
+        if truncated
+        else "full index set"
+    )
+    return NormBound(
+        k, c, d, upper_sq, sqrt(float(upper_sq)), lower_sq, sqrt(float(lower_sq)), best,
+        truncated, scope, row_supports, col_supports,
+    )
+
+
+def reference_irreducibility(table, k):
+    p = transition_matrix(table, k)
+    if not all(p.row_complete):
+        raise TruncatedMatrix("irreducibility needs a complete matrix")
+    dim = p.dim
+    forward = [set(p.support_row(i)) for i in range(dim)]
+
+    def reach(start, adj):
+        seen = {start}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    backward = [set() for _ in range(dim)]
+    for i in range(dim):
+        for j in forward[i]:
+            backward[j].add(i)
+    assigned = [None] * dim
+    classes = []
+    for i in range(dim):
+        if assigned[i] is not None:
+            continue
+        component = reach(i, forward) & reach(i, backward)
+        for v in component:
+            assigned[v] = len(classes)
+        classes.append(tuple(sorted(component)))
+    classes.sort(key=lambda c: c[0])
+    return IrreducibilityReport(len(classes) == 1, tuple(classes))
+
+
 def outcome(check, *args):
     """The report as its JSON text, or the name of the error raised."""
     try:
@@ -464,6 +546,9 @@ def assert_verdicts_match_reference(pg, table, patterns):
     for pat in patterns:
         args = (pg, pat, table.bound)
         assert outcome(verify_maincoro, *args) == outcome(reference_maincoro, *args), pat
+    for k in range(table.bound + 2):
+        assert outcome(norm_bounds, table, k) == outcome(reference_norm_bounds, table, k), k
+        assert outcome(irreducibility, table, k) == outcome(reference_irreducibility, table, k), k
 
 
 @pytest.mark.parametrize("spec", REFERENCE_FIXTURES)
@@ -523,4 +608,11 @@ def test_verdicts_build_no_dense_matrix(monkeypatch):
         verify_regular_representation(table)
         commute_check(table)
         verify_maincoro(pg, (1, 1))
+        for k in table.indices:
+            try:
+                norm_bounds(table, k)
+            except RadiusExceeded:
+                pass
+            if not table.truncated:
+                irreducibility(table, k)
     assert stationary_check(parse_group_spec("zmod:3,3,3")).passed

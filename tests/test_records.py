@@ -43,7 +43,6 @@ from forge.matrices import (
     irreducibility,
     norm_bounds,
     stationary_check,
-    transition_matrix,
     uniform_norm_bound,
     verify_maincoro,
     verify_regular_representation,
@@ -187,7 +186,7 @@ def records():
         norm_bounds(table, 1),
         uniform_norm_bound(c4),
         stationary_check(z4),
-        irreducibility(transition_matrix(table, 1)),
+        irreducibility(table, 1),
         verify_maincoro(c4, (1, 1)),
         search.classified[0],
         search,
