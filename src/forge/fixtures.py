@@ -26,7 +26,7 @@ from itertools import combinations
 
 from . import cayley as cy
 from .errors import BadParameter, UnknownFixture, WindowOverflow
-from .graphs import PointedGraph, build_graph, load_graph_file, parse_graph_json
+from .graphs import Graph, PointedGraph, build_graph, load_graph_file, parse_graph_json, point_graph
 
 TREE_CAP = 2_000_000
 
@@ -194,20 +194,15 @@ def _build_tree(spec, params):
     count = 2 ** (depth + 1) - 1
     if count > TREE_CAP:
         raise WindowOverflow(f"{spec!r}: {count} vertices exceeds the cap")
-    edges = []
-    labels = ["e"]
-    for v in range(1, count):
-        parent = (v - 1) // 2
-        edges.append((parent, v))
-        labels.append(labels[parent].replace("e", "") + str((v - 1) % 2))
-    return build_graph(
-        edges,
-        base=0,
-        vertex_count=count,
-        labels=labels,
-        name=spec,
-        exact_radius=depth // 3,
+    # Vertex v has parent (v - 1) // 2 and children 2v + 1 and 2v + 2, so
+    # its path from the root is the binary digits of v + 1 after the first.
+    adjacency = tuple(
+        tuple(u for u in ((v - 1) // 2, 2 * v + 1, 2 * v + 2) if 0 <= u < count)
+        for v in range(count)
     )
+    labels = ("e", *(bin(v + 1)[3:] for v in range(1, count)))
+    graph = Graph(count, adjacency, labels)
+    return point_graph(graph, 0, name=spec, exact_radius=depth // 3)
 
 
 def _figure_data(number: int) -> dict:

@@ -7,10 +7,12 @@ vertex set and their indices form the index set I of the graph.
 
 One kernel, sphere_counts, counts |S_n(v) ∩ S_k(base)| for every n at
 once, and sphere_at reads single spheres from the same source: the base
-ball translated by pg._sphere_oracle on Cayley graphs, else a BFS row
-(on windows, cut at the depth the query reads).  The counts are cached
-once per vertex, the deepest read so far; sphere sizes are their sums.
-Each pointed graph keeps its own caches.
+ball translated by pg._sphere_oracle on Cayley graphs, a BFS cut at the
+depth the query reads on other windows, and on other finite graphs the
+bitset spheres of sphere_bitsets, grown for all vertices at once and
+only as deep as a query reads: a count is then a popcount.  The counts
+are cached once per vertex, the deepest read so far.  Each pointed graph
+keeps its own caches.
 
 Truncated windows (finite pieces of infinite graphs) carry an exactness
 radius: spheres S_n(v) are only served when |v| + n stays within it, so
@@ -21,8 +23,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from itertools import accumulate
+from operator import or_, xor
 from typing import NamedTuple
 
 from .errors import (
@@ -77,8 +83,10 @@ class PointedGraph:
     exact_radius: float = INFINITE
     name: str = "graph"
     _sphere_oracle: object = field(default=None, repr=False)
-    _bfs_cache: dict = field(default_factory=dict, repr=False)
     _count_cache: dict = field(default_factory=dict, repr=False)
+    # sphere_bitsets' levels and outermost balls; no balls once all are whole.
+    _shells: list = field(default_factory=list, repr=False)
+    _balls: list | None = field(default=None, repr=False)
     cayley: object = field(default=None, repr=False)
 
     @property
@@ -91,6 +99,11 @@ class PointedGraph:
 
     def label(self, v: int) -> str:
         return self.graph.label(v)
+
+    @cached_property
+    def _sphere_masks(self) -> tuple[int, ...]:
+        """The base spheres S_k as bitsets, k = 0, 1, ..."""
+        return tuple(sum(1 << v for v in self.spheres[k]) for k in range(len(self.spheres)))
 
     def to_jsonable(self) -> dict:
         out = {
@@ -220,7 +233,6 @@ def point_graph(
         spheres=sphere_map,
         exact_radius=exact_radius,
         name=name,
-        _bfs_cache={base: dist},
     )
 
 
@@ -236,18 +248,47 @@ def index_set(pg: PointedGraph) -> tuple[tuple[int, ...], float]:
     return indices, indices[-1]
 
 
-def bfs_distances(pg: PointedGraph, v: int) -> tuple[int, ...]:
-    """Raw BFS distances from v inside the stored graph (cached).
+def sphere_bitsets(pg: PointedGraph, depth: float = INFINITE) -> list[list[int]]:
+    """levels[n][v] = S_n(v) as a bitset (bit u set iff d(v, u) = n) on a
+    finite graph, for n up to depth or the diameter.  All balls grow
+    together, B_{n+1}(v) = B_n(v) | the B_n(x) of the neighbours x of v,
+    and no further than a query reads; pg keeps them for the next one."""
+    shells = pg._shells
+    if not shells:
+        pg._balls = [1 << v for v in range(pg.vertex_count)]
+        shells.append(pg._balls)
+    whole = (1 << pg.vertex_count) - 1
+    while len(shells) <= depth and pg._balls is not None:
+        balls = pg._balls
+        if all(ball == whole for ball in balls):
+            pg._balls = None
+            break
+        adjacency = pg.graph.adjacency
+        grown = [reduce(or_, map(balls.__getitem__, adj), x) for x, adj in zip(balls, adjacency)]
+        shells.append([outer ^ inner for outer, inner in zip(grown, balls)])
+        pg._balls = grown
+    return shells
 
-    On truncated windows these are only guaranteed to equal the distances
-    of the ambient infinite graph for targets u with dist(v,u) + min(|v|,|u|)
-    inside the exactness scope; callers enforce their own preconditions.
-    """
-    if v not in pg._bfs_cache:
-        if not 0 <= v < pg.vertex_count:
-            raise BadParameter(f"vertex {v} outside range 0..{pg.vertex_count - 1}")
-        pg._bfs_cache[v] = bfs_from(pg.graph, v)
-    return pg._bfs_cache[v]
+
+_BIT_DIGITS = bytes.maketrans(b"01", b"\0\1")
+_UNITS = f"utf-32-{sys.byteorder[0]}e"
+
+
+def distance_row(spheres, n: int) -> list[int]:
+    """row[u] = d(v, u) for u < n, from v's spheres S_0(v), S_1(v), ... as
+    bitsets.  Bit j of d(v, u) is set iff u lies in some B_b(v) - B_a(v)
+    with a = (2m+1)2^j - 1 and b = a + 2^j, a union of nested differences
+    that one XOR of the balls gives; that plane adds 2^j to the 32-bit
+    digit of each of its members in one integer holding the row."""
+    balls, total = list(accumulate(spheres, or_)), 0
+    for j in range((len(balls) - 1).bit_length()):
+        inner, outer = balls[(1 << j) - 1 :: 2 << j], balls[(2 << j) - 1 :: 2 << j]
+        if len(outer) < len(inner):
+            outer.append(balls[-1])
+        plane = reduce(xor, inner + outer)
+        digits = format(plane, f"0{n}b")[::-1].encode(_UNITS).translate(_BIT_DIGITS)
+        total += int.from_bytes(digits, sys.byteorder) << j
+    return memoryview(total.to_bytes(4 * n, sys.byteorder)).cast("I").tolist()
 
 
 def _certified_top(pg: PointedGraph, v: int, top: int | None) -> int:
@@ -269,29 +310,31 @@ def _certified_top(pg: PointedGraph, v: int, top: int | None) -> int:
         return top
     if top is not None:
         return top
-    return max(pg.spheres) if pg._sphere_oracle is not None else max(bfs_distances(pg, v))
+    if pg._sphere_oracle is not None:
+        return max(pg.spheres)
+    shells = sphere_bitsets(pg)
+    return next(n for n in reversed(range(len(shells))) if shells[n][v])
 
 
 def _reach(pg: PointedGraph, v: int, top: int):
-    """(ns, us): ns[t] = d(v, us[t]), over every vertex within top of v.
-
-    Cayley graphs translate the base ball B_top, and other windows run a
-    BFS cut at depth top, kept out of the BFS cache; finite graphs read
-    the cached BFS row, which lists every vertex in order and may run past
-    top.
-    """
+    """(ns, us): ns[t] = d(v, us[t]), over every vertex within top of v, on
+    a window or a Cayley graph: Cayley graphs translate the base ball
+    B_top, and other windows run a BFS cut at depth top."""
     if pg._sphere_oracle is not None:
         ball = pg._sphere_oracle(v, top)
         return pg.dist[: len(ball)], ball
-    if pg.truncated:
-        ball = bfs_ball(pg.graph, v, top)
-        return ball.values(), ball.keys()
-    return bfs_distances(pg, v), range(pg.vertex_count)
+    ball = bfs_ball(pg.graph, v, top)
+    return ball.values(), ball.keys()
 
 
 def sphere_at(pg: PointedGraph, v: int, n: int) -> tuple[int, ...]:
     """The sorted sphere S_n(v), from the source of sphere_counts."""
-    ns, us = _reach(pg, v, _certified_top(pg, v, n))
+    top = _certified_top(pg, v, n)
+    if pg._sphere_oracle is None and not pg.truncated:
+        shells = sphere_bitsets(pg, n)
+        bits = format(shells[n][v], "b")[::-1] if n < len(shells) else ""
+        return tuple(u for u, bit in enumerate(bits) if bit == "1")
+    ns, us = _reach(pg, v, top)
     return tuple(sorted(u for d, u in zip(ns, us) if d == n))
 
 
@@ -308,12 +351,18 @@ def sphere_counts(pg: PointedGraph, v: int, top: int | None = None) -> list[dict
     top = _certified_top(pg, v, top)
     counts = pg._count_cache.get(v)
     if counts is None or len(counts) <= top:
-        ns, us = _reach(pg, v, top)
-        # A full BFS row lists every vertex in order, so its base distances are pg.dist.
-        ks = pg.dist if isinstance(us, range) else map(pg.dist.__getitem__, us)
-        counts = [{} for _ in range(top + 1)]
-        for n, k in zip(ns, ks):
-            if n <= top:
+        if pg._sphere_oracle is None and not pg.truncated:
+            # S_n(v) meets S_k(base) only for |n - |v|| <= k <= n + |v|.
+            levels, masks, r = sphere_bitsets(pg, top), pg._sphere_masks, pg.dist[v]
+            counts = []
+            for n in range(top + 1):
+                sphere = levels[n][v] if n < len(levels) else 0
+                ks = range(abs(n - r), min(n + r, len(masks) - 1) + 1) if sphere else ()
+                counts.append({k: c for k in ks if (c := (sphere & masks[k]).bit_count())})
+        else:
+            ns, us = _reach(pg, v, top)
+            counts = [{} for _ in range(top + 1)]
+            for n, k in zip(ns, map(pg.dist.__getitem__, us)):
                 sphere = counts[n]
                 sphere[k] = sphere.get(k, 0) + 1
         pg._count_cache[v] = counts
@@ -321,8 +370,12 @@ def sphere_counts(pg: PointedGraph, v: int, top: int | None = None) -> list[dict
 
 
 def sphere_sizes_at(pg: PointedGraph, v: int) -> tuple[int, ...]:
-    """(|S_0(v)|, |S_1(v)|, ...) out to the largest index v certifies:
-    the sums of sphere_counts."""
+    """(|S_0(v)|, |S_1(v)|, ...) out to the largest index v certifies: the
+    popcounts of its spheres on finite graphs, else the sums of
+    sphere_counts."""
+    if pg._sphere_oracle is None and not pg.truncated:
+        top = _certified_top(pg, v, None)
+        return tuple(level[v].bit_count() for level in pg._shells[: top + 1])
     return tuple(sum(counts.values()) for counts in sphere_counts(pg, v))
 
 

@@ -27,9 +27,8 @@ associativity, the left-nested product PL and the jump law J in walks.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from math import gcd, lcm
-from operator import or_
 from typing import NamedTuple
 
 from .errors import (
@@ -40,7 +39,7 @@ from .errors import (
     NotFinite,
     RadiusExceeded,
 )
-from .graphs import PointedGraph, bfs_distances, sphere_counts, sphere_sizes_at
+from .graphs import PointedGraph, distance_row, sphere_bitsets, sphere_counts, sphere_sizes_at
 
 
 class ProbabilityVector(NamedTuple):
@@ -438,10 +437,11 @@ class DRReport(NamedTuple):
     witness: tuple | None
 
 
-def _pair_counts(rows, v: int, w: int) -> dict[tuple[int, int], int]:
-    """|{x : d(v,x)=i, d(x,w)=j}| keyed by (i, j), nonzero counts only."""
+def _pair_counts(row_v, row_w) -> dict[tuple[int, int], int]:
+    """|{x : d(v,x)=i, d(x,w)=j}| keyed by (i, j), nonzero counts only, from
+    the distance rows of v and w."""
     counts: dict[tuple[int, int], int] = {}
-    for key in zip(rows[v], rows[w]):
+    for key in zip(row_v, row_w):
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -452,35 +452,36 @@ def check_distance_regular(pg: PointedGraph) -> DRReport:
     A connected graph is distance-regular iff every pair (v, w) at distance
     k has the c = |S_{k-1}(v) ∩ S_1(w)| and b = |S_{k+1}(v) ∩ S_1(w)| of the
     first such pair in row-major order (Brouwer, Cohen and Neumaier 1989,
-    §4.1): two popcounts per pair on bitset spheres.  The witness is the
-    first pair whose whole profile differs, at or before the first (c, b)
-    failure.  Finite graphs only: a window is not the ambient graph.
+    §4.1): two popcounts per pair on the bitset spheres that the sphere
+    counts share (graphs.sphere_bitsets), with the row of distances of v
+    read from them when the scan reaches v.  The witness is the first pair
+    whose whole profile differs, at or before the first (c, b) failure.
+    Finite graphs only: a window is not the ambient graph.
     """
     if pg.truncated:
         raise NotFinite("distance regularity is only decided on finite graphs")
-    n = pg.vertex_count
-    rows = [bfs_distances(pg, v) for v in range(n)]
-    diameter = max(max(row) for row in rows)
-    # levels[k + 1][v] = S_k(v), between the empty S_{-1} and S_{diameter+1}:
-    # B_{k+1}(v) joins B_k(x) over x = v and its neighbours.
-    balls, adjacency = [1 << v for v in range(n)], pg.graph.adjacency
-    levels = [[0] * n, balls]
-    for _ in range(diameter - 1):
-        grown = [reduce(or_, map(balls.__getitem__, adj), x) for x, adj in zip(balls, adjacency)]
-        levels.append([inner ^ outer for inner, outer in zip(balls, grown)])
-        balls = grown
-    levels += [[(1 << n) - 1 ^ ball for ball in balls], [0] * n]
+    n, shells = pg.vertex_count, sphere_bitsets(pg)
+    diameter = len(shells) - 1
+    # levels[k + 1][v] = S_k(v), between the empty S_{-1} and S_{diameter+1}.
+    levels = [[0] * n, *shells, [0] * n]
     masks, neighbours = list(zip(*levels)), levels[2]
+
+    def row(v):
+        return distance_row(masks[v][1:-1], n)
+
+    # The first pair at distance k: the first v with a vertex at distance k,
+    # and the least such vertex.
     first = [
-        next((v, row.index(k)) for v, row in enumerate(rows) if k in row)
-        for k in range(diameter + 1)
+        next((v, (sphere & -sphere).bit_length() - 1) for v, sphere in enumerate(level) if sphere)
+        for level in shells
     ]
-    profiles = [_pair_counts(rows, *pair) for pair in first]
+    rows = {u: row(u) for u in {u for pair in first for u in pair}}
+    profiles = [_pair_counts(rows[v], rows[w]) for v, w in first]
     c = [profile.get((k - 1, 1), 0) for k, profile in enumerate(profiles)]
     b = [profile.get((k + 1, 1), 0) for k, profile in enumerate(profiles)]
-    for bad_row, (row, below) in enumerate(zip(rows, masks)):
+    for bad_row, below in enumerate(masks):
         above = below[2:]
-        for k, nb in zip(row, neighbours):
+        for k, nb in zip(rows.get(bad_row) or row(bad_row), neighbours):
             if (below[k] & nb).bit_count() != c[k] or (above[k] & nb).bit_count() != b[k]:
                 break
         else:
@@ -497,14 +498,14 @@ def check_distance_regular(pg: PointedGraph) -> DRReport:
     v, w = next(
         (v, w)
         for v in range(bad_row + 1)
-        for w, k in enumerate(rows[v])
+        for w, k in enumerate(row(v))
         if any(
             (masks[v][i + 1] & masks[w][j + 1]).bit_count() != count
             for (i, j), count in profiles[k].items()
         )
     )
-    k = rows[v][w]
-    reference, counts = profiles[k], _pair_counts(rows, v, w)
+    k = row(v)[w]
+    reference, counts = profiles[k], _pair_counts(row(v), row(w))
     diff = set(counts) ^ set(reference)
     i, j = min(diff or {key for key in counts if counts[key] != reference[key]})
     labels = [pg.label(u) for u in (*first[k], v, w)]

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forge.fixtures import resolve_spec
-from forge.graphs import bfs_distances, build_graph
+from forge.graphs import bfs_from, build_graph, sphere_counts
 from forge.hypergroup import DRReport, check_distance_regular
 
 
@@ -28,7 +28,7 @@ def reference_distance_regular(pg) -> DRReport:
     """The direct scan: for every pair (v, w), count the x by (d(v,x), d(x,w))
     and compare with the first pair at the same distance in row-major order."""
     n = pg.vertex_count
-    dist = [bfs_distances(pg, v) for v in range(n)]
+    dist = [bfs_from(pg.graph, v) for v in range(n)]
     diameter = max(max(row) for row in dist)
     reference: dict[int, dict] = {}
     ref_pair: dict[int, tuple] = {}
@@ -284,3 +284,18 @@ def test_single_vertex_is_distance_regular():
     report = check_distance_regular(pg)
     assert report == reference_distance_regular(pg)
     assert report.passed and report.intersection_numbers == {(0, 0, 0): 1}
+
+
+def test_report_after_the_counts_grew_the_spheres_part_way():
+    """The check reads the bitset spheres that the sphere counts grew to
+    some depth first, and grows them on to the diameter: equal reports,
+    and most random graphs fail, so the witness path is compared too."""
+    reports = []
+    for depth, pg in enumerate([*_connected_gnp(50), *_known_graphs().values()]):
+        sphere_counts(pg, pg.vertex_count - 1, depth % 4)
+        assert len(pg._shells) <= depth % 4 + 1
+        report = check_distance_regular(pg)
+        assert report == reference_distance_regular(pg), pg.name
+        reports.append(report)
+    assert sum(report.witness is not None for report in reports) >= 40
+    assert sum(report.passed for report in reports) >= 8

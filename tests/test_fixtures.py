@@ -4,6 +4,7 @@ import pytest
 
 from forge.errors import BadParameter, UnknownFixture
 from forge.fixtures import resolve_spec
+from forge.graphs import build_graph
 
 
 CATALOG_SHAPES = {
@@ -54,6 +55,27 @@ def test_tree_depth_sets_conservative_scope():
     assert pg.vertex_count == 2**13 - 1
     assert pg.truncated and pg.exact_radius == 4
     assert tuple(len(pg.spheres[n]) for n in range(5)) == (1, 2, 4, 8, 16)
+
+
+@pytest.mark.parametrize("depth", range(1, 13))
+def test_tree_equals_the_validated_edge_list_build(depth):
+    """tree:binary:<d> builds its graph directly; it equals the graph that
+    make_graph builds from the parent edges, with each label its parent's
+    (less the root's "e") followed by the child's side."""
+    count = 2 ** (depth + 1) - 1
+    edges, labels = [], ["e"]
+    for v in range(1, count):
+        parent = (v - 1) // 2
+        edges.append((parent, v))
+        labels.append(labels[parent].replace("e", "") + str((v - 1) % 2))
+    spec = f"tree:binary:{depth}"
+    want = build_graph(edges, 0, count, labels, name=spec, exact_radius=depth // 3)
+    pg = resolve_spec(spec)
+    assert pg.graph.adjacency == want.graph.adjacency
+    assert pg.graph.labels == want.graph.labels
+    assert (pg.name, pg.exact_radius, pg.base, pg.dist) == (
+        want.name, want.exact_radius, want.base, want.dist
+    )
 
 
 def test_figure_base_override():

@@ -22,7 +22,7 @@ from forge.fixtures import resolve_spec
 from forge.graphs import (
     INFINITE,
     Graph,
-    bfs_distances,
+    bfs_from,
     build_graph,
     check_assumptions,
     index_set,
@@ -79,7 +79,7 @@ def test_truncated_index_set_has_no_finite_top():
 def test_sphere_at_matches_bfs_on_finite_graphs():
     pg = resolve_spec("prism:4")
     for v in range(pg.vertex_count):
-        dist = bfs_distances(pg, v)
+        dist = bfs_from(pg.graph, v)
         for n in range(max(dist) + 1):
             assert sphere_at(pg, v, n) == tuple(
                 u for u in range(pg.vertex_count) if dist[u] == n

@@ -2,9 +2,11 @@
 
 graphs.sphere_counts(pg, v, top) returns counts[n][k] = |S_n(v) ∩ S_k(base)|
 for n = 0..top, from one source per graph: the base ball translated by the
-window's integer generator table on Cayley graphs, the cached BFS row
-otherwise.  It is checked against networkx distances, and the Cayley
-translation against `cayley.multiply`.  product, check_S1, check_S2,
+window's integer generator table on Cayley graphs, a BFS cut at the depth
+read on other windows, and on other finite graphs the bitset spheres that
+graphs.sphere_bitsets grows for all vertices at once.  It is checked
+against networkx distances, and the Cayley translation against
+`cayley.multiply`.  product, check_S1, check_S2,
 uniform_norm_bound, jump_distribution and condition (iii), which reduce
 over it, are checked against their earlier versions (kept here as
 reference_product, reference_check_S1, reference_check_S2,
@@ -19,6 +21,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from operator import or_
 
 import networkx as nx
 import pytest
@@ -26,7 +29,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from forge import cayley as cy
-from forge import hypergroup
+from forge import graphs, hypergroup
 from forge.cayley import multiply, parse_group_spec, realize_full, realize_window
 from forge.errors import (
     DisconnectedGraph,
@@ -39,13 +42,15 @@ from forge.errors import (
 from forge.fixtures import resolve_spec
 from forge.graphs import (
     AssumptionReport,
-    bfs_distances,
     bfs_from,
     build_graph,
     check_assumptions,
+    distance_row,
     point_graph,
     sphere_at,
+    sphere_bitsets,
     sphere_counts,
+    sphere_sizes_at,
 )
 from forge.hypergroup import (
     ConditionReport,
@@ -191,7 +196,7 @@ def reference_uniform_norm_bound(pg):
         scope = "all vertices and indices"
         for v in range(pg.vertex_count):
             counts = {}
-            for d in bfs_distances(pg, v):
+            for d in bfs_from(pg.graph, v):
                 counts[d] = counts.get(d, 0) + 1
             s = max(s, max(counts.values()))
     return UniformBound(s, s * s, scope)
@@ -381,8 +386,10 @@ def test_s1_and_uniform_bound_at_every_base():
 @pytest.mark.parametrize("spec", FINITE_FIXTURES + WINDOWS)
 def test_bfs_cache_holds_only_rows_by_vertex(spec):
     """After (iii), S1, S2, the uniform bound and, on finite graphs,
-    distance regularity, a pointed graph's BFS cache keys are its vertices
-    and nothing else."""
+    distance regularity, a pointed graph's caches hold rows by vertex and
+    nothing else: the count cache is keyed by its vertices, and each level
+    of the bitset BFS, the spheres a finite graph grows for all its
+    vertices together, holds one sphere per vertex.  A window grows none."""
     pg = resolve_spec(spec)
     check_assumptions(pg)
     check_S1(pg)
@@ -390,8 +397,12 @@ def test_bfs_cache_holds_only_rows_by_vertex(spec):
     uniform_norm_bound(pg)
     if not pg.truncated:
         check_distance_regular(pg)
-    assert pg._bfs_cache
-    assert all(isinstance(v, int) and 0 <= v < pg.vertex_count for v in pg._bfs_cache)
+    assert pg._count_cache
+    assert all(isinstance(v, int) and 0 <= v < pg.vertex_count for v in pg._count_cache)
+    if pg.truncated:
+        assert pg._shells == []
+    else:
+        assert pg._shells and all(len(level) == pg.vertex_count for level in pg._shells)
 
 
 def test_reference_patterns_cover_the_jump_law_errors():
@@ -479,7 +490,7 @@ def test_sphere_counts_on_full_groups(tmp_path):
             assert sphere_counts(pg, v) == networkx_counts(pg, graph, v, top), (pg.name, v)
             for n in range(top + 2):
                 assert sphere_at(pg, v, n) == tuple(
-                    sorted(u for u, d in enumerate(bfs_distances(pg, v)) if d == n)
+                    sorted(u for u, d in enumerate(bfs_from(pg.graph, v)) if d == n)
                 )
 
 
@@ -524,8 +535,8 @@ def test_oracle_reports_a_translation_that_leaves_the_window():
 @pytest.mark.parametrize("radius,sample_cap", [(4, 200_000), (5, 200_000), (5, 500)])
 def test_check_s3_reads_one_uncached_bfs_row_per_vertex(monkeypatch, radius, sample_cap):
     """check_S3 runs one BFS for each distinct v among the pairs it checks,
-    cut at depth radius - |v|, the deepest any of v's pairs reads, and keeps
-    none of the rows in the window's BFS cache."""
+    cut at depth radius - |v|, the deepest any of v's pairs reads, and
+    caches none of the rows in the window."""
     cg = parse_group_spec("free:2")
     window = realize_window(cg, radius)
     starts = Counter()
@@ -545,7 +556,7 @@ def test_check_s3_reads_one_uncached_bfs_row_per_vertex(monkeypatch, radius, sam
     monkeypatch.setattr(cy, "realize_window", lambda cg, radius: window)
     monkeypatch.setattr(cy, "bfs_ball", counting_bfs_ball)
     monkeypatch.setattr(cy, "bfs_from", no_full_bfs)
-    cached = set(window._bfs_cache)
+    cached = dict(window._count_cache)
     report = cy.check_S3(cg, radius, sample_cap)
     pairs = [
         (v, w)
@@ -556,7 +567,7 @@ def test_check_s3_reads_one_uncached_bfs_row_per_vertex(monkeypatch, radius, sam
     stride = max(1, -(-len(pairs) // sample_cap))
     assert report.passed and report.checked == len(pairs[::stride])
     assert starts == Counter({v for v, _ in pairs[::stride]})
-    assert set(window._bfs_cache) == cached
+    assert window._count_cache == cached and window._shells == []
 
 
 def test_check_s3_witness_reports_the_full_window_distance(monkeypatch):
@@ -618,11 +629,14 @@ def test_window_checks_run_without_group_multiplication(monkeypatch):
 
 def test_s2_on_a_bfs_window_caches_only_the_base_row():
     """tree:binary:12 is a window without a Cayley oracle: check_S2 reads
-    each ball by a BFS cut at depth R - |v| and keeps no row but the base's."""
+    each ball by a BFS cut at depth R - |v|, keeps no row but the base's
+    distances, and grows no bitset spheres."""
     pg = resolve_spec("tree:binary:12")
     assert pg._sphere_oracle is None and pg.truncated
     assert check_S2(pg).passed
-    assert set(pg._bfs_cache) == {pg.base}
+    radius = int(pg.exact_radius)
+    assert all(len(counts) == radius - pg.dist[v] + 1 for v, counts in pg._count_cache.items())
+    assert pg._shells == []
 
 
 def test_sphere_counts_read_each_vertex_once():
@@ -664,3 +678,127 @@ def test_a_shallower_top_is_a_prefix_of_the_cached_counts(spec):
         for v in inside:
             assert sphere_counts(pg, v, top + 2)[len(deep[v]) :] == [{}] * (top + 3 - len(deep[v]))
             assert sphere_counts(pg, v) == deep[v]
+
+
+@st.composite
+def off_centre_graphs(draw):
+    """A connected graph on at most 14 vertices, a random spanning tree
+    plus further edges, at a drawn base (rarely a centre), with a drawn
+    first read (vertex, top) that grows the spheres part of the way."""
+    n = draw(st.integers(1, 14))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [pair for pair in combinations(range(n), 2) if pair not in edges]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n))) if pairs else set()
+    pg = build_graph(sorted(edges), base=draw(st.integers(0, n - 1)), vertex_count=n)
+    return pg, draw(st.integers(0, n - 1)), draw(st.integers(0, n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(off_centre_graphs())
+def test_bitset_spheres_match_networkx(case):
+    """Counts, sizes, spheres and eccentricities of every vertex equal those
+    of networkx's all-pairs distances, whatever depth was read first."""
+    pg, first, first_top = case
+    lengths = dict(nx.all_pairs_shortest_path_length(networkx_graph(pg)))
+    sphere_counts(pg, first, first_top)
+    assert len(pg._shells) == min(first_top, nx.diameter(networkx_graph(pg))) + 1
+    for v in range(pg.vertex_count):
+        eccentricity = max(lengths[v].values())
+        counts = [{} for _ in range(eccentricity + 1)]
+        for u, d in lengths[v].items():
+            counts[d][pg.dist[u]] = counts[d].get(pg.dist[u], 0) + 1
+        assert sphere_counts(pg, v) == counts, v
+        assert sphere_sizes_at(pg, v) == tuple(sum(c.values()) for c in counts), v
+        for n in range(eccentricity + 2):
+            assert sphere_at(pg, v, n) == tuple(sorted(u for u, d in lengths[v].items() if d == n))
+    levels = sphere_bitsets(pg)
+    assert len(levels) == nx.diameter(networkx_graph(pg)) + 1
+    for v in range(pg.vertex_count):
+        row = [lengths[v][u] for u in range(pg.vertex_count)]
+        assert list(distance_row([level[v] for level in levels], pg.vertex_count)) == row
+
+
+def test_distance_rows_past_255():
+    """A row's 32-bit digits hold distances past one byte: a path of 600
+    vertices has diameter 599."""
+    n = 600
+    pg = build_graph([(u, u + 1) for u in range(n - 1)], base=0, vertex_count=n)
+    levels = sphere_bitsets(pg)
+    assert len(levels) == n
+    for v in (0, 1, 299, n - 1):
+        assert list(distance_row([level[v] for level in levels], n)) == list(bfs_from(pg.graph, v))
+
+
+def test_counts_read_past_the_eccentricity_leave_the_default_at_it():
+    """An explicit top past a vertex's eccentricity caches empty spheres
+    past it, but top=None, the sizes and condition (iii) still stop at the
+    eccentricity: (iii) fails where it failed on a fresh graph."""
+    graphs_ = random_pointed_graphs(count=30, seed=11) + [resolve_spec("figure:5")]
+    verdicts = []
+    for pg in graphs_:
+        fresh = point_graph(pg.graph, pg.base)
+        lengths = dict(nx.all_pairs_shortest_path_length(networkx_graph(pg)))
+        top = max(pg.spheres) + 2
+        for v in range(pg.vertex_count):
+            eccentricity = max(lengths[v].values())
+            padded = sphere_counts(pg, v, top)
+            assert len(padded) == top + 1 and padded[eccentricity + 1 :] == [{}] * (top - eccentricity)
+            assert len(sphere_counts(pg, v)) == eccentricity + 1
+            assert len(sphere_sizes_at(pg, v)) == eccentricity + 1
+        report = check_assumptions(pg)
+        assert report == check_assumptions(fresh) == reference_check_assumptions(fresh), pg.name
+        verdicts.append(report.condition_iii)
+    assert "fail" in verdicts and "pass" in verdicts
+
+
+@pytest.fixture
+def ball_steps(monkeypatch):
+    """Counts the neighbour OR-reductions of sphere_bitsets, one per vertex
+    and radius grown."""
+    steps = Counter()
+    real_reduce = graphs.reduce
+
+    def counting_reduce(function, iterable, *initial):
+        steps["or"] += function is or_
+        return real_reduce(function, iterable, *initial)
+
+    monkeypatch.setattr(graphs, "reduce", counting_reduce)
+    return steps
+
+
+@pytest.mark.parametrize("spec,bound", [("odd:5", 1), ("odd:5", 2), ("odd:6", 1)])
+def test_a_small_bound_grows_the_spheres_only_as_deep_as_it_reads(ball_steps, spec, bound):
+    """A table at bound b reads spheres to index b, so every vertex's ball
+    grows b times and no more.  Classifying it reads rows x_i o x_l with
+    l <= 2b past the bound, and condition (iii) grows the balls to the
+    diameter (the top base index on these vertex-transitive graphs)."""
+    pg = resolve_spec(spec)
+    table = build_table(pg, bound)
+    assert ball_steps["or"] == bound * pg.vertex_count
+    assert len(pg._shells) == bound + 1
+    classify(table)
+    assert len(pg._shells) == min(2 * bound, max(pg.spheres)) + 1
+    assert ball_steps["or"] == (len(pg._shells) - 1) * pg.vertex_count
+    check_assumptions(pg)
+    assert len(pg._shells) == max(pg.spheres) + 1
+    assert ball_steps["or"] == max(pg.spheres) * pg.vertex_count
+
+
+def test_finite_checks_share_one_growth_and_run_no_bfs(monkeypatch, ball_steps):
+    """On a finite graph without an oracle, (iii), (S1), (S2), the table,
+    the uniform bound, J and distance regularity read the one set of
+    bitset spheres: no BFS runs once the graph is pointed, and the balls
+    grow to the diameter once."""
+    pg = resolve_spec("odd:4")
+
+    def no_bfs(*args):
+        raise AssertionError("a BFS ran on a finite graph")
+
+    monkeypatch.setattr(graphs, "bfs_from", no_bfs)
+    monkeypatch.setattr(graphs, "bfs_ball", no_bfs)
+    assert check_assumptions(pg).passed and check_S1(pg).passed and check_S2(pg).passed
+    build_table(pg)
+    uniform_norm_bound(pg)
+    jump_distribution(pg, (1, 2, 1))
+    assert check_distance_regular(pg).passed
+    assert ball_steps["or"] == max(pg.spheres) * pg.vertex_count
