@@ -3,7 +3,9 @@
 Supported kinds: integer vector groups Z^a x Z/m_1 x ... (family
 "vector", one modulus per coordinate, 0 marking a free coordinate),
 permutation groups given by generator files (family "perm"), and free
-groups on the standard symmetric basis (family "free").
+groups on the standard symmetric basis (family "free").  parse_group
+reads every group spec, head:params[:r=<R>], once: the CLI's group
+commands take its group, and the fixture catalog realizes it.
 
 realize_window produces a PointedGraph for the ball of a chosen radius
 around the identity and an integer table of its products by generators.
@@ -176,50 +178,145 @@ class CayleyGraph:
         return self._order
 
 
-def parse_group_spec(spec: str) -> CayleyGraph:
-    """Build a Cayley graph from a spec string with default generators.
+def _split_params(params):
+    """Split spec parameters into positional values and key=value pairs."""
+    positional, keyed = [], {}
+    for p in params:
+        if "=" in p:
+            k, _, v = p.partition("=")
+            if not k or not v:
+                raise BadParameter(f"malformed parameter {p!r}")
+            keyed[k] = v
+        else:
+            positional.append(p)
+    return positional, keyed
 
-    Forms: zmod:m[,m2,...] (finite vector groups), lattice:d (Z^d),
-    free:n, ladder (Z x Z/2), perm:<file> (cycle-notation generators).
+
+def _int_param(spec, value, minimum, what):
+    try:
+        n = int(value)
+    except (TypeError, ValueError) as exc:
+        raise BadParameter(f"{spec!r}: {what} must be an integer") from exc
+    if n < minimum:
+        raise BadParameter(f"{spec!r}: {what} must be >= {minimum}")
+    return n
+
+
+def _expect(spec, positional, count, what):
+    if len(positional) != count:
+        raise BadParameter(f"{spec!r}: expected {what}")
+    return positional
+
+
+def _radius(spec, keyed):
+    """The window radius r=<R>, or None when the spec gives none."""
+    return _int_param(spec, keyed["r"], 0, "radius r") if "r" in keyed else None
+
+
+def _standard(kind: GroupKind, name: str) -> CayleyGraph:
+    return build_cayley(kind, default_generators(kind), spec_name=name)
+
+
+# Each family reads (spec, positional, keyed) and returns (group, radius).
+# cycle and prism are named by their zmod group.  lattice and free are
+# named as typed, or, once keyword parameters are dropped, by their
+# integer parameter.
+
+
+def _cycle(spec, positional, keyed):
+    (n,) = _expect(spec, positional, 1, "one parameter: cycle:<n>")
+    n = _int_param(spec, n, 3, "n")
+    _expect(spec, list(keyed), 0, "no keyword parameters")
+    return _standard(GroupKind("vector", mods=(n,)), f"zmod:{n}"), None
+
+
+def _prism(spec, positional, keyed):
+    (n,) = _expect(spec, positional, 1, "one parameter: prism:<n>")
+    n = _int_param(spec, n, 3, "n")
+    _expect(spec, list(keyed), 0, "no keyword parameters")
+    return _standard(GroupKind("vector", mods=(n, 2)), f"zmod:{n},2"), None
+
+
+def _lattice(spec, positional, keyed):
+    (d,) = _expect(spec, positional, 1, "lattice:<d>:r=<R>")
+    d = _int_param(spec, d, 1, "dimension")
+    radius = _radius(spec, keyed)
+    name = f"lattice:{d}" if keyed else spec
+    return _standard(GroupKind("vector", mods=(0,) * d), name), radius
+
+
+def _free(spec, positional, keyed):
+    (n,) = _expect(spec, positional, 1, "free:<n>:r=<R>")
+    n = _int_param(spec, n, 1, "rank")
+    radius = _radius(spec, keyed)
+    name = f"free:{n}" if keyed else spec
+    return _standard(GroupKind("free", rank=n), name), radius
+
+
+def _ladder(spec, positional, keyed):
+    _expect(spec, positional, 0, "ladder:r=<R>")
+    radius = _radius(spec, keyed)
+    return _standard(GroupKind("vector", mods=(0, 2)), "ladder"), radius
+
+
+def _zmod(spec, positional, keyed):
+    (mods,) = _expect(spec, positional, 1, "zmod:<m1>[,<m2>...][:r=<R>]")
+    radius = _radius(spec, keyed)
+    try:
+        moduli = tuple(int(m) for m in mods.split(","))
+    except ValueError as exc:
+        raise BadParameter(f"bad zmod spec {spec!r}") from exc
+    if min(moduli) < 2:
+        raise BadParameter(f"zmod moduli must all be >= 2: {spec!r}")
+    return _standard(GroupKind("vector", mods=moduli), f"zmod:{mods}"), radius
+
+
+def _perm(spec, positional, keyed):
+    if not positional:
+        raise BadParameter(f"{spec!r}: perm:<file>[:r=<R>]")
+    radius = _radius(spec, keyed)
+    path = ":".join(positional)
+    if not path:
+        raise BadParameter("perm spec needs a generator file: perm:<path>")
+    gens, degree = parse_perm_file(path)
+    kind = GroupKind("perm", degree=degree)
+    elements = tuple(GroupElement(kind, g) for g in gens)
+    return build_cayley(kind, elements, spec_name=f"perm:{path}"), radius
+
+
+GROUP_FAMILIES = {
+    "cycle": _cycle,
+    "prism": _prism,
+    "lattice": _lattice,
+    "free": _free,
+    "ladder": _ladder,
+    "zmod": _zmod,
+    "perm": _perm,
+}
+
+
+def parse_group(spec: str) -> tuple[CayleyGraph, int | None]:
+    """A group spec's Cayley graph with its default generators, and its
+    window radius, None when the spec gives no r=<R>.
+
+    Forms, each head:params[:r=<R>]: cycle:<n> and prism:<n> (Z/n and
+    Z/n x Z/2), lattice:<d> (Z^d), free:<n>, ladder (Z x Z/2),
+    zmod:<m1>[,<m2>...] (finite vector groups), perm:<file> (generators
+    in cycle notation, one per line).  Other keyword parameters are
+    ignored; cycle and prism take none.
     """
     spec = spec.strip()
-    head, _, rest = spec.partition(":")
-    if head == "zmod":
-        try:
-            mods = tuple(int(x) for x in rest.split(","))
-        except ValueError as exc:
-            raise BadParameter(f"bad zmod spec {spec!r}") from exc
-        if not mods or any(m < 2 for m in mods):
-            raise BadParameter(f"zmod moduli must all be >= 2: {spec!r}")
-        kind = GroupKind("vector", mods=mods)
-    elif head == "lattice":
-        try:
-            d = int(rest)
-        except ValueError as exc:
-            raise BadParameter(f"bad lattice spec {spec!r}") from exc
-        if d < 1:
-            raise BadParameter(f"lattice dimension must be >= 1: {spec!r}")
-        kind = GroupKind("vector", mods=(0,) * d)
-    elif head == "ladder" and not rest:
-        kind = GroupKind("vector", mods=(0, 2))
-    elif head == "free":
-        try:
-            n = int(rest)
-        except ValueError as exc:
-            raise BadParameter(f"bad free spec {spec!r}") from exc
-        if n < 1:
-            raise BadParameter(f"free rank must be >= 1: {spec!r}")
-        kind = GroupKind("free", rank=n)
-    elif head == "perm":
-        if not rest:
-            raise BadParameter("perm spec needs a generator file: perm:<path>")
-        gens, degree = parse_perm_file(rest)
-        kind = GroupKind("perm", degree=degree)
-        elements = tuple(GroupElement(kind, g) for g in gens)
-        return build_cayley(kind, elements, spec_name=spec)
-    else:
+    head, *params = spec.split(":")
+    family = GROUP_FAMILIES.get(head)
+    if family is None:
         raise BadParameter(f"unknown group spec {spec!r}")
-    return build_cayley(kind, default_generators(kind), spec_name=spec)
+    return family(spec, *_split_params(params))
+
+
+def parse_group_spec(spec: str) -> CayleyGraph:
+    """The Cayley graph of a group spec (see parse_group); its radius, if
+    any, is not realized."""
+    return parse_group(spec)[0]
 
 
 def default_generators(kind: GroupKind) -> tuple[GroupElement, ...]:
@@ -372,7 +469,9 @@ class WindowData:
     right[v][s] is the index of elements[v] * generators[s], or -1 outside
     the window.  via[v] = (u, s), the pair whose product first reached v
     in the BFS, so following via from v back to 0 spells a geodesic word.
-    Elements are in BFS order: each base ball B_n is a prefix of them.
+    Elements are in BFS order, dist[v] the length of elements[v]: each
+    base ball B_n is a prefix of them.  sphere_oracle translates B_n to
+    any vertex; the window's PointedGraph serves its spheres through it.
     """
 
     cg: CayleyGraph
@@ -382,6 +481,17 @@ class WindowData:
     radius: int
     right: list
     via: list
+    dist: tuple[int, ...]
+
+    def sphere_oracle(self, v: int, top: int) -> list[int]:
+        """The index of elements[v] * g for each g in B_top, in order."""
+        right = self.right
+        ball = [v]
+        for u, s in self.via[1 : bisect_right(self.dist, top)]:
+            ball.append(right[ball[u]][s])
+        if -1 in ball:
+            raise InternalError(f"B_{top} translated to vertex {v} leaves the window")
+        return ball
 
 
 def realize_window(cg: CayleyGraph, radius: int, cap: int = WINDOW_CAP) -> PointedGraph:
@@ -454,18 +564,8 @@ def realize_window(cg: CayleyGraph, radius: int, cap: int = WINDOW_CAP) -> Point
         exact_radius=INFINITE if saturated else radius,
     )
     index = dict(zip(elements, range(len(elements))))
-    pg.cayley = WindowData(cg, elements, index, saturated, radius, right, via)
-
-    def sphere_oracle(v: int, top: int) -> list[int]:
-        """The index of elements[v] * g for each g in B_top, in order."""
-        ball = [v]
-        for u, s in via[1 : bisect_right(dist, top)]:
-            ball.append(right[ball[u]][s])
-        if -1 in ball:
-            raise InternalError(f"B_{top} translated to vertex {v} leaves the window")
-        return ball
-
-    pg._sphere_oracle = sphere_oracle
+    pg.cayley = WindowData(cg, elements, index, saturated, radius, right, via, dist)
+    pg._sphere_oracle = pg.cayley.sphere_oracle
     return pg
 
 

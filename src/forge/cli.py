@@ -14,7 +14,7 @@ import click
 
 from . import cayley as cy
 from .errors import BadParameter, ForgeError
-from .fixtures import fixture_group, resolve_spec
+from .fixtures import resolve_spec
 from .graphs import check_assumptions, index_set
 from .hypergroup import (
     build_table,
@@ -132,16 +132,10 @@ def _alpha_arg(text: str):
 
 
 def _group_for(spec: str) -> cy.CayleyGraph:
-    """A Cayley group from a group spec, or from a Cayley-backed fixture
-    (whose window is not realized)."""
-    try:
-        return cy.parse_group_spec(spec)
-    except BadParameter:
-        cg = fixture_group(spec)
-        if cg is None:
-            resolve_spec(spec)  # its error as a fixture or graph file, if any
-            raise
-        return cg
+    """The group of a group spec; a window radius in it is not realized."""
+    if spec.strip().split(":")[0] not in cy.GROUP_FAMILIES:
+        resolve_spec(spec)  # its error as a fixture or graph file, if any
+    return cy.parse_group_spec(spec)
 
 
 @click.group(cls=_ForgeGroup, context_settings={"help_option_names": ["-h", "--help"]})

@@ -1,20 +1,24 @@
 """The fixture catalog: named graphs built from short spec strings.
 
-Grammar (params joined by ":"):
-    cycle:<n>            n-cycle, n >= 3                (Cayley-backed)
-    prism:<n>            circular ladder C_n x K_2      (Cayley-backed)
-    bipartite:<n>,<m>    complete bipartite, base in the first part
-    odd:<n>              odd graph O_n (O_3 = Petersen)
-    lattice:<d>:r=<R>    Z^d window of radius R         (Cayley-backed)
-    free:<n>:r=<R>       free-group window of radius R  (Cayley-backed)
-    ladder:r=<R>         Z x Z/2 window of radius R     (Cayley-backed)
-    tree:binary:<depth>  rooted binary tree truncated at the given depth
-    figure:<n>[:base=<b>]  transcribed drawings, n in 3..6
-    zmod:<m1>[,<m2>...][:r=<R>]  finite vector group    (Cayley-backed)
+A spec is head:params, params joined by ":".  The Cayley-backed families
+are the group specs of cayley.parse_group, realized as pointed graphs:
+
+    cycle:<n>            n-cycle, n >= 3
+    prism:<n>            circular ladder C_n x K_2
+    lattice:<d>:r=<R>    Z^d window of radius R
+    free:<n>:r=<R>       free-group window of radius R
+    ladder:r=<R>         Z x Z/2 window of radius R
+    zmod:<m1>[,<m2>...][:r=<R>]  finite vector group
     perm:<file>[:r=<R>]  permutation group from a generator file
 
-Infinite families require an explicit radius; finite Cayley fixtures
-realize the whole group unless a radius is given.
+Infinite groups require an explicit radius; finite groups are realized
+whole unless a radius is given.  The other families build their graphs
+here:
+
+    bipartite:<n>,<m>    complete bipartite, base in the first part
+    odd:<n>              odd graph O_n (O_3 = Petersen)
+    tree:binary:<depth>  rooted binary tree truncated at the given depth
+    figure:<n>[:base=<b>]  transcribed drawings, n in 3..6
 """
 
 from __future__ import annotations
@@ -23,8 +27,10 @@ import json
 import os
 from importlib import resources
 from itertools import combinations
+from math import comb
 
 from . import cayley as cy
+from .cayley import _expect, _int_param, _split_params
 from .errors import BadParameter, UnknownFixture, WindowOverflow
 from .graphs import Graph, PointedGraph, build_graph, load_graph_file, parse_graph_json, point_graph
 
@@ -36,10 +42,11 @@ def catalog(spec: str) -> PointedGraph:
     spec = spec.strip()
     if not spec:
         raise BadParameter("empty fixture spec")
-    parts = spec.split(":")
-    head, params = parts[0], parts[1:]
-    if head in _GROUPS:
-        cg, radius = _GROUPS[head](spec, params)
+    head, *params = spec.split(":")
+    if head in cy.GROUP_FAMILIES:
+        cg, radius = cy.parse_group(spec)
+        if radius is None and not cg.finite:
+            raise BadParameter(f"{spec!r}: window radius required, e.g. {spec}:r=6")
         pg = cy.realize_full(cg) if radius is None else cy.realize_window(cg, radius)
         pg.name = spec
         return pg
@@ -47,69 +54,6 @@ def catalog(spec: str) -> PointedGraph:
     if builder is None:
         raise UnknownFixture(f"no fixture named {head!r}")
     return builder(spec, params)
-
-
-def fixture_group(spec: str) -> cy.CayleyGraph | None:
-    """The group of a Cayley-backed catalog fixture, without realizing
-    its window; None when the spec's head names no such family."""
-    spec = spec.strip()
-    head, *params = spec.split(":")
-    if head not in _GROUPS:
-        return None
-    return _GROUPS[head](spec, params)[0]
-
-
-def _split_params(params):
-    positional, keyed = [], {}
-    for p in params:
-        if "=" in p:
-            k, _, v = p.partition("=")
-            if not k or not v:
-                raise BadParameter(f"malformed parameter {p!r}")
-            keyed[k] = v
-        else:
-            positional.append(p)
-    return positional, keyed
-
-
-def _int_param(spec, value, minimum, what):
-    try:
-        n = int(value)
-    except (TypeError, ValueError) as exc:
-        raise BadParameter(f"{spec!r}: {what} must be an integer") from exc
-    if n < minimum:
-        raise BadParameter(f"{spec!r}: {what} must be >= {minimum}")
-    return n
-
-
-def _radius(spec, keyed, required=True):
-    if "r" not in keyed:
-        if required:
-            raise BadParameter(f"{spec!r}: window radius required, e.g. {spec}:r=6")
-        return None
-    return _int_param(spec, keyed["r"], 0, "radius r")
-
-
-def _expect(spec, positional, count, what):
-    if len(positional) != count:
-        raise BadParameter(f"{spec!r}: expected {what}")
-    return positional
-
-
-def _cycle_group(spec, params):
-    positional, keyed = _split_params(params)
-    (n,) = _expect(spec, positional, 1, "one parameter: cycle:<n>")
-    n = _int_param(spec, n, 3, "n")
-    _expect(spec, list(keyed), 0, "no keyword parameters")
-    return cy.parse_group_spec(f"zmod:{n}"), None
-
-
-def _prism_group(spec, params):
-    positional, keyed = _split_params(params)
-    (n,) = _expect(spec, positional, 1, "one parameter: prism:<n>")
-    n = _int_param(spec, n, 3, "n")
-    _expect(spec, list(keyed), 0, "no keyword parameters")
-    return cy.parse_group_spec(f"zmod:{n},2"), None
 
 
 def _build_bipartite(spec, params):
@@ -130,58 +74,20 @@ def _build_odd(spec, params):
     (n,) = _expect(spec, positional, 1, "one parameter: odd:<n>")
     n = _int_param(spec, n, 2, "n")
     _expect(spec, list(keyed), 0, "no keyword parameters")
+    count = comb(2 * n - 1, n - 1)
+    if count > TREE_CAP:
+        raise WindowOverflow(f"{spec!r}: {count} vertices exceeds the cap")
     ground = range(2 * n - 1)
     subsets = list(combinations(ground, n - 1))
-    if len(subsets) > TREE_CAP:
-        raise WindowOverflow(f"{spec!r}: {len(subsets)} vertices exceeds the cap")
     index = {s: i for i, s in enumerate(subsets)}
-    edges = []
-    for i, s in enumerate(subsets):
-        s_set = set(s)
-        for t in subsets[i + 1 :]:
-            if s_set.isdisjoint(t):
-                edges.append((i, index[t]))
-    labels = ["{" + ",".join(str(x) for x in s) + "}" for s in subsets]
-    return build_graph(edges, base=0, vertex_count=len(subsets), labels=labels, name=spec)
-
-
-def _lattice_group(spec, params):
-    positional, keyed = _split_params(params)
-    (d,) = _expect(spec, positional, 1, "lattice:<d>:r=<R>")
-    d = _int_param(spec, d, 1, "dimension")
-    radius = _radius(spec, keyed)
-    return cy.parse_group_spec(f"lattice:{d}"), radius
-
-
-def _free_group(spec, params):
-    positional, keyed = _split_params(params)
-    (n,) = _expect(spec, positional, 1, "free:<n>:r=<R>")
-    n = _int_param(spec, n, 1, "rank")
-    radius = _radius(spec, keyed)
-    return cy.parse_group_spec(f"free:{n}"), radius
-
-
-def _ladder_group(spec, params):
-    positional, keyed = _split_params(params)
-    _expect(spec, positional, 0, "ladder:r=<R>")
-    radius = _radius(spec, keyed)
-    return cy.parse_group_spec("ladder"), radius
-
-
-def _zmod_group(spec, params):
-    positional, keyed = _split_params(params)
-    (mods,) = _expect(spec, positional, 1, "zmod:<m1>[,<m2>...][:r=<R>]")
-    radius = _radius(spec, keyed, required=False)
-    return cy.parse_group_spec(f"zmod:{mods}"), radius
-
-
-def _perm_group(spec, params):
-    positional, keyed = _split_params(params)
-    if not positional:
-        raise BadParameter(f"{spec!r}: perm:<file>[:r=<R>]")
-    radius = _radius(spec, keyed, required=False)
-    path = ":".join(positional)
-    return cy.parse_group_spec(f"perm:{path}"), radius
+    # The neighbours of s are the n subsets of its complement that leave
+    # out one of its n points.
+    adjacency = []
+    for s in subsets:
+        rest = tuple(x for x in ground if x not in s)
+        adjacency.append(tuple(sorted(index[rest[:j] + rest[j + 1 :]] for j in range(n))))
+    labels = tuple("{" + ",".join(map(str, s)) + "}" for s in subsets)
+    return point_graph(Graph(count, tuple(adjacency), labels), 0, name=spec)
 
 
 def _build_tree(spec, params):
@@ -246,17 +152,6 @@ def _resolve_base(data, base_arg, spec):
     return vid
 
 
-# Cayley-backed families: each parser returns (group, window radius),
-# with radius None for the whole finite group.
-_GROUPS = {
-    "cycle": _cycle_group,
-    "prism": _prism_group,
-    "lattice": _lattice_group,
-    "free": _free_group,
-    "ladder": _ladder_group,
-    "zmod": _zmod_group,
-    "perm": _perm_group,
-}
 _BUILDERS = {
     "bipartite": _build_bipartite,
     "odd": _build_odd,
@@ -270,7 +165,7 @@ def resolve_spec(spec: str) -> PointedGraph:
     ":" names a family (so perm:dir/gens.txt stays a fixture), else a JSON
     graph file if it looks like a path, else a catalog fixture."""
     head = spec.strip().split(":")[0]
-    if head in _GROUPS or head in _BUILDERS:
+    if head in cy.GROUP_FAMILIES or head in _BUILDERS:
         return catalog(spec)
     if spec.endswith(".json") or "/" in spec or os.path.isfile(spec):
         return load_graph_file(spec)

@@ -82,6 +82,7 @@ class PointedGraph:
     spheres: dict[int, tuple[int, ...]]
     exact_radius: float = INFINITE
     name: str = "graph"
+    # On Cayley graphs, pg.cayley.sphere_oracle; perfbench's tracer wraps it here.
     _sphere_oracle: object = field(default=None, repr=False)
     _count_cache: dict = field(default_factory=dict, repr=False)
     # sphere_bitsets' levels and outermost balls; no balls once all are whole.

@@ -68,15 +68,6 @@ class ProbabilityVector(NamedTuple):
     def point(cls, k: int) -> "ProbabilityVector":
         return cls(1, ((k, 1),))
 
-    @staticmethod
-    def combine(terms) -> "ProbabilityVector":
-        """Convex combination: terms is an iterable of (weight, vector)."""
-        terms = [(Fraction(w), vec) for w, vec in terms if w]
-        den = lcm(*(w.denominator for w, _ in terms))
-        return convex_combination(
-            den, [(w.numerator * (den // w.denominator), vec) for w, vec in terms]
-        )
-
     @property
     def items(self) -> tuple[tuple[int, Fraction], ...]:
         return tuple((k, Fraction(n, self.den)) for k, n in self.entries)

@@ -202,9 +202,10 @@ def monte_carlo_conditional(
     by the block and the window, not by the trial count.  Each trial moves
     along the geodesic word of its drawn sphere element through the
     window's generator table; when the step's |window| x |S_i| table is
-    smaller than the trials, every start is walked through every word once
-    and each trial reads its end there.  Ends are counted per window
-    element and folded onto their distances at the end.
+    smaller than the trials and fits in MC_BLOCK entries, every start is
+    walked through every word once and each trial reads its end there.
+    Ends are counted per window element and folded onto their distances
+    at the end.
     """
     if not isinstance(cg, cy.CayleyGraph):
         raise NotCayley("Monte-Carlo products need a Cayley graph")
@@ -235,9 +236,11 @@ def monte_carlo_conditional(
         for e, v in enumerate(sphere):
             for j in reversed(range(i)):
                 v, letters[j, e] = data.via[v]
-        # A |window| x |S_i| table smaller than the trials is walked once:
-        # ends[v * |S_i| + e] is where the word of element e leads from v.
-        compose = i > 1 and rows * len(sphere) < trials
+        # A |window| x |S_i| table smaller than the trials and no larger
+        # than a block is walked once: ends[v * |S_i| + e] is where the
+        # word of element e leads from v.
+        entries = rows * len(sphere)
+        compose = i > 1 and entries < trials and entries <= MC_BLOCK
         ends = walk(np.arange(rows)[:, None], letters).ravel() if compose else None
         steps.append((_step_rng(seed, step), len(sphere), letters, ends))
     tally = np.zeros(rows, dtype=np.int64)

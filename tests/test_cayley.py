@@ -10,6 +10,7 @@ from forge.cayley import (
     identity,
     inverse,
     multiply,
+    parse_group,
     parse_group_spec,
     parse_perm_file,
     realize_full,
@@ -39,6 +40,61 @@ def test_parse_group_spec_families():
 def test_bad_group_specs(spec):
     with pytest.raises(BadParameter):
         parse_group_spec(spec)
+
+
+# spec -> (the group's name, its mods or rank, the radius).  A family that
+# is another group's shape is named by that group; lattice and free keep
+# the spec as typed unless keyword parameters are dropped from it.
+GROUP_SPECS = {
+    "cycle:05": ("zmod:5", (5,), None),
+    "prism:4": ("zmod:4,2", (4, 2), None),
+    "zmod:4,2": ("zmod:4,2", (4, 2), None),
+    "zmod:04:r=1": ("zmod:04", (4,), 1),
+    "zmod:4:x=1": ("zmod:4", (4,), None),
+    "lattice:01": ("lattice:01", (0,), None),
+    "lattice:01:r=2": ("lattice:1", (0,), 2),
+    "ladder": ("ladder", (0, 2), None),
+    "ladder:r=3": ("ladder", (0, 2), 3),
+    " free:2 ": ("free:2", 2, None),
+    "free:02": ("free:02", 2, None),
+    "free:02:r=11": ("free:2", 2, 11),
+}
+
+
+@pytest.mark.parametrize("spec", GROUP_SPECS)
+def test_parse_group_reads_each_family_once(spec):
+    name, shape, radius = GROUP_SPECS[spec]
+    cg, r = parse_group(spec)
+    assert (cg.spec_name, r) == (name, radius)
+    assert (cg.kind.rank if cg.kind.family == "free" else cg.kind.mods) == shape
+    assert parse_group_spec(spec).generators == cg.generators
+
+
+def test_parse_group_reads_a_perm_file_path_with_colons(tmp_path):
+    path = tmp_path / "a:b.txt"
+    path.write_text("(0 1)\n(1 2)\n")
+    cg, radius = parse_group(f"perm:{path}:r=2")
+    assert (cg.spec_name, radius, cg.order) == (f"perm:{path}", 2, 6)
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("zmod:1:r=2", "zmod moduli must all be >= 2: 'zmod:1:r=2'"),
+        ("zmod:x:r=2", "bad zmod spec 'zmod:x:r=2'"),
+        ("zmod:x:r=y", "'zmod:x:r=y': radius r must be an integer"),
+        ("lattice:x:r=y", "'lattice:x:r=y': dimension must be an integer"),
+        ("cycle:5:r=2", "'cycle:5:r=2': expected no keyword parameters"),
+        ("ladder:", "'ladder:': expected ladder:r=<R>"),
+        ("perm:r=1", "'perm:r=1': perm:<file>[:r=<R>]"),
+        ("perm:", "perm spec needs a generator file: perm:<path>"),
+        ("odd:3", "unknown group spec 'odd:3'"),
+    ],
+)
+def test_malformed_group_specs_name_the_spec_as_given(spec, message):
+    with pytest.raises(BadParameter) as info:
+        parse_group(spec)
+    assert str(info.value) == message
 
 
 def test_generator_validation():

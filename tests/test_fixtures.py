@@ -1,7 +1,10 @@
 """Named fixture specs: shapes, window scopes, and parameter validation."""
 
+from itertools import combinations
+
 import pytest
 
+from forge.cayley import parse_group
 from forge.errors import BadParameter, UnknownFixture
 from forge.fixtures import resolve_spec
 from forge.graphs import build_graph
@@ -78,6 +81,28 @@ def test_tree_equals_the_validated_edge_list_build(depth):
     )
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_odd_equals_the_pairwise_build(n):
+    """odd:<n> lists each subset's neighbours in its complement; it equals
+    the graph that make_graph builds from every disjoint pair."""
+    subsets = list(combinations(range(2 * n - 1), n - 1))
+    edges = [
+        (i, j)
+        for i, s in enumerate(subsets)
+        for j in range(i + 1, len(subsets))
+        if not set(s) & set(subsets[j])
+    ]
+    labels = ["{" + ",".join(str(x) for x in s) + "}" for s in subsets]
+    spec = f"odd:{n}"
+    want = build_graph(edges, 0, len(subsets), labels, name=spec)
+    pg = resolve_spec(spec)
+    assert pg.graph.adjacency == want.graph.adjacency
+    assert pg.graph.labels == want.graph.labels
+    assert (pg.name, pg.exact_radius, pg.base, pg.dist) == (
+        want.name, want.exact_radius, want.base, want.dist
+    )
+
+
 def test_figure_base_override():
     pg = resolve_spec("figure:3:base=w0p")
     assert pg.base != resolve_spec("figure:3").base
@@ -88,6 +113,27 @@ def test_cayley_backed_fixture_carries_window():
     pg = resolve_spec("lattice:1:r=6")
     assert pg.cayley is not None
     assert pg.cayley.radius == 6
+
+
+@pytest.mark.parametrize(
+    "spec", ["cycle:7", "prism:4", "zmod:3,3", "zmod:3,3:r=2", "lattice:2:r=3", "free:2:r=4", "ladder:r=5"]
+)
+def test_group_fixtures_realize_the_parsed_group(spec):
+    cg, radius = parse_group(spec)
+    pg = resolve_spec(spec)
+    assert pg.name == spec
+    assert (pg.cayley.cg.kind, pg.cayley.cg.generators) == (cg.kind, cg.generators)
+    if radius is None:
+        assert not pg.truncated and pg.vertex_count == cg.order
+    else:
+        assert pg.cayley.radius == radius
+
+
+@pytest.mark.parametrize("spec", ["lattice:1", "free:2:R=3", "ladder"])
+def test_infinite_group_fixtures_need_a_radius(spec):
+    with pytest.raises(BadParameter) as info:
+        resolve_spec(spec)
+    assert str(info.value) == f"{spec!r}: window radius required, e.g. {spec}:r=6"
 
 
 def test_unknown_fixture():

@@ -58,14 +58,6 @@ def test_point_mass():
     assert e3.support == (3,) and e3.coefficient(3) == 1
 
 
-def test_combine_mixes_convexly():
-    half = F(1, 2)
-    mixed = ProbabilityVector.combine(
-        [(half, ProbabilityVector.point(0)), (half, ProbabilityVector.point(2))]
-    )
-    assert mixed.as_dict() == {0: half, 2: half}
-
-
 def test_integer_row_is_derived_once_per_vector():
     """A vector is its integer row in lowest terms, fixed when it is built:
     reading it back as Fractions and building again gives an equal tuple."""
@@ -252,8 +244,6 @@ def test_combination_mass_is_an_internal_invariant(monkeypatch):
         classify(table)
     with pytest.raises(InternalError, match="mass"):
         associativity_defect(table, 0, 1, 2)
-    with pytest.raises(InternalError, match="mass"):
-        ProbabilityVector.combine([(F(1, 2), ProbabilityVector.point(0))])
 
 
 def test_distance_regular_verdicts():

@@ -32,7 +32,7 @@ from forge.errors import (
     RadiusExceeded,
     TruncatedMatrix,
 )
-from forge.fixtures import fixture_group, resolve_spec
+from forge.fixtures import resolve_spec
 from forge.graphs import build_graph
 from forge.hypergroup import (
     ProbabilityVector,
@@ -563,7 +563,7 @@ def test_verdicts_match_the_dense_reference(spec):
     ["zmod:3,2", "zmod:5", "zmod:3,3,3", "zmod:6,6", "zmod:2,2,2", "cycle:7", "prism:4", "lattice:1:r=6"],
 )
 def test_stationary_matches_the_dense_reference(spec):
-    cg = fixture_group(spec)
+    cg = parse_group_spec(spec)
     assert outcome(stationary_check, cg) == outcome(reference_stationary, cg)
 
 

@@ -326,6 +326,29 @@ def test_monte_carlo_memory_does_not_grow_with_the_trials():
     assert large - small < 2**20
 
 
+def test_monte_carlo_memory_does_not_grow_once_a_step_could_compose():
+    """free:4's window of radius 3 has 458 rows with the sentinel and
+    |S_3| = 392: a table of 179536 entries, more than a block.  Past that
+    many trials the step still walks each block's trials, so the traced
+    peak stays where it is below it."""
+    cg = parse_group_spec("free:4")
+    monte_carlo_conditional(cg, (3,), 10)  # numpy.random loads before tracing
+    small = _traced_peak(cg, (3,), 100_000)
+    large = _traced_peak(cg, (3,), 400_000)
+    assert large - small < 2**19
+
+
+class _Scripted:
+    """A step stream that hands out fixed draws in order."""
+
+    def __init__(self, draws):
+        self.draws, self.at = draws, 0
+
+    def integers(self, low, high, size):
+        self.at += size
+        return self.draws[self.at - size : self.at]
+
+
 @pytest.mark.parametrize("block", [1, 7])
 @pytest.mark.parametrize("composed", [False, True], ids=["per-trial", "composed"])
 def test_monte_carlo_checks_the_window_in_every_block(block, composed, monkeypatch):
@@ -333,23 +356,36 @@ def test_monte_carlo_checks_the_window_in_every_block(block, composed, monkeypat
     pattern = (2, 2)
     pg = realize_window(cg, sum(pattern))
     sphere = pg.spheres[2]
-    # Steps of index 2 walk a composed table once the trials exceed it.
+    # Steps of index 2 walk a composed table once the trials exceed it and
+    # it fits in a block.
     threshold = (pg.vertex_count + 1) * len(sphere)
-    lo, hi = (threshold + 1, 20 * threshold) if composed else (1, threshold)
-    draws = _step_rng(0, 0).integers(0, len(sphere), size=hi)
-    # Break the row of an element of S_2 that the first block never draws
-    # at step 0.  The torus is bipartite, so no other walk of either step
-    # stands on that element: exactly the trials that drew it leave the
+    if composed:
+        # Each block then draws every element of S_2, so step 0 draws from a
+        # script instead: the last element once, in a middle block, else
+        # the first; step 1 draws the first.
+        block += threshold - 1
+        trials, target = 3 * block + 1, len(sphere) - 1
+        hits = np.array([block + block // 2])
+        draws = np.zeros(trials, dtype=np.intp)
+        draws[hits] = target
+        scripts = {0: draws, 1: np.zeros(trials, dtype=np.intp)}
+        monkeypatch.setattr(walks, "_step_rng", lambda seed, step: _Scripted(scripts[step]))
+    else:
+        draws = _step_rng(0, 0).integers(0, len(sphere), size=threshold)
+        # Break the row of an element of S_2 that the first block never
+        # draws at step 0.
+        target = min(set(range(len(sphere))) - set(draws[:block].tolist()))
+        hits = np.flatnonzero(draws == target)
+        assert len(hits) and hits[0] >= block
+
+        def only_middle_blocks_leave(t):
+            last = (t - 1) // block * block
+            return hits[0] < last and not ((hits >= last) & (hits < t)).any()
+
+        trials = next(t for t in range(1, threshold + 1) if only_middle_blocks_leave(t))
+    # The torus is bipartite, so no other walk of either step stands on
+    # the broken element: exactly the trials that drew it leave the
     # window, in their second step.
-    target = min(set(range(len(sphere))) - set(draws[:block].tolist()))
-    hits = np.flatnonzero(draws == target)
-    assert len(hits) and hits[0] >= block
-
-    def only_middle_blocks_leave(t):
-        last = (t - 1) // block * block
-        return hits[0] < last and not ((hits >= last) & (hits < t)).any()
-
-    trials = next(t for t in range(lo, hi + 1) if only_middle_blocks_leave(t))
     realize = walks.cy.realize_window
 
     def broken(cg, radius):
