@@ -38,14 +38,10 @@ from .hypergroup import (
     sphere_sizes,
 )
 from .matrices import (
-    TransitionMatrix,
-    apply,
     commute_check,
     irreducibility,
-    matmul,
     norm_bounds,
     stationary_check,
-    transition_matrix,
     uniform_norm_bound,
     verify_maincoro,
     verify_regular_representation,
@@ -73,8 +69,6 @@ __all__ = [
     "PointedGraph",
     "ProbabilityVector",
     "StructureTable",
-    "TransitionMatrix",
-    "apply",
     "associativity_defect",
     "brute_force_conditional",
     "build_cayley",
@@ -96,7 +90,6 @@ __all__ = [
     "left_nested_product",
     "load_graph_file",
     "markov_check",
-    "matmul",
     "monte_carlo_conditional",
     "norm_bounds",
     "paper_regression",
@@ -111,7 +104,6 @@ __all__ = [
     "sphere_at",
     "sphere_sizes",
     "stationary_check",
-    "transition_matrix",
     "uniform_distribution",
     "uniform_norm_bound",
     "validate_alpha",

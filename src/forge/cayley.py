@@ -209,7 +209,9 @@ def _expect(spec, positional, count, what):
 
 
 def _radius(spec, keyed):
-    """The window radius r=<R>, or None when the spec gives none."""
+    """The window radius r=<R>, or None when the spec gives none; any
+    other keyword parameter is refused."""
+    _expect(spec, [k for k in keyed if k != "r"], 0, "no keyword parameters other than r=<R>")
     return _int_param(spec, keyed["r"], 0, "radius r") if "r" in keyed else None
 
 
@@ -219,8 +221,8 @@ def _standard(kind: GroupKind, name: str) -> CayleyGraph:
 
 # Each family reads (spec, positional, keyed) and returns (group, radius).
 # cycle and prism are named by their zmod group.  lattice and free are
-# named as typed, or, once keyword parameters are dropped, by their
-# integer parameter.
+# named as typed, or, once the radius is dropped, by their integer
+# parameter.
 
 
 def _cycle(spec, positional, keyed):
@@ -302,8 +304,8 @@ def parse_group(spec: str) -> tuple[CayleyGraph, int | None]:
     Forms, each head:params[:r=<R>]: cycle:<n> and prism:<n> (Z/n and
     Z/n x Z/2), lattice:<d> (Z^d), free:<n>, ladder (Z x Z/2),
     zmod:<m1>[,<m2>...] (finite vector groups), perm:<file> (generators
-    in cycle notation, one per line).  Other keyword parameters are
-    ignored; cycle and prism take none.
+    in cycle notation, one per line).  Any other keyword parameter is
+    refused; cycle and prism take none.
     """
     spec = spec.strip()
     head, *params = spec.split(":")

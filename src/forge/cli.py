@@ -131,13 +131,6 @@ def _alpha_arg(text: str):
     return alpha
 
 
-def _group_for(spec: str) -> cy.CayleyGraph:
-    """The group of a group spec; a window radius in it is not realized."""
-    if spec.strip().split(":")[0] not in cy.GROUP_FAMILIES:
-        resolve_spec(spec)  # its error as a fixture or graph file, if any
-    return cy.parse_group_spec(spec)
-
-
 @click.group(cls=_ForgeGroup, context_settings={"help_option_names": ["-h", "--help"]})
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report to a file instead of stdout.")
 @click.option("--format", "fmt", type=click.Choice(["json", "tsv"]), default="json", show_default=True, help="Report serialization.")
@@ -204,7 +197,7 @@ def cayley():
 @click.pass_context
 def cayley_realize(ctx, spec, radius):
     """Realize a group window as a pointed-graph JSON object."""
-    cg = _group_for(spec)
+    cg = cy.parse_group_spec(spec)
     cap = ctx.obj["cap_window"]
     if radius is None:
         pg = cy.realize_full(cg, cap=cap)
@@ -219,7 +212,7 @@ def cayley_realize(ctx, spec, radius):
 @click.pass_context
 def cayley_s3(ctx, spec, radius):
     """Check d(v, vw) = |w| against raw window BFS."""
-    report = cy.check_S3(_group_for(spec), radius)
+    report = cy.check_S3(cy.parse_group_spec(spec), radius)
     _emit(ctx, report, ok=report.passed)
 
 
@@ -295,7 +288,7 @@ def product_j(ctx, spec, pattern):
 def product_brute(ctx, spec, pattern):
     """Exact conditional law by full enumeration (Cayley graphs)."""
     pat = _pattern_arg(pattern)
-    cg = _group_for(spec)
+    cg = cy.parse_group_spec(spec)
     law = brute_force_conditional(cg, pat, cap=ctx.obj["cap_enumeration"])
     _emit(ctx, {"pattern": pat, "law": law})
 
@@ -308,7 +301,7 @@ def product_brute(ctx, spec, pattern):
 def product_mc(ctx, spec, pattern, trials):
     """Monte-Carlo estimate of the conditional law (Cayley graphs)."""
     pat = _pattern_arg(pattern)
-    cg = _group_for(spec)
+    cg = cy.parse_group_spec(spec)
     _emit(ctx, monte_carlo_conditional(cg, pat, trials, seed=ctx.obj["seed"]))
 
 
@@ -324,7 +317,7 @@ def walk():
 @click.pass_context
 def walk_joint(ctx, spec, alpha, depth):
     """Exact joint law of (Z_1, ..., Z_depth) for a finite Cayley walk."""
-    cg = _group_for(spec)
+    cg = cy.parse_group_spec(spec)
     _emit(ctx, joint_distance_law(cg, _alpha_arg(alpha), depth, pattern_cap=ctx.obj["cap_pattern"]))
 
 
@@ -335,7 +328,7 @@ def walk_joint(ctx, spec, alpha, depth):
 @click.pass_context
 def walk_markov(ctx, spec, alpha, depth):
     """Markov / i.i.d. verdicts for the distance process."""
-    cg = _group_for(spec)
+    cg = cy.parse_group_spec(spec)
     law = joint_distance_law(cg, _alpha_arg(alpha), depth, pattern_cap=ctx.obj["cap_pattern"])
     report = markov_check(law)
     _emit(ctx, report, ok=report.is_markov)
@@ -390,7 +383,7 @@ def matrix_regular_rep(ctx, spec, bound):
 @click.pass_context
 def matrix_stationary(ctx, spec):
     """pi_G = (|S_0|, ..., |S_M|)/|G| as a fixed vector of every P_k."""
-    report = stationary_check(_group_for(spec))
+    report = stationary_check(cy.parse_group_spec(spec))
     _emit(ctx, report, ok=report.passed)
 
 

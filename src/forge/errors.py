@@ -92,9 +92,5 @@ class ZeroProbabilityCondition(ForgeError):
     """Conditional probability requested against a null event."""
 
 
-class DimensionMismatch(ForgeError):
-    """Vector length does not match matrix dimension."""
-
-
 class TruncatedMatrix(ForgeError):
     """Operation requires a complete (untruncated) matrix."""

@@ -2,26 +2,22 @@
 
 Row-vector convention: (xi P)_j = sum_i xi_i P[i][j], so P_k realizes
 left multiplication by x_k on coefficient rows, and row i of P_k is the
-table row x_k o x_i.  Every check reads those rows.  Row a of P_i P_j
-mixes the table rows (j, c) by row (i, a), so the four verdicts read
-integer rows through convex_combination: a product row is exact iff
-each intermediate row stays inside the bound, and only exact rows, cut
-to the bound, are compared.  The norm bounds read the rows' entries and
-supports, and irreducibility their supports.  The dense matrices below,
-with per-row exactness flags, serve only the paper regression's two
-matrix examples and are the checks' oracle.
+table row x_k o x_i.  P_k is those rows; no dense matrix is built.  Row
+a of P_i P_j mixes the table rows (j, c) by row (i, a), so the four
+verdicts read integer rows through convex_combination: a product row is
+exact iff each intermediate row stays inside the bound, and only exact
+rows, cut to the bound, are compared.  The norm bounds read the rows'
+entries and supports and form xi P_k through _image, and
+irreducibility reads their supports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 from typing import NamedTuple
 
 from .errors import (
-    BadParameter,
-    DimensionMismatch,
     IndexOutOfRange,
     InternalError,
     NotFinite,
@@ -45,38 +41,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Dense matrix with per-row exactness and completeness flags.
-
-    row_exact[i]: every stored entry equals the ambient value (nothing
-    outside the window contributed to it).  row_complete[i]: row_exact
-    and the ambient row's support lies inside the matrix, so the visible
-    mass sums to 1.  Exact rows may be compared entrywise; complete rows
-    additionally support mass and support-size arguments.
-    """
-
-    k: int | None
-    dim: int
-    entries: tuple
-    row_exact: tuple
-    row_complete: tuple
-    truncated: bool
-    label: str = ""
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
-    def support_row(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j, w in enumerate(self.entries[i]) if w)
-
-    def support_col(self, j: int) -> tuple[int, ...]:
-        return tuple(i for i in range(self.dim) if self.entries[i][j])
-
-
 def _rows(table: StructureTable, k: int) -> list:
     """The rows of P_k: row i is the table row x_k o x_i as (j, p[k,i][j])
     pairs, sorted by j, possibly reaching past the bound on a truncated
@@ -96,107 +60,20 @@ def _inside(table: StructureTable, row) -> bool:
     return row[-1][0] <= table.bound
 
 
-def transition_matrix(table: StructureTable, k: int) -> TransitionMatrix:
-    """P_k with entry(i,j) = p[k,i][j] for i, j up to the table bound."""
-    rows = _rows(table, k)
-    dim = len(rows)
-    entries = []
-    for row in rows:
-        coefficients = dict(row)
-        entries.append(tuple(coefficients.get(j, ZERO) for j in range(dim)))
-    return TransitionMatrix(
-        k,
-        dim,
-        tuple(entries),
-        tuple(True for _ in range(dim)),
-        tuple(_inside(table, row) for row in rows),
-        table.truncated,
-        label=f"P_{k}",
-    )
-
-
-def matmul(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
-    """Exact product with flag propagation.
-
-    Row i of the product is exact when row i of a is complete (so no
-    unseen column feeds it) and every contributing row of b is exact;
-    it is complete when additionally no mass leaves the matrix.
-    """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"{a.dim} x {b.dim}")
-    dim = a.dim
-    entries = []
-    exact = []
-    complete = []
-    for i in range(dim):
-        arow = a.entries[i]
-        acc = [ZERO] * dim
-        ok = a.row_complete[i]
-        for c, w in enumerate(arow):
-            if not w:
-                continue
-            ok = ok and b.row_exact[c]
-            brow = b.entries[c]
-            for j in range(dim):
-                if brow[j]:
-                    acc[j] += w * brow[j]
-        entries.append(tuple(acc))
-        exact.append(ok)
-        complete.append(ok and sum(acc, ZERO) == 1)
-    return TransitionMatrix(
-        None,
-        dim,
-        tuple(entries),
-        tuple(exact),
-        tuple(complete),
-        a.truncated or b.truncated,
-        label=f"{a.label}{b.label}",
-    )
-
-
-def matrix_combination(terms) -> TransitionMatrix:
-    """Sum of weight * matrix, with flags intersected per row."""
-    terms = [(Fraction(w), m) for w, m in terms]
-    if not terms:
-        raise BadParameter("empty combination")
-    dim = terms[0][1].dim
-    entries = []
-    exact = []
-    complete = []
-    for i in range(dim):
-        acc = [ZERO] * dim
-        ok_exact = True
-        ok_complete = True
-        for w, m in terms:
-            if m.dim != dim:
-                raise DimensionMismatch(f"{m.dim} != {dim}")
-            ok_exact = ok_exact and m.row_exact[i]
-            ok_complete = ok_complete and m.row_complete[i]
-            for j in range(dim):
-                if m.entries[i][j]:
-                    acc[j] += w * m.entries[i][j]
-        entries.append(tuple(acc))
-        exact.append(ok_exact)
-        complete.append(ok_complete)
-    truncated = any(m.truncated for _, m in terms)
-    return TransitionMatrix(
-        None, dim, tuple(entries), tuple(exact), tuple(complete), truncated
-    )
-
-
-def apply(p: TransitionMatrix, xi) -> tuple:
-    """Row-vector action: (xi P)_j = sum_i xi_i P[i][j]."""
-    xi = tuple(xi)
-    if len(xi) != p.dim:
-        raise DimensionMismatch(f"vector length {len(xi)} != dim {p.dim}")
-    out = []
-    for j in range(p.dim):
-        out.append(sum((xi[i] * p.entries[i][j] for i in range(p.dim) if xi[i]), ZERO))
-    return tuple(out)
-
-
 def norm_sq(vec) -> Fraction:
     return sum((Fraction(x) * Fraction(x) for x in vec), ZERO)
+
+
+def _image(rows, xi, cols) -> dict:
+    """xi P on the columns cols, for P given by its rows of (j, w) pairs:
+    {j: sum_i xi_i P[i][j]}; entries in other columns are dropped."""
+    image = dict.fromkeys(cols, ZERO)
+    for x, row in zip(xi, rows):
+        if x:
+            for j, w in row:
+                if j in image:
+                    image[j] += x * w
+    return image
 
 
 class RegRepReport(NamedTuple):
@@ -368,12 +245,7 @@ def norm_bounds(table: StructureTable, k: int) -> NormBound:
     best = ""
     for name, ratio in ratios.items():
         vec = [ratio**n for n in range(dim)]
-        image = dict.fromkeys(cols, ZERO)
-        for x, row in zip(vec, block):
-            if x:
-                for j, w in row:
-                    image[j] += x * w
-        quotient = norm_sq(image.values()) / norm_sq(vec)
+        quotient = norm_sq(_image(block, vec, cols).values()) / norm_sq(vec)
         if quotient > lower_sq:
             lower_sq, best = quotient, name
     upper_sq = c * d

@@ -23,7 +23,14 @@ from .hypergroup import (
     classify,
     sphere_sizes,
 )
-from .matrices import apply, irreducibility, matmul, norm_sq, transition_matrix, uniform_norm_bound
+from .matrices import (
+    _image,
+    _product_row,
+    _rows,
+    irreducibility,
+    norm_sq,
+    uniform_norm_bound,
+)
 from .walks import (
     joint_distance_law,
     jump_distribution,
@@ -302,30 +309,23 @@ def paper_regression() -> RegressionReport:
     # Transition matrices.
     c6 = resolve_spec("cycle:6")
     c6_table = build_table(c6)
-    mats = {k: transition_matrix(c6_table, k) for k in c6_table.indices}
     pattern = (1, 2, 1)
-    product = mats[pattern[-1]]
-    for idx in reversed(pattern[:-1]):
-        product = matmul(product, mats[idx])
-    e0 = tuple(F(1) if n == 0 else F(0) for n in range(product.dim))
-    coefficients = {j: w for j, w in enumerate(apply(product, e0)) if w}
     add(
         "point-mass-through-matrices",
         "the point mass at 0 pushed through the pattern's transition "
         "matrices recovers the jump distribution",
         jump_distribution(c6, pattern).as_dict(),
-        coefficients,
+        _product_row(c6_table, pattern, 0).as_dict(),
     )
     zline24 = resolve_spec("lattice:1:r=24")
     ztable12 = build_table(zline24, bound=12)
-    p1 = transition_matrix(ztable12, 1)
-    xi = tuple(F(1, 2) ** n for n in range(p1.dim))
+    xi = [F(1, 2) ** n for n in ztable12.indices]
     add(
         "zline-rayleigh-geometric",
         "the geometric vector 2^-n certifies a squared Rayleigh quotient "
         "of 3/2 for the first transition matrix on the integer line",
         F(3, 2),
-        norm_sq(apply(p1, xi)) / norm_sq(xi),
+        norm_sq(_image(_rows(ztable12, 1), xi, ztable12.indices).values()) / norm_sq(xi),
     )
     add(
         "zline-uniform-bound",

@@ -25,6 +25,8 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
+from dense_reference import apply, matmul, transition_matrix
+
 from forge.cayley import parse_group_spec, realize_full
 from forge.fixtures import resolve_spec
 from forge.hypergroup import (
@@ -36,14 +38,11 @@ from forge.hypergroup import (
     classify,
 )
 from forge.matrices import (
-    apply,
     commute_check,
     irreducibility,
-    matmul,
     norm_bounds,
     norm_sq,
     stationary_check,
-    transition_matrix,
     uniform_norm_bound,
     verify_maincoro,
 )

@@ -50,7 +50,6 @@ GROUP_SPECS = {
     "prism:4": ("zmod:4,2", (4, 2), None),
     "zmod:4,2": ("zmod:4,2", (4, 2), None),
     "zmod:04:r=1": ("zmod:04", (4,), 1),
-    "zmod:4:x=1": ("zmod:4", (4,), None),
     "lattice:01": ("lattice:01", (0,), None),
     "lattice:01:r=2": ("lattice:1", (0,), 2),
     "ladder": ("ladder", (0, 2), None),
@@ -85,6 +84,8 @@ def test_parse_group_reads_a_perm_file_path_with_colons(tmp_path):
         ("zmod:x:r=y", "'zmod:x:r=y': radius r must be an integer"),
         ("lattice:x:r=y", "'lattice:x:r=y': dimension must be an integer"),
         ("cycle:5:r=2", "'cycle:5:r=2': expected no keyword parameters"),
+        ("zmod:4:x=1", "'zmod:4:x=1': expected no keyword parameters other than r=<R>"),
+        ("free:2:R=3", "'free:2:R=3': expected no keyword parameters other than r=<R>"),
         ("ladder:", "'ladder:': expected ladder:r=<R>"),
         ("perm:r=1", "'perm:r=1': perm:<file>[:r=<R>]"),
         ("perm:", "perm spec needs a generator file: perm:<path>"),

@@ -15,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from forge import cayley as cy
+from forge import fixtures
 from forge.cli import main
 from forge.errors import WindowOverflow
 
@@ -911,7 +912,7 @@ def test_fixture_group_is_read_without_realizing_its_window(runner):
         ("zmod:4:r=-1", "error: BadParameter: 'zmod:4:r=-1': radius r must be >= 0"),
         ("ladder:x:r=2", "error: BadParameter: 'ladder:x:r=2': expected ladder:r=<R>"),
         ("odd:3", "error: BadParameter: unknown group spec 'odd:3'"),
-        ("nosuch:1", "error: UnknownFixture: no fixture named 'nosuch'"),
+        ("nosuch:1", "error: BadParameter: unknown group spec 'nosuch:1'"),
     ],
 )
 def test_malformed_group_fixture_keeps_its_error_line(runner, spec, line):
@@ -919,3 +920,31 @@ def test_malformed_group_fixture_keeps_its_error_line(runner, spec, line):
     assert result.exit_code == 2
     assert result.stderr == line + "\n"
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "command", [["hyper", "table"], ["product", "mc", "--pattern", "1"]], ids=["table", "mc"]
+)
+@pytest.mark.parametrize(
+    "spec",
+    ["lattice:1:x=1:r=3", "free:2:r=3:y=2", "ladder:r=2:q=1", "zmod:6,6:R=3", "perm:s4.txt:q=1"],
+)
+def test_group_specs_refuse_unknown_keys(runner, command, spec):
+    result = run(runner, [*command, spec])
+    assert result.exit_code == 2
+    assert result.stderr == (
+        f"error: BadParameter: {spec!r}: expected no keyword parameters other than r=<R>\n"
+    )
+    assert result.stdout == ""
+
+
+def test_group_commands_build_no_fixture(runner, monkeypatch):
+    """A spec that is not a group is refused before any graph is built."""
+
+    def catalog(spec):
+        raise AssertionError(f"fixture {spec!r} built")
+
+    monkeypatch.setattr(fixtures, "catalog", catalog)
+    result = run(runner, ["product", "mc", "tree:binary:18", "--pattern", "1"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: BadParameter: unknown group spec 'tree:binary:18'\n"

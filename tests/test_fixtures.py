@@ -129,7 +129,7 @@ def test_group_fixtures_realize_the_parsed_group(spec):
         assert pg.cayley.radius == radius
 
 
-@pytest.mark.parametrize("spec", ["lattice:1", "free:2:R=3", "ladder"])
+@pytest.mark.parametrize("spec", ["lattice:1", "free:2", "ladder"])
 def test_infinite_group_fixtures_need_a_radius(spec):
     with pytest.raises(BadParameter) as info:
         resolve_spec(spec)
@@ -149,6 +149,7 @@ def test_unknown_fixture():
         "bipartite:0,3",
         "lattice:0:r=4",
         "lattice:1",
+        "free:2:R=3",
         "ladder:5",
         "tree:binary:0",
         "figure:1",

@@ -7,11 +7,11 @@ tree at bound 2 exercises both flags.
 
 The four verdicts (regular representation, commutation, the main
 corollary, stationarity), the norm bounds and irreducibility read the
-table's rows; the dense matrices are their oracle.  The reference_*
-functions below compute the same reports on transition_matrix, matmul,
-matrix_combination and apply, and must give the same reports and the
-same errors on every fixture, at every bound, and on random connected
-graphs.
+table's rows; the dense matrices of tests/dense_reference.py are their
+oracle.  The reference_* functions below compute the same reports on
+transition_matrix, matmul, matrix_combination and apply, and must give
+the same reports and the same errors on every fixture, at every bound,
+and on random connected graphs.
 """
 
 from fractions import Fraction as F
@@ -22,10 +22,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forge import matrices
+from dense_reference import (
+    DimensionMismatch,
+    TransitionMatrix,
+    apply,
+    matmul,
+    matrix_combination,
+    transition_matrix,
+)
+
+import forge
+from forge import errors, matrices
 from forge.cayley import parse_group_spec, realize_full
 from forge.errors import (
-    DimensionMismatch,
     EmptySphere,
     IndexOutOfRange,
     InternalError,
@@ -49,16 +58,11 @@ from forge.matrices import (
     NormBound,
     RegRepReport,
     StationaryReport,
-    TransitionMatrix,
-    apply,
     commute_check,
     irreducibility,
-    matmul,
-    matrix_combination,
     norm_bounds,
     norm_sq,
     stationary_check,
-    transition_matrix,
     uniform_norm_bound,
     verify_maincoro,
     verify_regular_representation,
@@ -237,7 +241,7 @@ def test_broken_invariants_raise_internal_error(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(table, "row", lambda k, i: ProbabilityVector.point(table.bound + 1))
         with pytest.raises(InternalError, match="sum to 1"):
-            transition_matrix(table, 1)
+            irreducibility(table, 1)
     # Row 0 of P_1 moved to the top index: x_1 o x_0 = x_3 breaks
     # |i - j| <= k <= i + j, and the row still sums to 1.
     row = table.row
@@ -596,12 +600,21 @@ def test_rows_are_compared_up_to_the_bound_only():
     assert matrices._compare_rows(table, [past, inside]) == (2, (1, 0, F(1, 2), F(1)))
 
 
-def test_verdicts_build_no_dense_matrix(monkeypatch):
-    def dense(*args, **kwargs):
-        raise AssertionError("a verdict used the dense matrices")
+DENSE_NAMES = (
+    "TransitionMatrix",
+    "transition_matrix",
+    "matmul",
+    "matrix_combination",
+    "apply",
+    "DimensionMismatch",
+)
 
-    for name in ("TransitionMatrix", "transition_matrix", "matmul", "matrix_combination", "apply"):
-        monkeypatch.setattr(matrices, name, dense)
+
+def test_verdicts_build_no_dense_matrix():
+    """The package has no dense P_k: every verdict reads table rows."""
+    for module in (forge, matrices, errors):
+        assert not [name for name in DENSE_NAMES if hasattr(module, name)], module.__name__
+    assert not set(DENSE_NAMES) & set(forge.__all__)
     for spec in ("odd:4", "tree:binary:12", "lattice:2:r=9"):
         pg = resolve_spec(spec)
         table = build_table(pg)

@@ -1,11 +1,10 @@
 """The contract of forge's result records.
 
 Immutable results are NamedTuples, ProbabilityVector (an integer row)
-among them; only four classes stay dataclasses: TransitionMatrix (tests
-call dataclasses.replace on it) and the mutable PointedGraph,
-CayleyGraph and WindowData.  A dataclass definition costs about a
-millisecond of every process's start-up, so the last test fails when a
-new one appears.
+among them; only three classes stay dataclasses: the mutable
+PointedGraph, CayleyGraph and WindowData.  A dataclass definition costs
+about a millisecond of every process's start-up, so the last test fails
+when a new one appears.
 
 Every record serializes as its fields in declaration order, then the
 properties its own class defines; the key lists below are the report
@@ -71,7 +70,7 @@ MODULES = (
     "regression",
     "errors",
 )
-DATACLASSES = {"TransitionMatrix", "PointedGraph", "CayleyGraph", "WindowData"}
+DATACLASSES = {"PointedGraph", "CayleyGraph", "WindowData"}
 
 # Top-level keys of jsonable(record), in order, for every record class.
 KEYS = {
@@ -273,7 +272,7 @@ def test_tracer_keys_accept_weak_references():
     assert keys[pg] == 0 and keys[table] == 1
 
 
-def test_only_the_four_listed_classes_are_dataclasses():
+def test_only_the_three_listed_classes_are_dataclasses():
     found = {name for name, cls in forge_classes().items() if dataclasses.is_dataclass(cls)}
     assert found == DATACLASSES
 
