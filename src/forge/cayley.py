@@ -9,9 +9,11 @@ commands take its group, and the fixture catalog realizes it.
 
 realize_window produces a PointedGraph for the ball of a chosen radius
 around the identity and an integer table of its products by generators.
-By the translation identity d(u, v) = |u^-1 v|, its sphere oracle serves
-window spheres exactly out to the full radius by translating the base
-ball through that table; check_S3 cross-validates it against raw BFS.
+graphs reads its spheres as it reads any other graph's.  The table
+serves where the group product is the object: by the translation
+identity d(u, v) = |u^-1 v|, its sphere oracle translates the base ball
+to any vertex, for check_S3, which cross-validates it against raw BFS,
+and for walks.joint_distance_law's multiplication table.
 """
 
 from __future__ import annotations
@@ -186,6 +188,8 @@ def _split_params(params):
             k, _, v = p.partition("=")
             if not k or not v:
                 raise BadParameter(f"malformed parameter {p!r}")
+            if k in keyed:
+                raise BadParameter(f"parameter {k!r} given more than once")
             keyed[k] = v
         else:
             positional.append(p)
@@ -473,7 +477,8 @@ class WindowData:
     in the BFS, so following via from v back to 0 spells a geodesic word.
     Elements are in BFS order, dist[v] the length of elements[v]: each
     base ball B_n is a prefix of them.  sphere_oracle translates B_n to
-    any vertex; the window's PointedGraph serves its spheres through it.
+    any vertex, for check_S3 and the joint law; no sphere query of the
+    window's PointedGraph reads it.
     """
 
     cg: CayleyGraph
@@ -501,7 +506,8 @@ def realize_window(cg: CayleyGraph, radius: int, cap: int = WINDOW_CAP) -> Point
 
     If BFS exhausts the group before the radius, the window is the whole
     Cayley graph and is exact everywhere; otherwise it is truncated with
-    exact_radius = radius, which sphere translation fully certifies.
+    exact_radius = radius, since a geodesic from v stays in the window
+    while its length is at most radius - |v|.
     """
     if radius < 0:
         raise BadParameter("radius must be >= 0")

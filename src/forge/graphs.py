@@ -6,12 +6,12 @@ S_n(v) = {u : d(u, v) = n}; for the base vertex the spheres partition the
 vertex set and their indices form the index set I of the graph.
 
 One kernel, sphere_counts, counts |S_n(v) ∩ S_k(base)| for every n at
-once, and sphere_at reads single spheres from the same source: the base
-ball translated by pg._sphere_oracle on Cayley graphs, a BFS cut at the
-depth the query reads on other windows, and on other finite graphs the
-bitset spheres of sphere_bitsets, grown for all vertices at once and
-only as deep as a query reads: a count is then a popcount.  The counts
-are cached once per vertex, the deepest read so far.  Each pointed graph
+once, and sphere_at reads single spheres from the same source, chosen by
+finiteness alone: a window runs a BFS cut at the depth the query reads,
+and a finite graph, a full Cayley group included, reads the bitset
+spheres of sphere_bitsets, grown for all vertices at once and only as
+deep as a query reads: a count is then a popcount.  The counts are
+cached once per vertex, the deepest read so far.  Each pointed graph
 keeps its own caches.
 
 Truncated windows (finite pieces of infinite graphs) carry an exactness
@@ -82,7 +82,8 @@ class PointedGraph:
     spheres: dict[int, tuple[int, ...]]
     exact_radius: float = INFINITE
     name: str = "graph"
-    # On Cayley graphs, pg.cayley.sphere_oracle; perfbench's tracer wraps it here.
+    # On Cayley graphs, pg.cayley.sphere_oracle, which perfbench's tracer
+    # wraps here; no sphere query reads it.
     _sphere_oracle: object = field(default=None, repr=False)
     _count_cache: dict = field(default_factory=dict, repr=False)
     # sphere_bitsets' levels and outermost balls; no balls once all are whole.
@@ -295,7 +296,7 @@ def distance_row(spheres, n: int) -> list[int]:
 def _certified_top(pg: PointedGraph, v: int, top: int | None) -> int:
     """The sphere index a query at v reads to: top, checked, or when None
     the largest index v certifies, exact_radius - |v| on windows, else its
-    eccentricity (the diameter on full Cayley groups)."""
+    eccentricity."""
     if not 0 <= v < pg.vertex_count:
         raise BadParameter(f"vertex {v} outside range 0..{pg.vertex_count - 1}")
     if top is not None and top < 0:
@@ -311,32 +312,18 @@ def _certified_top(pg: PointedGraph, v: int, top: int | None) -> int:
         return top
     if top is not None:
         return top
-    if pg._sphere_oracle is not None:
-        return max(pg.spheres)
     shells = sphere_bitsets(pg)
     return next(n for n in reversed(range(len(shells))) if shells[n][v])
 
 
-def _reach(pg: PointedGraph, v: int, top: int):
-    """(ns, us): ns[t] = d(v, us[t]), over every vertex within top of v, on
-    a window or a Cayley graph: Cayley graphs translate the base ball
-    B_top, and other windows run a BFS cut at depth top."""
-    if pg._sphere_oracle is not None:
-        ball = pg._sphere_oracle(v, top)
-        return pg.dist[: len(ball)], ball
-    ball = bfs_ball(pg.graph, v, top)
-    return ball.values(), ball.keys()
-
-
 def sphere_at(pg: PointedGraph, v: int, n: int) -> tuple[int, ...]:
     """The sorted sphere S_n(v), from the source of sphere_counts."""
-    top = _certified_top(pg, v, n)
-    if pg._sphere_oracle is None and not pg.truncated:
+    _certified_top(pg, v, n)
+    if not pg.truncated:
         shells = sphere_bitsets(pg, n)
         bits = format(shells[n][v], "b")[::-1] if n < len(shells) else ""
         return tuple(u for u, bit in enumerate(bits) if bit == "1")
-    ns, us = _reach(pg, v, top)
-    return tuple(sorted(u for d, u in zip(ns, us) if d == n))
+    return tuple(sorted(u for u, d in bfs_ball(pg.graph, v, n).items() if d == n))
 
 
 def sphere_counts(pg: PointedGraph, v: int, top: int | None = None) -> list[dict[int, int]]:
@@ -352,7 +339,7 @@ def sphere_counts(pg: PointedGraph, v: int, top: int | None = None) -> list[dict
     top = _certified_top(pg, v, top)
     counts = pg._count_cache.get(v)
     if counts is None or len(counts) <= top:
-        if pg._sphere_oracle is None and not pg.truncated:
+        if not pg.truncated:
             # S_n(v) meets S_k(base) only for |n - |v|| <= k <= n + |v|.
             levels, masks, r = sphere_bitsets(pg, top), pg._sphere_masks, pg.dist[v]
             counts = []
@@ -361,9 +348,9 @@ def sphere_counts(pg: PointedGraph, v: int, top: int | None = None) -> list[dict
                 ks = range(abs(n - r), min(n + r, len(masks) - 1) + 1) if sphere else ()
                 counts.append({k: c for k in ks if (c := (sphere & masks[k]).bit_count())})
         else:
-            ns, us = _reach(pg, v, top)
+            ball = bfs_ball(pg.graph, v, top)
             counts = [{} for _ in range(top + 1)]
-            for n, k in zip(ns, map(pg.dist.__getitem__, us)):
+            for n, k in zip(ball.values(), map(pg.dist.__getitem__, ball)):
                 sphere = counts[n]
                 sphere[k] = sphere.get(k, 0) + 1
         pg._count_cache[v] = counts
@@ -374,7 +361,7 @@ def sphere_sizes_at(pg: PointedGraph, v: int) -> tuple[int, ...]:
     """(|S_0(v)|, |S_1(v)|, ...) out to the largest index v certifies: the
     popcounts of its spheres on finite graphs, else the sums of
     sphere_counts."""
-    if pg._sphere_oracle is None and not pg.truncated:
+    if not pg.truncated:
         top = _certified_top(pg, v, None)
         return tuple(level[v].bit_count() for level in pg._shells[: top + 1])
     return tuple(sum(counts.values()) for counts in sphere_counts(pg, v))

@@ -938,6 +938,24 @@ def test_group_specs_refuse_unknown_keys(runner, command, spec):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "command,key",
+    [
+        (["hyper", "classify", "lattice:1:r=3:r=5"], "r"),
+        (["graph", "check", "zmod:4:r=1:r=2"], "r"),
+        (["graph", "check", "figure:3:base=w0:base=w0p"], "base"),
+        (["product", "mc", "free:2:r=2:r=3", "--pattern", "1"], "r"),
+    ],
+    ids=["lattice", "zmod", "figure", "free"],
+)
+def test_specs_refuse_a_repeated_keyword(runner, command, key):
+    """A keyword given twice is refused, not read as its last value."""
+    result = run(runner, command)
+    assert result.exit_code == 2
+    assert result.stderr == f"error: BadParameter: parameter {key!r} given more than once\n"
+    assert result.stdout == ""
+
+
 def test_group_commands_build_no_fixture(runner, monkeypatch):
     """A spec that is not a group is refused before any graph is built."""
 

@@ -1,15 +1,15 @@
 """The sphere-count kernel and the checks that reduce over it.
 
 graphs.sphere_counts(pg, v, top) returns counts[n][k] = |S_n(v) ∩ S_k(base)|
-for n = 0..top, from one source per graph: the base ball translated by the
-window's integer generator table on Cayley graphs, a BFS cut at the depth
-read on other windows, and on other finite graphs the bitset spheres that
+for n = 0..top, from one source chosen by finiteness alone: a BFS cut at
+the depth read on windows, Cayley windows included, and on finite graphs,
+full Cayley groups included, the bitset spheres that
 graphs.sphere_bitsets grows for all vertices at once.  It is checked
-against networkx distances, and the Cayley translation against
-`cayley.multiply`.  product, check_S1, check_S2,
-uniform_norm_bound, jump_distribution and condition (iii), which reduce
-over it, are checked against their earlier versions (kept here as
-reference_product, reference_check_S1, reference_check_S2,
+against networkx distances, and the Cayley translation oracle, which
+check_S3 and the joint law read, against `cayley.multiply`.  product,
+check_S1, check_S2, uniform_norm_bound, jump_distribution and condition
+(iii), which reduce over it, are checked against their earlier versions
+(kept here as reference_product, reference_check_S1, reference_check_S2,
 reference_uniform_norm_bound, reference_jump_distribution and
 reference_check_assumptions), which read one sphere at a time or sum
 Fractions: equal rows, equal reports (witness, count and scope), and the
@@ -25,12 +25,14 @@ from operator import or_
 
 import networkx as nx
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from forge import cayley as cy
 from forge import graphs, hypergroup
 from forge.cayley import multiply, parse_group_spec, realize_full, realize_window
+from forge.cli import main
 from forge.errors import (
     DisconnectedGraph,
     EmptySphere,
@@ -46,6 +48,7 @@ from forge.graphs import (
     build_graph,
     check_assumptions,
     distance_row,
+    load_graph_file,
     point_graph,
     sphere_at,
     sphere_bitsets,
@@ -639,26 +642,55 @@ def test_s2_on_a_bfs_window_caches_only_the_base_row():
     assert pg._shells == []
 
 
-def test_sphere_counts_read_each_vertex_once():
-    """The count cache keeps one entry per vertex for every source, the
-    deepest read so far: (iii), (S1) and (S2) on a full group, and (S1),
-    (S2) and the table on a window, translate each ball once."""
-    for spec, checks in [
-        ("zmod:3,3,3,3", (check_assumptions, check_S1, check_S2)),
-        ("free:2:r=6", (check_S1, check_S2, build_table)),
-    ]:
-        pg = resolve_spec(spec)
-        oracle, calls = pg._sphere_oracle, Counter()
+def test_sphere_counts_read_each_vertex_once(monkeypatch):
+    """The source is chosen by finiteness alone, and the count cache keeps
+    one entry per vertex, the deepest read so far.  (iii), (S1) and (S2)
+    on a full group read the bitset spheres, never the translation
+    oracle; (S1), (S2) and the table on a Cayley window run one BFS ball
+    per vertex and grow no bitsets."""
+    full = resolve_spec("zmod:3,3,3,3")
 
-        def counting_oracle(v, top):
-            calls[v] += 1
-            return oracle(v, top)
+    def no_oracle(v, top):
+        raise AssertionError("a sphere query translated a ball")
 
-        pg._sphere_oracle = counting_oracle
-        for check in checks:
-            check(pg)
-        assert calls == Counter(range(pg.vertex_count)), spec
+    full._sphere_oracle = no_oracle
+    for check in (check_assumptions, check_S1, check_S2):
+        check(full)
+    assert len(full._shells) == max(full.spheres) + 1
+    assert sorted(full._count_cache) == list(range(full.vertex_count))
 
+    window = resolve_spec("free:2:r=6")
+    calls, real_bfs_ball = Counter(), graphs.bfs_ball
+
+    def counting_bfs_ball(graph, v, depth):
+        calls[v] += 1
+        return real_bfs_ball(graph, v, depth)
+
+    monkeypatch.setattr(graphs, "bfs_ball", counting_bfs_ball)
+    for check in (check_S1, check_S2, build_table):
+        check(window)
+    assert calls == Counter(range(window.vertex_count))
+    assert window._shells == []
+
+
+@pytest.mark.parametrize(
+    "spec,args",
+    [("free:2:r=5", ["free:2", "--radius", "5"]), ("ladder:r=8", ["ladder", "--radius", "8"])],
+)
+def test_a_cayley_window_reads_the_spheres_of_its_graph_json(tmp_path, spec, args):
+    """A Cayley window and its graph-JSON round trip take the one window
+    path: the same counts at every vertex and the same reports."""
+    path = tmp_path / "window.json"
+    result = CliRunner().invoke(main, ["--out", str(path), "cayley", "realize", *args])
+    assert result.exit_code == 0, result.output
+    window, loaded = resolve_spec(spec), load_graph_file(str(path))
+    assert window.cayley is not None and loaded.cayley is None
+    assert loaded.exact_radius == window.exact_radius and window.truncated
+    for v in range(window.vertex_count):
+        assert sphere_counts(loaded, v) == sphere_counts(window, v), (spec, v)
+    assert classify(build_table(loaded)) == classify(build_table(window))
+    assert check_S1(loaded) == check_S1(window)
+    assert check_S2(loaded) == check_S2(window)
 
 @pytest.mark.parametrize("spec", ["prism:5", "tree:binary:12", "free:2:r=5", "zmod:4,3"])
 def test_a_shallower_top_is_a_prefix_of_the_cached_counts(spec):
