@@ -13,6 +13,19 @@ group, and its children are labelled for one attachment subset per orbit
 of that group only, the least one: each other subset gives a child
 isomorphic to an earlier one of the same parent, so the kept graphs, and
 where the graph cap is hit, do not change.
+
+On the last level a non-regular child is kept only if its new vertex is
+a canonical deletion (McKay 1998): it lies in the automorphism orbit of
+the first vertex of the canonical ordering among the non-cut vertices of
+largest degree.  Deleting that vertex leaves one class, whose kept graph
+is the one parent of the class, and one orbit of its attachments gives
+the class with the new vertex there, so each class is kept once without
+comparing keys; a child whose new vertex lacks that degree is not even
+labelled.  A non-regular graph is reported only through its class and
+the eccentricity at its canonical first vertex, so the reports do not
+change.  Regular graphs, whose edges are reported, and the levels below
+the last, which are the parents, keep the first child of each class.
+Each level's class count is checked against the known counts.
 """
 
 from __future__ import annotations
@@ -199,6 +212,52 @@ def _orbit_minima(n: int, generators):
                     orbit.append(t)
 
 
+def _is_cut_vertex(rows, u: int) -> bool:
+    """Whether deleting u disconnects the connected graph whose adjacency
+    bitsets are rows."""
+    rest = (1 << len(rows)) - 1 ^ 1 << u
+    reach = frontier = rest & -rest
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & rest & ~reach
+        reach |= frontier
+    return reach != rest
+
+
+def _last_has_top_degree(rows, degrees) -> bool:
+    """Whether the last vertex, never a cut vertex of a child, has the
+    largest degree among the vertices that are not cut vertices."""
+    top = degrees[-1]
+    return not any(
+        d > top and not _is_cut_vertex(rows, u) for u, d in enumerate(degrees)
+    )
+
+
+def _last_is_canonical_deletion(rows, degrees, ordering, generators) -> bool:
+    """Whether the last vertex lies in the automorphism orbit of the
+    canonical deletion vertex: the first vertex of the canonical ordering
+    among the non-cut vertices of largest degree.  That degree is the last
+    vertex's, as _last_has_top_degree has found."""
+    last, top = len(rows) - 1, degrees[-1]
+    mark = next(
+        u
+        for u in ordering
+        if degrees[u] == top and (u == last or not _is_cut_vertex(rows, u))
+    )
+    orbit = [mark]
+    for u in orbit:
+        if u == last:
+            return True
+        for g in generators:
+            if g[u] not in orbit:
+                orbit.append(g[u])
+    return False
+
+
 def enumerate_connected_graphs(max_vertices: int, cap: int = DEFAULT_GRAPH_CAP):
     """Yield (n, neighbor-lists, first) for one representative per
     isomorphism class of connected graphs on 1..max_vertices vertices;
@@ -207,28 +266,60 @@ def enumerate_connected_graphs(max_vertices: int, cap: int = DEFAULT_GRAPH_CAP):
     A child joins a new vertex to a nonempty subset of its parent.  Only
     the least subset of each orbit of the parent's automorphisms is
     labelled: the others give children isomorphic to one already labelled
-    from the same parent, so they could only repeat a key already seen.
+    from the same parent.  Below max_vertices, and for regular graphs at
+    it, the first child of each class is kept.  A non-regular child on
+    max_vertices vertices is kept iff its new vertex is a canonical
+    deletion (McKay 1998), and labelled only if its degree allows that.
+    Each level must hold as many classes as A001349 counts, or
+    InternalError is raised.
     """
+    if max_vertices < 1:
+        return
     total = 1
-    level = [([set()], 0, ())]
+    # (neighbor sets, first vertex, automorphism generators, adjacency bitsets)
+    level = [([set()], 0, (), [0])]
     yield 1, [set()], 0
     for n in range(2, max_vertices + 1):
-        seen = {}
-        for parent, _, automorphisms in level:
+        new = 1 << n - 1
+        seen = set()
+        kept = []
+        for parent, _, automorphisms, rows in level:
             for attach in _orbit_minima(n - 1, automorphisms):
+                child_rows = [
+                    row | new if attach >> i & 1 else row for i, row in enumerate(rows)
+                ]
+                child_rows.append(attach)
+                degrees = [row.bit_count() for row in child_rows]
+                # A regular graph's edges are reported, so its first child
+                # stays the representative.
+                deletion = n == max_vertices and degrees.count(degrees[-1]) != n
+                if deletion and not _last_has_top_degree(child_rows, degrees):
+                    continue
                 subset = {i for i in range(n - 1) if attach >> i & 1}
                 child = [set(s) for s in parent] + [set(subset)]
                 for w in subset:
                     child[w].add(n - 1)
                 key, ordering, generators = _canonical_with_automorphisms(child)
-                if key in seen:
+                if deletion:
+                    if not _last_is_canonical_deletion(
+                        child_rows, degrees, ordering, generators
+                    ):
+                        continue
+                elif key in seen:
                     continue
-                seen[key] = (child, ordering[0], generators)
+                else:
+                    seen.add(key)
+                kept.append((child, ordering[0], generators, child_rows))
                 total += 1
                 if total > cap:
                     raise EnumerationCapExceeded(f"more than {cap} graphs")
-        level = list(seen.values())
-        for child, first, _ in level:
+        if n <= len(CONNECTED_GRAPH_COUNTS) and len(kept) != CONNECTED_GRAPH_COUNTS[n - 1]:
+            raise InternalError(
+                f"{len(kept)} connected graphs on {n} vertices, "
+                f"expected {CONNECTED_GRAPH_COUNTS[n - 1]}"
+            )
+        level = kept
+        for child, first, _, _ in level:
             yield n, child, first
 
 
@@ -278,7 +369,7 @@ def search_conjecture(
     a pointed graph.  Only regular graphs are pointed, checked and
     classified."""
     if base_policy not in ("all", "canonical"):
-        raise ValueError(f"unknown base policy {base_policy!r}")
+        raise BadParameter(f"unknown base policy {base_policy!r}")
     if max_vertices < 1:
         raise BadParameter(f"max_vertices must be >= 1, got {max_vertices}")
     # The enumeration would exceed the cap exactly when the known counts do,

@@ -10,12 +10,18 @@ must give the same certificate and the same first optimal ordering,
 and networkx.is_isomorphic on the graph atlas.  The labelling that
 stops refinement early and walks forced places in a loop is checked
 against the pruned labelling without them (reference_pruned_canonical)
-on every child the enumerator labels up to 7 vertices.
+on every child of one attachment per orbit up to 7 vertices, the 4159
+children the enumerator labelled before canonical deletion.
 
 The enumerator labels one attachment per orbit of the parent's
-automorphisms.  It is checked against the enumerator that labelled every
-attachment (kept here as reference_enumerate), and its orbits against
-the automorphism groups networkx's GraphMatcher finds.
+automorphisms, and keeps a non-regular graph on its last level only
+where the new vertex is a canonical deletion.  It is checked against the
+enumerator that labelled every attachment and kept the first child of
+each class (kept here as reference_enumerate): the same graphs below the
+last level, the same classes once each on it, and the same regular
+graphs in the same order.  Its orbits are checked against the
+automorphism groups networkx's GraphMatcher finds, and each level's
+class count against OEIS A001349.
 
 The search decides a non-regular graph at all its bases from its
 eccentricities.  It is checked against the search that pointed the graph
@@ -38,7 +44,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from forge import search
 from forge.cli import main
-from forge.errors import BadParameter, EnumerationCapExceeded
+from forge.errors import BadParameter, EnumerationCapExceeded, InternalError
 from forge.graphs import Graph, check_assumptions, make_graph, point_graph
 from forge.hypergroup import build_table, check_S1, check_S2, classify
 from forge.search import (
@@ -242,6 +248,49 @@ def networkx_orbit_minima(neighbors):
     ]
 
 
+def orbit_minimum_children(max_vertices):
+    """Every child of a reference graph below max_vertices vertices by the
+    least attachment of an orbit of its automorphisms (networkx's), in
+    enumeration order."""
+    children = []
+    for n, parent, _first in reference_enumerate(max_vertices - 1):
+        for attach in networkx_orbit_minima(parent):
+            child = [set(s) for s in parent] + [{i for i in range(n) if attach >> i & 1}]
+            for w in child[-1]:
+                child[w].add(n)
+            children.append(child)
+    return children
+
+
+def canonical_key(neighbors):
+    return search._canonical_with_automorphisms(neighbors)[0]
+
+
+def is_regular(neighbors):
+    return len({len(nbrs) for nbrs in neighbors}) == 1
+
+
+def assert_same_classes(graphs, reference, max_vertices):
+    """graphs as the enumerator's contract requires against the reference
+    output: equal below max_vertices, and on max_vertices the same classes
+    once each, with the same regular graphs in the same order."""
+
+    def listing(graphs):
+        return [(n, [sorted(s) for s in nbrs], first) for n, nbrs, first in graphs]
+
+    graphs, reference = listing(graphs), listing(reference)
+    below = [g for g in graphs if g[0] < max_vertices]
+    assert below == [g for g in reference if g[0] < max_vertices]
+    last = [g for g in graphs if g[0] == max_vertices]
+    ref_last = [g for g in reference if g[0] == max_vertices]
+    keys = [canonical_key(nbrs) for _n, nbrs, _first in last]
+    assert len(set(keys)) == len(keys)
+    assert sorted(keys) == sorted(canonical_key(nbrs) for _n, nbrs, _first in ref_last)
+    assert [g for g in last if is_regular(g[1])] == [g for g in ref_last if is_regular(g[1])]
+    for _n, nbrs, first in last:
+        assert first == search._canonical_with_automorphisms(nbrs)[1][0]
+
+
 def record_labelled(max_vertices):
     """(neighbors, result) for every graph the enumerator labels."""
     labelled = []
@@ -406,21 +455,22 @@ def test_max_vertices_below_one_is_rejected():
 
 
 def test_canonical_matches_reference_on_enumerated_graphs():
-    _graphs, labelled = record_labelled(6)
     # One child per orbit of its parent's automorphisms: 388 of the 759
     # attachments of the parents up to 5 vertices.
-    parents = [nbrs for _n, nbrs, _first in enumerate_connected_graphs(5)]
-    assert len(labelled) == sum(len(networkx_orbit_minima(p)) for p in parents) == 388
-    for neighbors, result in labelled:
+    children = orbit_minimum_children(6)
+    assert len(children) == 388
+    for neighbors in children:
         key_and_ordering = search._canonical_with_automorphisms(neighbors)[:2]
-        assert key_and_ordering == result[:2] == reference_canonical(neighbors)
+        assert key_and_ordering == reference_canonical(neighbors)
 
 
 def test_pruned_enumeration_matches_the_reference():
-    def listing(graphs):
-        return [(n, [sorted(s) for s in nbrs], first) for n, nbrs, first in graphs]
-
-    assert listing(enumerate_connected_graphs(7)) == listing(reference_enumerate(7))
+    for max_vertices in range(1, 8):
+        assert_same_classes(
+            enumerate_connected_graphs(max_vertices),
+            reference_enumerate(max_vertices),
+            max_vertices,
+        )
 
 
 @pytest.mark.parametrize("cap", [1, 2, 9, 10, 31, 32, 142, 143, 144])
@@ -434,15 +484,20 @@ def test_pruned_enumeration_hits_the_cap_where_the_reference_does(cap):
             return out, str(exc)
         return out, None
 
-    pruned = run(enumerate_connected_graphs(6, cap))
-    assert pruned == run(reference_enumerate(6, cap))
-    assert (pruned[1] is None) == (cap >= 143)
+    pruned, error = run(enumerate_connected_graphs(6, cap))
+    reference, ref_error = run(reference_enumerate(6, cap))
+    assert error == ref_error
+    assert (error is None) == (cap >= 143)
+    # A level that exceeds the cap yields nothing, so only a finished
+    # enumeration reaches its last level.
+    assert_same_classes(pruned, reference, 6)
 
 
 def test_collected_generators_are_automorphisms():
-    _graphs, labelled = record_labelled(7)
-    assert len(labelled) == 4159
-    for neighbors, (_key, _order, generators) in labelled:
+    children = orbit_minimum_children(7)
+    assert len(children) == 4159
+    for neighbors in children:
+        generators = search._canonical_with_automorphisms(neighbors)[2]
         n = len(neighbors)
         edges = {frozenset((u, w)) for u in range(n) for w in neighbors[u]}
         for g in generators:
@@ -451,8 +506,8 @@ def test_collected_generators_are_automorphisms():
 
 
 def test_generators_span_the_automorphism_group():
-    _graphs, labelled = record_labelled(6)
-    for neighbors, (_key, _order, generators) in labelled:
+    for neighbors in orbit_minimum_children(6):
+        generators = search._canonical_with_automorphisms(neighbors)[2]
         n = len(neighbors)
         group = {tuple(range(n))}
         frontier = list(group)
@@ -467,9 +522,13 @@ def test_generators_span_the_automorphism_group():
 
 
 def test_labelled_attachments_are_the_orbit_minima():
-    # Every parent up to 6 vertices: the children it labels are exactly
-    # one per orbit of Aut(parent) on attachment subsets, the least one.
+    # Every parent up to 5 vertices labels exactly one child per orbit of
+    # Aut(parent) on attachment subsets, the least one.  A parent on 6
+    # vertices labels some of those: every regular child, and a
+    # non-regular one only where the new vertex may be a canonical
+    # deletion, 1157 of the 3771 children.
     graphs, labelled = record_labelled(7)
+    assert len(labelled) == 1545
     attached = {}
     for neighbors, _result in labelled:
         n = len(neighbors)
@@ -478,8 +537,20 @@ def test_labelled_attachments_are_the_orbit_minima():
         attached.setdefault(parent, []).append(attach)
     parents = [tuple(frozenset(s) for s in nbrs) for n, nbrs, _ in graphs if n < 7]
     assert sorted(attached) == sorted(parents)
+    last_level = 0
     for parent in parents:
-        assert attached[parent] == networkx_orbit_minima(parent)
+        minima = networkx_orbit_minima(parent)
+        if len(parent) < 6:
+            assert attached[parent] == minima
+            continue
+        assert set(attached[parent]) <= set(minima)
+        assert attached[parent] == sorted(attached[parent])
+        for attach in minima:
+            degrees = [len(s) + (attach >> v & 1) for v, s in enumerate(parent)]
+            if set(degrees) == {bin(attach).count("1")}:
+                assert attach in attached[parent]
+        last_level += len(attached[parent])
+    assert last_level == 1157
 
 
 @st.composite
@@ -593,6 +664,56 @@ def test_seven_vertex_search_report_bytes_are_pinned(bases):
     assert digest == SEARCH_7_SHA256[bases]
 
 
+# The same for `--max-vertices 8`, as written by the enumerator that kept
+# the first child of each class on every level.
+SEARCH_8_SHA256 = {
+    "all": "bd7ba1dac1f21a5bb459d716a0175807a0b73635869f5b3046e9c607dabe8cee",
+    "canonical": "e902e8962b6aacfb9d2b49e0e7f510f6d7dbcf963e06093d3ac115c1f69cac78",
+}
+
+
+@pytest.mark.parametrize("bases", sorted(SEARCH_8_SHA256))
+def test_eight_vertex_search_report_bytes_are_pinned(bases):
+    args = ["--format", "json", "search", "conjecture", "--max-vertices", "8", "--bases", bases]
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.output.encode("utf-8")).hexdigest()
+    assert digest == SEARCH_8_SHA256[bases]
+
+
+def test_eight_vertex_enumeration_keeps_one_graph_per_class():
+    last = [nbrs for n, nbrs, _first in enumerate_connected_graphs(8) if n == 8]
+    assert len(last) == 11117
+    assert len({canonical_key(nbrs) for nbrs in last}) == 11117
+    assert sum(map(is_regular, last)) == 17
+
+
+def test_each_level_must_hold_the_known_class_count(monkeypatch):
+    # The prefilter that forgets cut vertices never labels the star K_1,3,
+    # whose centre is its one vertex of largest degree; the deletion test
+    # that accepts every labelled child keeps isomorphic children twice.
+    assert search.CONNECTED_GRAPH_COUNTS[:7] == tuple(CONNECTED_COUNTS.values())
+    for name, mutant in [
+        ("_last_has_top_degree", lambda rows, degrees: degrees[-1] == max(degrees)),
+        ("_last_is_canonical_deletion", lambda *args: True),
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setattr(search, name, mutant)
+            for n in (5, 7):
+                with pytest.raises(InternalError, match=f"connected graphs on {n} vertices"):
+                    list(enumerate_connected_graphs(n))
+
+
+def test_enumeration_below_one_vertex_is_empty():
+    for bad in (0, -2):
+        assert list(enumerate_connected_graphs(bad)) == []
+
+
+def test_unknown_base_policy_is_a_bad_parameter():
+    with pytest.raises(BadParameter, match="unknown base policy 'bogus'"):
+        search_conjecture(3, "bogus")
+
+
 @pytest.mark.parametrize("bases", ["all", "canonical"])
 def test_search_matches_the_per_base_reference(bases):
     for n in range(1, 8):
@@ -668,12 +789,13 @@ def generated_group(n, generators):
 
 
 def test_labelling_matches_the_pruned_reference_on_every_child():
-    # Every child the enumerator labels up to 7 vertices: the same key, the
-    # same first ordering and the same automorphism group as the labelling
-    # without forced steps or the early stop of refinement.
-    _graphs, labelled = record_labelled(7)
-    assert len(labelled) == 4159
-    for neighbors, (key, ordering, generators) in labelled:
+    # Every child of one attachment per orbit up to 7 vertices: the same
+    # key, the same first ordering and the same automorphism group as the
+    # labelling without forced steps or the early stop of refinement.
+    children = orbit_minimum_children(7)
+    assert len(children) == 4159
+    for neighbors in children:
+        key, ordering, generators = search._canonical_with_automorphisms(neighbors)
         ref_key, ref_ordering, ref_generators = reference_pruned_canonical(neighbors)
         assert (key, ordering) == (ref_key, ref_ordering)
         n = len(neighbors)
