@@ -8,12 +8,14 @@ reads every group spec, head:params[:r=<R>], once: the CLI's group
 commands take its group, and the fixture catalog realizes it.
 
 realize_window produces a PointedGraph for the ball of a chosen radius
-around the identity and an integer table of its products by generators.
-graphs reads its spheres as it reads any other graph's.  The table
-serves where the group product is the object: by the translation
-identity d(u, v) = |u^-1 v|, its sphere oracle translates the base ball
-to any vertex, for check_S3, which cross-validates it against raw BFS,
-and for walks.joint_distance_law's multiplication table.
+around the identity and an integer table of its products by generators:
+its per-family step is the one group product, and the table is the
+realized group.  graphs reads its spheres as it reads any other graph's.
+The table serves where the group product is the object: by the
+translation identity d(u, v) = |u^-1 v|, its sphere oracle translates
+the base ball to any vertex, for check_S3, which cross-validates it
+against raw BFS, and for walks.joint_distance_law's multiplication
+table; walks' brute force and Monte Carlo move along its words.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import prod
 from typing import NamedTuple
 
 from .errors import (
@@ -60,11 +61,6 @@ class GroupElement(NamedTuple):
     kind: GroupKind
     data: tuple
 
-    def __hash__(self):
-        # Equal elements have equal data; hashing the kind as well would
-        # hash its four fields on every dict lookup of a window.
-        return hash(self.data)
-
     def sort_key(self):
         if self.kind.family == "free":
             return (len(self.data), self.data)
@@ -83,27 +79,6 @@ def _norm_vector(kind: GroupKind, coords) -> tuple[int, ...]:
     return tuple(
         c % m if m else c for c, m in zip(coords, kind.mods)
     )
-
-
-def _reduce_word(word) -> tuple[int, ...]:
-    out = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
-def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
-    if g.kind != h.kind:
-        raise KindMismatch(f"cannot multiply {g.kind.describe()} by {h.kind.describe()}")
-    kind = g.kind
-    if kind.family == "vector":
-        return GroupElement(kind, _norm_vector(kind, (a + b for a, b in zip(g.data, h.data))))
-    if kind.family == "perm":
-        return GroupElement(kind, tuple(g.data[h.data[x]] for x in range(kind.degree)))
-    return GroupElement(kind, _reduce_word(g.data + h.data))
 
 
 def inverse(g: GroupElement) -> GroupElement:
@@ -169,15 +144,6 @@ class CayleyGraph:
     generators: tuple[GroupElement, ...]
     spec_name: str
     finite: bool
-    _order: int | None = None
-
-    @property
-    def order(self) -> int | None:
-        """|G|, None for an infinite group.  A permutation group is counted
-        by realize_full's closure when its order is first read."""
-        if self._order is None and self.finite:
-            self._order = realize_full(self).vertex_count
-        return self._order
 
 
 def _split_params(params):
@@ -447,7 +413,6 @@ def build_cayley(
         if not _spans_full_lattice(rows, n):
             raise NotGenerating("generators do not span the group")
         finite = all(m > 0 for m in kind.mods)
-        order = prod(kind.mods) if finite else None
     elif kind.family == "free":
         basis = set()
         for g in gens:
@@ -458,40 +423,47 @@ def build_cayley(
             basis.add(abs(g.data[0]))
         if basis != set(range(1, kind.rank + 1)):
             raise NotGenerating("free-group generators must cover every basis letter")
-        finite, order = False, None
+        finite = False
     elif kind.family == "perm":
-        finite, order = True, None
+        finite = True
     else:
         raise BadParameter(f"unknown group family {kind.family!r}")
     gens = tuple(sorted(gens, key=GroupElement.sort_key))
     name = spec_name if spec_name is not None else kind.describe()
-    return CayleyGraph(kind, gens, name, finite, order)
+    return CayleyGraph(kind, gens, name, finite)
 
 
 @dataclass(eq=False)
 class WindowData:
     """Cayley bookkeeping attached to a realized window.
 
-    right[v][s] is the index of elements[v] * generators[s], or -1 outside
-    the window.  via[v] = (u, s), the pair whose product first reached v
-    in the BFS, so following via from v back to 0 spells a geodesic word.
-    Elements are in BFS order, dist[v] the length of elements[v]: each
-    base ball B_n is a prefix of them.  sphere_oracle translates B_n to
-    any vertex, for check_S3 and the joint law; no sphere query of the
-    window's PointedGraph reads it.
+    Vertex v is the group element g_v.  right[v][s] is the index of
+    g_v * generators[s], or -1 outside the window.  via[v] = (u, s), the
+    pair whose product first reached v in the BFS, so following via from
+    v back to 0 spells a geodesic word (word).  Vertices are in BFS
+    order, dist[v] = |g_v|: each base ball B_n is a prefix of them.
+    sphere_oracle translates B_n to any vertex, for check_S3 and the
+    joint law; no sphere query of the window's PointedGraph reads it.
     """
 
     cg: CayleyGraph
-    elements: tuple[GroupElement, ...]
-    index: dict
     saturated: bool
     radius: int
     right: list
     via: list
     dist: tuple[int, ...]
 
+    def word(self, v: int) -> list[int]:
+        """g_v's geodesic word as generator indices, read back along via."""
+        letters = []
+        while v:
+            v, s = self.via[v]
+            letters.append(s)
+        letters.reverse()
+        return letters
+
     def sphere_oracle(self, v: int, top: int) -> list[int]:
-        """The index of elements[v] * g for each g in B_top, in order."""
+        """The index of g_v * g for each g in B_top, in order."""
         right = self.right
         ball = [v]
         for u, s in self.via[1 : bisect_right(self.dist, top)]:
@@ -552,7 +524,6 @@ def realize_window(cg: CayleyGraph, radius: int, cap: int = WINDOW_CAP) -> Point
         rows = [tuple([index.get(h, -1) for h in row]) for row in products]
         right.extend(rows)
     saturated = not any(-1 in row for row in rows)
-    elements = tuple([GroupElement(kind, h) for h in datas])
     if kind.family == "free":
         # via spells a geodesic word, so each label extends its parent's.
         letters = [_free_letter(kind, s[0]) for s in gens]
@@ -561,18 +532,17 @@ def realize_window(cg: CayleyGraph, radius: int, cap: int = WINDOW_CAP) -> Point
         for u, s in via[1:]:
             labels.append(labels[u] + sep + letters[s] if u else letters[s])
     else:
-        labels = [element_str(g) for g in elements]
+        labels = [element_str(GroupElement(kind, h)) for h in datas]
     adjacency = tuple(tuple(sorted([v for v in row if v >= 0])) for row in right)
     dist = tuple(dist)
     pg = point_graph(
-        Graph(len(elements), adjacency, tuple(labels)),
+        Graph(len(datas), adjacency, tuple(labels)),
         0,
         dist,
         name=f"window({cg.spec_name},r={radius})",
         exact_radius=INFINITE if saturated else radius,
     )
-    index = dict(zip(elements, range(len(elements))))
-    pg.cayley = WindowData(cg, elements, index, saturated, radius, right, via, dist)
+    pg.cayley = WindowData(cg, saturated, radius, right, via, dist)
     pg._sphere_oracle = pg.cayley.sphere_oracle
     return pg
 

@@ -52,19 +52,6 @@ class ProbabilityVector(NamedTuple):
     entries: tuple[tuple[int, int], ...]
 
     @classmethod
-    def from_pairs(cls, pairs) -> "ProbabilityVector":
-        acc: dict[int, Fraction] = {}
-        for k, w in pairs:
-            if w:
-                acc[k] = acc.get(k, Fraction(0)) + w
-        items = sorted((k, w) for k, w in acc.items() if w)
-        total = sum((w for _, w in items), Fraction(0))
-        if any(w < 0 for _, w in items) or total != 1:
-            raise BadParameter(f"not a probability vector (total {total})")
-        den = lcm(*(w.denominator for _, w in items))
-        return cls(den, tuple((k, w.numerator * (den // w.denominator)) for k, w in items))
-
-    @classmethod
     def point(cls, k: int) -> "ProbabilityVector":
         return cls(1, ((k, 1),))
 

@@ -3,10 +3,11 @@
 Three routes to the law of |v_1 ... v_m| are computed and cross-checked:
 the left-nested algebra product PL over a structure table, the exact
 jump law J over vertex distributions, and (on Cayley graphs) the literal
-conditional probability by tuple enumeration or Monte-Carlo sampling.
-PL and J are both folds of hypergroup.convex_combination on integer
-rows.  The joint law of the distance process Z_n = |X_n| under a
-per-element step distribution alpha supports Markov and i.i.d. checks.
+conditional probability by tuple enumeration or Monte-Carlo sampling,
+both walking geodesic words through the window's integer table.  PL, J
+and the enumeration sum on integer rows by hypergroup.convex_combination.
+The joint law of the distance process Z_n = |X_n| under a per-element
+step distribution alpha supports Markov and i.i.d. checks.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     RadiusExceeded,
     ZeroProbabilityCondition,
 )
-from .graphs import PointedGraph, sphere_at
+from .graphs import INFINITE, PointedGraph, sphere_at
 from .hypergroup import (
     ProbabilityVector,
     StructureTable,
@@ -111,10 +112,11 @@ def jump_distribution(pg: PointedGraph, pattern) -> ProbabilityVector:
 
 
 def _pattern_window(cg: cy.CayleyGraph, pattern):
-    """The window of radius sum(pattern) and the validated pattern."""
-    pat = tuple(int(i) for i in pattern)
+    """The window of radius sum(pattern) and the validated pattern, whose
+    length and signs are checked before the window is built."""
+    pat = validate_pattern(pattern, INFINITE)
     pg = cy.realize_window(cg, sum(pat))
-    pat = validate_pattern(pat, pg.exact_radius if pg.truncated else max(pg.spheres))
+    validate_pattern(pat, pg.exact_radius if pg.truncated else max(pg.spheres))
     for i in pat:
         if not pg.spheres.get(i, ()):
             raise EmptySphere(f"S_{i}(identity) is empty")
@@ -124,27 +126,35 @@ def _pattern_window(cg: cy.CayleyGraph, pattern):
 def brute_force_conditional(
     cg: cy.CayleyGraph, pattern, cap: int = ENUMERATION_CAP
 ) -> ProbabilityVector:
-    """The conditional law by full enumeration of generator-sphere tuples."""
+    """The conditional law by full enumeration of sphere tuples on window
+    indices: the first factor is its sphere element, and each later factor
+    moves the running product along its geodesic word through the
+    window's generator table.  Ends are summed onto their distances by
+    convex_combination."""
     if not isinstance(cg, cy.CayleyGraph):
         raise NotCayley("brute-force products need a Cayley graph")
     pg, pat = _pattern_window(cg, pattern)
     data = pg.cayley
-    spheres = [[data.elements[u] for u in pg.spheres[i]] for i in pat]
     total = 1
-    for elems in spheres:
-        total *= len(elems)
+    for i in pat:
+        total *= len(pg.spheres[i])
         if total > cap:
             raise EnumerationCapExceeded(f"{total} tuples exceed the cap {cap}")
-    counts: dict[int, int] = {}
-    for tup in iter_product(*spheres):
-        g = tup[0]
-        for v in tup[1:]:
-            g = cy.multiply(g, v)
-        k = pg.dist[data.index[g]]
-        counts[k] = counts.get(k, 0) + 1
-    return ProbabilityVector.from_pairs(
-        (k, Fraction(c, total)) for k, c in counts.items()
-    )
+    words = [[data.word(v) for v in pg.spheres[i]] for i in pat[1:]]
+    # A row of -1 appended to the table: a product that left the window
+    # (index -1) reads it, not the window's last row, and stays at -1.
+    right = data.right + [(-1,) * len(cg.generators)]
+    ends = [0] * len(right)
+    for first in pg.spheres[pat[0]]:
+        for tup in iter_product(*words):
+            g = first
+            for word in tup:
+                for s in word:
+                    g = right[g][s]
+            ends[g] += 1
+    if ends[-1]:
+        raise InternalError("a product of sphere elements lies outside the realized window")
+    return convex_combination(total, [(c, (1, ((k, 1),))) for k, c in zip(pg.dist, ends) if c])
 
 
 class EmpiricalDistribution(NamedTuple):
@@ -230,12 +240,8 @@ def monte_carlo_conditional(
     steps = []
     for step, i in enumerate(pat):
         sphere = pg.spheres[i]
-        # letters[j, e]: letter j of the geodesic word of sphere element e,
-        # read back along via.
-        letters = np.empty((i, len(sphere)), dtype=np.intp)
-        for e, v in enumerate(sphere):
-            for j in reversed(range(i)):
-                v, letters[j, e] = data.via[v]
+        # letters[j, e]: letter j of the geodesic word of sphere element e.
+        letters = np.array([data.word(v) for v in sphere], dtype=np.intp).reshape(len(sphere), i).T
         # A |window| x |S_i| table smaller than the trials and no larger
         # than a block is walked once: ends[v * |S_i| + e] is where the
         # word of element e leads from v.

@@ -28,6 +28,7 @@ from forge.hypergroup import (
 from forge.matrices import commute_check
 from forge.search import _edges_from_neighbors, enumerate_connected_graphs
 from forge.walks import left_nested_product, validate_pattern
+from group_reference import from_pairs
 
 
 def reference_combine(terms) -> ProbabilityVector:
@@ -36,7 +37,7 @@ def reference_combine(terms) -> ProbabilityVector:
         if not w:
             continue
         pairs.extend((k, w * c) for k, c in vec.items)
-    return ProbabilityVector.from_pairs(pairs)
+    return from_pairs(pairs)
 
 
 def reference_first_difference(lhs, rhs):

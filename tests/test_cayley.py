@@ -4,12 +4,12 @@ import pytest
 
 from forge.cayley import (
     GroupElement,
+    GroupKind,
     build_cayley,
     check_S3,
     element_str,
     identity,
     inverse,
-    multiply,
     parse_group,
     parse_group_spec,
     parse_perm_file,
@@ -19,6 +19,7 @@ from forge.cayley import (
 from forge.errors import (
     BadParameter,
     ContainsIdentity,
+    KindMismatch,
     NotFinite,
     NotGenerating,
     NotSymmetric,
@@ -28,7 +29,7 @@ from forge.errors import (
 
 def test_parse_group_spec_families():
     assert parse_group_spec("zmod:5").finite
-    assert parse_group_spec("zmod:3,2").order == 6
+    assert realize_full(parse_group_spec("zmod:3,2")).vertex_count == 6
     assert not parse_group_spec("lattice:2").finite
     assert not parse_group_spec("ladder").finite
     assert not parse_group_spec("free:2").finite
@@ -73,7 +74,7 @@ def test_parse_group_reads_a_perm_file_path_with_colons(tmp_path):
     path = tmp_path / "a:b.txt"
     path.write_text("(0 1)\n(1 2)\n")
     cg, radius = parse_group(f"perm:{path}:r=2")
-    assert (cg.spec_name, radius, cg.order) == (f"perm:{path}", 2, 6)
+    assert (cg.spec_name, radius, realize_full(cg).vertex_count) == (f"perm:{path}", 2, 6)
 
 
 @pytest.mark.parametrize(
@@ -111,11 +112,13 @@ def test_generator_validation():
         build_cayley(kind, (one, inverse(one), identity(kind)))
 
 
-def test_word_reduction_in_free_group():
-    f = parse_group_spec("free:2")
-    a = f.generators[0]
-    assert multiply(a, inverse(a)) == identity(f.kind)
-    assert len(multiply(a, a).data) == 2
+def test_build_cayley_refuses_a_generator_of_another_kind():
+    """A generator from another group, or no group element at all."""
+    kind = parse_group_spec("lattice:1").kind
+    one = GroupElement(kind, (1,))
+    for stranger in (GroupElement(GroupKind("vector", mods=(5,)), (1,)), (1,)):
+        with pytest.raises(KindMismatch, match="^generator kind does not match the group kind$"):
+            build_cayley(kind, (one, inverse(one), stranger))
 
 
 def test_element_str_inverse_pairing():
@@ -162,8 +165,8 @@ def test_perm_file_roundtrip(tmp_path):
     gens, degree = parse_perm_file(str(path))
     assert degree == 4 and len(gens) == 3
     cg = parse_group_spec(f"perm:{path}")
-    assert cg.finite and cg.order == 24
     pg = realize_full(cg)
+    assert cg.finite and pg.vertex_count == 24
     assert tuple(len(pg.spheres[n]) for n in sorted(pg.spheres)) == (1, 3, 5, 6, 5, 3, 1)
 
 

@@ -386,9 +386,9 @@ def test_a_group_above_the_window_cap_exits_2_with_one_line(runner, tmp_path, mo
         assert result.stderr.startswith("error: WindowOverflow: ")
         assert result.stderr.count("\n") == 1 and result.stdout == ""
     with pytest.raises(WindowOverflow):
-        cg.order
+        cy.realize_full(cg)
     monkeypatch.undo()
-    assert cg.order == 120
+    assert cy.realize_full(cg).vertex_count == 120
 
 
 def _leaf_commands(group, path=()):

@@ -1,6 +1,7 @@
 """Named fixture specs: shapes, window scopes, and parameter validation."""
 
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -124,7 +125,7 @@ def test_group_fixtures_realize_the_parsed_group(spec):
     assert pg.name == spec
     assert (pg.cayley.cg.kind, pg.cayley.cg.generators) == (cg.kind, cg.generators)
     if radius is None:
-        assert not pg.truncated and pg.vertex_count == cg.order
+        assert not pg.truncated and pg.vertex_count == prod(cg.kind.mods)
     else:
         assert pg.cayley.radius == radius
 

@@ -1,12 +1,14 @@
 """realize_window and realize_full against the window as first built.
 
-realize_window searches on raw element data, builds each GroupElement
-once at the end, extends free-group labels along via and reads the
-adjacency from the rows of right.  reference_window below is the earlier
-search: it multiplies GroupElements with cayley.multiply, labels every
-element with element_str and sends the edge list through make_graph.
-Both must give the same elements, index, right, via, labels, distances,
-spheres, scope and adjacency, and overflow at the same vertex.
+realize_window searches on raw element data, keeps only the integer
+table, labels each element from its data, extends free-group labels
+along via and reads the adjacency from the rows of right.
+reference_window below is the earlier search: it multiplies
+GroupElements with the reference product of tests/group_reference.py,
+labels every element with element_str and sends the edge list through
+make_graph.  Both must give the same elements (rebuilt along via), right,
+via, labels, distances, spheres, scope and adjacency, and overflow at
+the same vertex.
 """
 
 from bisect import bisect_right
@@ -18,13 +20,13 @@ from forge.cayley import (
     GroupElement,
     element_str,
     identity,
-    multiply,
     parse_group_spec,
     realize_full,
     realize_window,
 )
 from forge.errors import ForgeError, WindowOverflow
 from forge.graphs import INFINITE, bfs_from, make_graph
+from group_reference import multiply, window_elements
 
 S4_TRANSPOSITIONS = "(0 1)\n(1 2)\n(2 3)\n"
 S4_CYCLES = "(0 1 2 3)\n(0 3 2 1)\n(0 1)\n"
@@ -77,8 +79,7 @@ def assert_same_window(pg, cg, radius, cap=cy.WINDOW_CAP):
     elements, index, right, via, saturated, graph = reference_window(cg, radius, cap)
     data = pg.cayley
     assert data.cg is cg and data.radius == radius
-    assert data.elements == elements
-    assert data.index == index and list(data.index) == list(index)
+    assert window_elements(pg) == (elements, index)
     assert data.right == right
     assert data.via == via
     assert data.saturated == saturated
@@ -95,7 +96,7 @@ def assert_same_window(pg, cg, radius, cap=cy.WINDOW_CAP):
     v = len(elements) - 1
     top = radius - pg.dist[v] if pg.truncated else max(pg.spheres)
     ball = pg._sphere_oracle(v, top)
-    assert ball == [data.index[multiply(elements[v], g)] for g in elements[: bisect_right(pg.dist, top)]]
+    assert ball == [index[multiply(elements[v], g)] for g in elements[: bisect_right(pg.dist, top)]]
 
 
 PERM_FILES = {"s4t.txt": S4_TRANSPOSITIONS, "s4c.txt": S4_CYCLES}

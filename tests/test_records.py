@@ -256,12 +256,6 @@ def test_records_are_tuples_equal_to_their_items(records):
     assert g == (kind, data)
 
 
-def test_group_elements_hash_their_data(records):
-    g = records["GroupElement"]
-    assert hash(g) == hash(g.data)
-    assert {g: 1}[cy.GroupElement(g.kind, tuple(g.data))] == 1
-
-
 def test_tracer_keys_accept_weak_references():
     pg = resolve_spec("cycle:5")
     table = build_table(pg)

@@ -6,7 +6,8 @@ the depth read on windows, Cayley windows included, and on finite graphs,
 full Cayley groups included, the bitset spheres that
 graphs.sphere_bitsets grows for all vertices at once.  It is checked
 against networkx distances, and the Cayley translation oracle, which
-check_S3 and the joint law read, against `cayley.multiply`.  product,
+check_S3 and the joint law read, against the element product of
+tests/group_reference.py.  product,
 check_S1, check_S2, uniform_norm_bound, jump_distribution and condition
 (iii), which reduce over it, are checked against their earlier versions
 (kept here as reference_product, reference_check_S1, reference_check_S2,
@@ -31,7 +32,7 @@ from hypothesis import strategies as st
 
 from forge import cayley as cy
 from forge import graphs, hypergroup
-from forge.cayley import multiply, parse_group_spec, realize_full, realize_window
+from forge.cayley import parse_group_spec, realize_full, realize_window
 from forge.cli import main
 from forge.errors import (
     DisconnectedGraph,
@@ -57,7 +58,6 @@ from forge.graphs import (
 )
 from forge.hypergroup import (
     ConditionReport,
-    ProbabilityVector,
     build_table,
     check_S1,
     check_S2,
@@ -66,7 +66,14 @@ from forge.hypergroup import (
     product,
 )
 from forge.matrices import UniformBound, uniform_norm_bound
-from forge.walks import joint_distance_law, jump_distribution, validate_pattern
+from forge.walks import (
+    brute_force_conditional,
+    joint_distance_law,
+    jump_distribution,
+    monte_carlo_conditional,
+    validate_pattern,
+)
+from group_reference import from_pairs, multiply, window_elements
 
 S4_GENERATORS = "(0 1)\n(1 2)\n(2 3)\n"
 
@@ -92,7 +99,7 @@ def reference_product(pg, i, j):
         for u in ball:
             k = pg.dist[u]
             acc[k] = acc.get(k, Fraction(0)) + unit
-    vec = ProbabilityVector.from_pairs(acc.items())
+    vec = from_pairs(acc.items())
     lo, hi = abs(i - j), i + j
     if not all(lo <= k <= hi for k in vec.support):
         raise InternalError(f"x_{i} o x_{j} has support {vec.support} outside [{lo}, {hi}]")
@@ -228,7 +235,7 @@ def reference_jump_distribution(pg, pattern):
     for v, mass in mu.items():
         k = pg.dist[v]
         pairs[k] = pairs.get(k, Fraction(0)) + mass
-    return ProbabilityVector.from_pairs(pairs.items())
+    return from_pairs(pairs.items())
 
 
 def reference_check_assumptions(pg):
@@ -512,20 +519,19 @@ def test_uniform_bound_drops_bfs_distances_past_the_scope():
     [("free:2", 5), ("lattice:2", 6), ("ladder", 8), ("s5", 3), ("zmod:4,3", None), ("s4", None)],
 )
 def test_oracle_translates_the_base_ball(tmp_path, spec, radius):
-    """oracle(v, top)[g] = index[elements[v] * elements[g]] for every g in
-    B_top, top = R - |v| on windows and the diameter on full groups."""
+    """oracle(v, top)[g] = index[g_v * g_g] for every g in B_top, top =
+    R - |v| on windows and the diameter on full groups, with the elements
+    rebuilt along via by the reference product."""
     path = tmp_path / "gens.txt"
     path.write_text({"s5": "(0 1)\n(0 1 2 3 4)\n(0 4 3 2 1)\n", "s4": S4_GENERATORS}.get(spec, ""))
     cg = parse_group_spec(f"perm:{path}" if spec in ("s4", "s5") else spec)
     pg = realize_full(cg) if radius is None else realize_window(cg, radius)
-    data = pg.cayley
+    elements, index = window_elements(pg)
     for v in range(pg.vertex_count):
         top = radius - pg.dist[v] if pg.truncated else max(pg.spheres)
         ball = pg._sphere_oracle(v, top)
         assert len(ball) == sum(1 for d in pg.dist if d <= top)
-        assert ball == [
-            data.index[multiply(data.elements[v], data.elements[g])] for g in range(len(ball))
-        ]
+        assert ball == [index[multiply(elements[v], elements[g])] for g in range(len(ball))]
 
 
 def test_oracle_reports_a_translation_that_leaves_the_window():
@@ -599,8 +605,10 @@ def test_check_s3_witness_reports_the_full_window_distance(monkeypatch):
 
 
 def test_window_checks_run_without_group_multiplication(monkeypatch):
-    """After realize_window, every sphere reader uses the integer table."""
-    window = realize_window(parse_group_spec("free:2"), 6)
+    """After realize_window, every sphere reader, brute force and Monte
+    Carlo use the integer table: no group element is built."""
+    free = parse_group_spec("free:2")
+    window = realize_window(free, 6)
     group = parse_group_spec("zmod:3,2")
     full = realize_full(group)
 
@@ -613,7 +621,9 @@ def test_window_checks_run_without_group_multiplication(monkeypatch):
             classify(build_table(window)),
             uniform_norm_bound(window),
             jump_distribution(window, (2, 1, 3)),
-            cy.check_S3(parse_group_spec("free:2"), 6),
+            cy.check_S3(free, 6),
+            brute_force_conditional(free, (2, 1, 2)),
+            monte_carlo_conditional(free, (2, 1, 2), 1000).counts,
             check_assumptions(full),
             check_S1(full),
             joint_distance_law(group, None, 2).law,
@@ -621,12 +631,12 @@ def test_window_checks_run_without_group_multiplication(monkeypatch):
 
     expected = run_all()
 
-    def no_multiply(g, h):
-        raise AssertionError("multiply called after realize_window")
+    def no_elements(kind, data):
+        raise AssertionError("group element built after realize_window")
 
     monkeypatch.setattr(cy, "realize_window", lambda cg, radius: window)
     monkeypatch.setattr(cy, "realize_full", lambda cg: full)
-    monkeypatch.setattr(cy, "multiply", no_multiply)
+    monkeypatch.setattr(cy, "GroupElement", no_elements)
     assert run_all() == expected
 
 

@@ -7,15 +7,16 @@ table and runs its DP on integer numerators.  Both are checked here
 against the element-by-element code they replaced, kept below as
 reference functions: the coordinate-packing sampler for vector groups,
 the per-trial sampler for free and permutation groups, and the Fraction
-DP over `cayley.multiply`.  The sampler runs its trials in blocks drawn
+DP over the element product of tests/group_reference.py.  The sampler runs its trials in blocks drawn
 from the same per-step streams and tallies the ends per window element,
 so it is also checked against the whole-array table sampler it replaced,
 at several block sizes and at trial counts around the block boundaries;
 its traced memory must not grow with the trial count, and a walk that
 leaves the window must be caught in whichever block it runs.  The table
-itself is checked entry by entry against `multiply`, and the exact
-conditional law by enumeration against the jump DP on random finite
-abelian groups (hypothesis).
+itself is checked entry by entry against that product, the words read
+back along via against the window's elements, and the exact conditional
+law by enumeration against the jump DP on random finite abelian groups
+(hypothesis).
 """
 
 import tracemalloc
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 
 from forge import cayley as cy
 from forge import walks
-from forge.cayley import multiply, parse_group_spec, realize_full, realize_window
+from forge.cayley import element_str, parse_group_spec, realize_full, realize_window
 from forge.errors import InternalError
 from forge.walks import (
     _step_rng,
@@ -40,6 +41,7 @@ from forge.walks import (
     validate_alpha,
     validate_pattern,
 )
+from group_reference import multiply, window_elements
 
 S5_GENERATORS = "(0 1)\n(0 1 2 3 4)\n(0 4 3 2 1)\n"
 S4_GENERATORS = "(0 1)\n(1 2)\n(2 3)\n"
@@ -72,13 +74,14 @@ def reference_monte_carlo(cg, pattern, trials, seed):
 
 def reference_mc_vector(pg, pat, trials, seed):
     data = pg.cayley
+    elements, _ = window_elements(pg)
     kind = data.cg.kind
     mods = np.array(kind.mods, dtype=np.int64)
     torsion = mods > 0
     dims = len(kind.mods)
     acc = np.zeros((trials, dims), dtype=np.int64)
     for step, i in enumerate(pat):
-        elems = np.array([data.elements[u].data for u in pg.spheres[i]], dtype=np.int64)
+        elems = np.array([elements[u].data for u in pg.spheres[i]], dtype=np.int64)
         idx = _step_rng(seed, step).integers(0, len(elems), size=trials)
         acc += elems[idx]
         if torsion.any():
@@ -89,7 +92,7 @@ def reference_mc_vector(pg, pat, trials, seed):
     strides = np.ones(dims, dtype=np.int64)
     for d in range(dims - 2, -1, -1):
         strides[d] = strides[d + 1] * sizes[d + 1]
-    window = np.array([g.data for g in data.elements], dtype=np.int64)
+    window = np.array([g.data for g in elements], dtype=np.int64)
     window_codes = ((window + offsets) * strides).sum(axis=1)
     order = np.argsort(window_codes)
     sorted_codes = window_codes[order]
@@ -103,8 +106,8 @@ def reference_mc_vector(pg, pat, trials, seed):
 
 
 def reference_mc_generic(pg, pat, trials, seed):
-    data = pg.cayley
-    spheres = {i: [data.elements[u] for u in pg.spheres[i]] for i in pat}
+    elements, index = window_elements(pg)
+    spheres = {i: [elements[u] for u in pg.spheres[i]] for i in pat}
     draws = [
         _step_rng(seed, step).integers(0, len(spheres[i]), size=trials)
         for step, i in enumerate(pat)
@@ -114,7 +117,7 @@ def reference_mc_generic(pg, pat, trials, seed):
         g = spheres[pat[0]][draws[0][t]]
         for step in range(1, len(pat)):
             g = multiply(g, spheres[pat[step]][draws[step][t]])
-        k = pg.dist[data.index[g]]
+        k = pg.dist[index[g]]
         counts[k] = counts.get(k, 0) + 1
     return counts
 
@@ -148,12 +151,9 @@ def reference_joint_law(cg, alpha, depth):
     """The Fraction DP over (distance history, current element)."""
     pg = realize_full(cg)
     alpha = validate_alpha(pg, alpha if alpha is not None else uniform_distribution(pg))
-    data = pg.cayley
+    elements, index = window_elements(pg)
     n = pg.vertex_count
-    mult = [
-        [data.index[multiply(data.elements[v], data.elements[g])] for g in range(n)]
-        for v in range(n)
-    ]
+    mult = [[index[multiply(elements[v], elements[g])] for g in range(n)] for v in range(n)]
     weights = [alpha.get(pg.dist[g], F(0)) for g in range(n)]
     states = {(): {pg.base: F(1)}}
     for _ in range(depth):
@@ -197,21 +197,21 @@ def test_generator_table_matches_multiply(spec, radius, perm_specs):
     pg = realize_full(cg) if radius is None else realize_window(cg, radius)
     data = pg.cayley
     assert len(data.right) == len(data.via) == pg.vertex_count
+    # The elements, rebuilt along via by the reference product, carry the
+    # labels realize_window formed from its own data.
+    elements, index = window_elements(pg)
+    assert [element_str(g) for g in elements] == [pg.label(v) for v in range(pg.vertex_count)]
     outside = 0
-    for v, g in enumerate(data.elements):
+    for v, g in enumerate(elements):
         assert len(data.right[v]) == len(cg.generators)
         for s, gen in enumerate(cg.generators):
-            expected = data.index.get(multiply(g, gen), -1)
+            expected = index.get(multiply(g, gen), -1)
             assert data.right[v][s] == expected, (spec, v, s)
             outside += expected < 0
     assert (outside == 0) == data.saturated
     assert data.via[0] is None
-    for v, g in enumerate(data.elements):
-        word = []
-        u = v
-        while u:
-            u, s = data.via[u]
-            word.insert(0, s)
+    for v, g in enumerate(elements):
+        word = data.word(v)
         assert len(word) == pg.dist[v]
         rebuilt = cy.identity(cg.kind)
         for s in word:
@@ -219,8 +219,7 @@ def test_generator_table_matches_multiply(spec, radius, perm_specs):
         assert rebuilt == g, (spec, v)
         if v:
             u, s = data.via[v]
-            assert pg.dist[u] == pg.dist[v] - 1
-            assert multiply(data.elements[u], cg.generators[s]) == g
+            assert pg.dist[u] == pg.dist[v] - 1 and word[-1] == s
 
 
 def test_window_edges_come_from_the_table():

@@ -7,12 +7,13 @@ differs from the jump law on the triangular prism, and pattern order
 matters on the square lattice.
 """
 
+import os
 from fractions import Fraction as F
 
 import pytest
 
 from forge import walks
-from forge.cayley import parse_group_spec
+from forge.cayley import parse_group_spec, realize_window
 from forge.errors import (
     BadParameter,
     EmptySphere,
@@ -115,6 +116,68 @@ def test_brute_force_matches_jump_law():
         assert brute_force_conditional(cg, pattern) == jump_distribution(
             prism, pattern
         ), pattern
+
+
+S4_FILE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "s4.txt")
+
+
+@pytest.mark.parametrize(
+    "spec,pattern",
+    [
+        ("free:2", (2, 2, 2)),
+        ("free:2", (3, 1, 2)),
+        ("free:3", (2, 1, 2)),
+        ("lattice:2", (3, 3, 3)),
+        ("ladder", (4, 4, 4)),
+        (f"perm:{S4_FILE}", (2, 2, 2)),
+        ("zmod:6,6", (0, 3, 1)),
+    ],
+    ids=lambda x: str(x).replace(S4_FILE, "s4.txt"),
+)
+def test_brute_force_equals_jump_law_on_windows_and_words(spec, pattern):
+    """Free-group words, windows of infinite groups, S4 and an index-0 step."""
+    cg = parse_group_spec(spec)
+    law = jump_distribution(realize_window(cg, sum(pattern)), pattern)
+    assert brute_force_conditional(cg, pattern) == law
+
+
+def test_brute_force_reports_a_product_that_leaves_the_window(monkeypatch):
+    """zmod:4,4 is bipartite with diameter 4: for the pattern 1,3 the window
+    is the whole group, and the second letter of each word starts on S_0
+    or S_2, no other letter on S_2.  With the row of one element of S_2
+    broken, those products leave the window in the middle of a word, and
+    the next letter must not read the window's last row, which is whole."""
+    cg = parse_group_spec("zmod:4,4")
+    realize = walks.cy.realize_window
+
+    def broken(cg, radius):
+        pg = realize(cg, radius)
+        pg.cayley.right[pg.spheres[2][0]] = (-1,) * len(cg.generators)
+        return pg
+
+    monkeypatch.setattr(walks.cy, "realize_window", broken)
+    with pytest.raises(InternalError, match="outside the realized window"):
+        brute_force_conditional(cg, (1, 3))
+
+
+@pytest.mark.parametrize(
+    "pattern,error,message",
+    [
+        ((-5, 1), IndexOutOfRange, "pattern index -5 outside 0..inf"),
+        ((1,) * 65, BadParameter, "pattern longer than the cap 64"),
+    ],
+    ids=["negative", "too-long"],
+)
+def test_pattern_is_checked_before_the_window_is_built(monkeypatch, pattern, error, message):
+    def no_window(cg, radius):
+        raise AssertionError("the window was built")
+
+    monkeypatch.setattr(walks.cy, "realize_window", no_window)
+    cg = parse_group_spec("free:2")
+    with pytest.raises(error, match=f"^{message}$"):
+        brute_force_conditional(cg, pattern)
+    with pytest.raises(error, match=f"^{message}$"):
+        monte_carlo_conditional(cg, pattern, 10)
 
 
 def test_brute_force_needs_cayley_graph():
