@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
+    WINDOW_CAP,
     BadParameter,
     ContainsIdentity,
     InternalError,
@@ -36,8 +37,6 @@ from .errors import (
     WindowOverflow,
 )
 from .graphs import INFINITE, Graph, PointedGraph, bfs_ball, bfs_from, point_graph
-
-WINDOW_CAP = 200_000
 
 
 class GroupKind(NamedTuple):

@@ -12,39 +12,11 @@ from fractions import Fraction
 
 import click
 
-from . import cayley as cy
-from .errors import BadParameter, ForgeError
-from .fixtures import resolve_spec
-from .graphs import check_assumptions, index_set
-from .hypergroup import (
-    build_table,
-    check_S1,
-    check_S2,
-    check_distance_regular,
-    classify,
-)
-from .matrices import (
-    commute_check,
-    irreducibility,
-    norm_bounds,
-    stationary_check,
-    uniform_norm_bound,
-    verify_maincoro,
-    verify_regular_representation,
-)
-from .regression import paper_regression
-from .search import DEFAULT_GRAPH_CAP, replay_counterexample, search_conjecture
-from .serialize import dumps_json, dumps_tsv, jsonable, parse_frac
-from .walks import (
-    ENUMERATION_CAP,
-    PATTERN_CAP,
-    brute_force_conditional,
-    joint_distance_law,
-    jump_distribution,
-    left_nested_product,
-    markov_check,
-    monte_carlo_conditional,
-)
+# Layer functions are looked up on their modules at call time.  forge's
+# __init__ registers the modules lazily, so a command runs only the layers
+# it touches, and a function rebound on its module is the one called.
+from . import cayley as cy, fixtures, graphs, hypergroup, matrices, regression, search, serialize, walks
+from .errors import DEFAULT_GRAPH_CAP, ENUMERATION_CAP, PATTERN_CAP, WINDOW_CAP, BadParameter, ForgeError
 
 FAIL = 1
 USAGE = 2
@@ -63,11 +35,11 @@ def _tsv_rows(data, prefix=""):
 def _emit(ctx, payload, ok: bool = True) -> None:
     """Write the report; exit 1 after it when a verified property failed."""
     cfg = ctx.obj
-    data = jsonable(payload)
+    data = serialize.jsonable(payload)
     if cfg["format"] == "json":
-        text = dumps_json(data)
+        text = serialize.dumps_json(data)
     else:
-        text = dumps_tsv(_tsv_rows(data), header=("field", "value"))
+        text = serialize.dumps_tsv(_tsv_rows(data), header=("field", "value"))
     if cfg["out"]:
         with open(cfg["out"], "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -120,7 +92,7 @@ def _alpha_arg(text: str):
         if idx in alpha:
             raise BadParameter(f"alpha file names index {idx} twice")
         if isinstance(value, str):
-            alpha[idx] = parse_frac(value)
+            alpha[idx] = serialize.parse_frac(value)
         elif isinstance(value, int) and not isinstance(value, bool):
             alpha[idx] = Fraction(value)
         else:
@@ -138,7 +110,7 @@ def _alpha_arg(text: str):
 @click.option("--cap-enumeration", type=int, default=ENUMERATION_CAP, help="Max step tuples that `product brute` enumerates.")
 @click.option("--cap-pattern", type=int, default=PATTERN_CAP, help="Max distance patterns in the joint law of `walk joint` and `walk markov`.")
 @click.option("--cap-graphs", type=int, default=DEFAULT_GRAPH_CAP, help="Max graphs that `search conjecture` enumerates.")
-@click.option("--cap-window", type=int, default=cy.WINDOW_CAP, help="Max vertices that `cayley realize` builds; fixtures and other commands keep the 200000 default.")
+@click.option("--cap-window", type=int, default=WINDOW_CAP, help="Max vertices that `cayley realize` builds; fixtures and other commands keep the 200000 default.")
 @click.pass_context
 def main(ctx, out, fmt, seed, cap_enumeration, cap_pattern, cap_graphs, cap_window):
     """Exact hypergroup products, walk laws, and operator bounds on pointed graphs."""
@@ -171,9 +143,9 @@ def graph():
 @click.pass_context
 def graph_check(ctx, spec):
     """Verify simplicity, connectivity, local finiteness, and condition (iii)."""
-    pg = resolve_spec(spec)
-    report = check_assumptions(pg)
-    indices, top = index_set(pg)
+    pg = fixtures.resolve_spec(spec)
+    report = graphs.check_assumptions(pg)
+    indices, top = graphs.index_set(pg)
     _emit(
         ctx,
         {
@@ -227,7 +199,7 @@ def hyper():
 @click.pass_context
 def hyper_table(ctx, spec, bound):
     """The table of products x_i o x_j up to the bound."""
-    _emit(ctx, build_table(resolve_spec(spec), bound=bound))
+    _emit(ctx, hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound))
 
 
 @hyper.command("classify")
@@ -236,7 +208,7 @@ def hyper_table(ctx, spec, bound):
 @click.pass_context
 def hyper_classify(ctx, spec, bound):
     """Hypergroup / PreHypergroupOnly verdict with the first witness."""
-    _emit(ctx, classify(build_table(resolve_spec(spec), bound=bound)))
+    _emit(ctx, hypergroup.classify(hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound)))
 
 
 @hyper.command("conditions")
@@ -244,13 +216,13 @@ def hyper_classify(ctx, spec, bound):
 @click.pass_context
 def hyper_conditions(ctx, spec):
     """Assumptions, both walk conditions, and (finite only) distance regularity."""
-    pg = resolve_spec(spec)
-    assumptions = check_assumptions(pg)
-    s1 = check_S1(pg)
-    s2 = check_S2(pg)
+    pg = fixtures.resolve_spec(spec)
+    assumptions = graphs.check_assumptions(pg)
+    s1 = hypergroup.check_S1(pg)
+    s2 = hypergroup.check_S2(pg)
     payload = {"graph": pg.name, "assumptions": assumptions, "S1": s1, "S2": s2}
     if not pg.truncated:
-        payload["distance_regular"] = check_distance_regular(pg)
+        payload["distance_regular"] = hypergroup.check_distance_regular(pg)
     _emit(ctx, payload, ok=assumptions.passed and s1.passed and s2.passed)
 
 
@@ -267,8 +239,8 @@ def product():
 def product_pl(ctx, spec, pattern, bound):
     """Left-nested product PL(i_1, ..., i_m)."""
     pat = _pattern_arg(pattern)
-    table = build_table(resolve_spec(spec), bound=bound)
-    _emit(ctx, {"pattern": pat, "law": left_nested_product(table, pat)})
+    table = hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound)
+    _emit(ctx, {"pattern": pat, "law": walks.left_nested_product(table, pat)})
 
 
 @product.command("j")
@@ -278,7 +250,7 @@ def product_pl(ctx, spec, pattern, bound):
 def product_j(ctx, spec, pattern):
     """Jump distribution J(i_1, ..., i_m)."""
     pat = _pattern_arg(pattern)
-    _emit(ctx, {"pattern": pat, "law": jump_distribution(resolve_spec(spec), pat)})
+    _emit(ctx, {"pattern": pat, "law": walks.jump_distribution(fixtures.resolve_spec(spec), pat)})
 
 
 @product.command("brute")
@@ -289,7 +261,7 @@ def product_brute(ctx, spec, pattern):
     """Exact conditional law by full enumeration (Cayley graphs)."""
     pat = _pattern_arg(pattern)
     cg = cy.parse_group_spec(spec)
-    law = brute_force_conditional(cg, pat, cap=ctx.obj["cap_enumeration"])
+    law = walks.brute_force_conditional(cg, pat, cap=ctx.obj["cap_enumeration"])
     _emit(ctx, {"pattern": pat, "law": law})
 
 
@@ -302,7 +274,7 @@ def product_mc(ctx, spec, pattern, trials):
     """Monte-Carlo estimate of the conditional law (Cayley graphs)."""
     pat = _pattern_arg(pattern)
     cg = cy.parse_group_spec(spec)
-    _emit(ctx, monte_carlo_conditional(cg, pat, trials, seed=ctx.obj["seed"]))
+    _emit(ctx, walks.monte_carlo_conditional(cg, pat, trials, seed=ctx.obj["seed"]))
 
 
 @main.group()
@@ -318,7 +290,7 @@ def walk():
 def walk_joint(ctx, spec, alpha, depth):
     """Exact joint law of (Z_1, ..., Z_depth) for a finite Cayley walk."""
     cg = cy.parse_group_spec(spec)
-    _emit(ctx, joint_distance_law(cg, _alpha_arg(alpha), depth, pattern_cap=ctx.obj["cap_pattern"]))
+    _emit(ctx, walks.joint_distance_law(cg, _alpha_arg(alpha), depth, pattern_cap=ctx.obj["cap_pattern"]))
 
 
 @walk.command("markov")
@@ -329,8 +301,8 @@ def walk_joint(ctx, spec, alpha, depth):
 def walk_markov(ctx, spec, alpha, depth):
     """Markov / i.i.d. verdicts for the distance process."""
     cg = cy.parse_group_spec(spec)
-    law = joint_distance_law(cg, _alpha_arg(alpha), depth, pattern_cap=ctx.obj["cap_pattern"])
-    report = markov_check(law)
+    law = walks.joint_distance_law(cg, _alpha_arg(alpha), depth, pattern_cap=ctx.obj["cap_pattern"])
+    report = walks.markov_check(law)
     _emit(ctx, report, ok=report.is_markov)
 
 
@@ -346,8 +318,8 @@ def matrix():
 @click.pass_context
 def matrix_norms(ctx, spec, k, bound):
     """Exact c_k, d_k, and Rayleigh lower bounds for ||P_k||."""
-    table = build_table(resolve_spec(spec), bound=bound)
-    _emit(ctx, norm_bounds(table, k))
+    table = hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound)
+    _emit(ctx, matrices.norm_bounds(table, k))
 
 
 @matrix.command("uniform-bound")
@@ -355,7 +327,7 @@ def matrix_norms(ctx, spec, k, bound):
 @click.pass_context
 def matrix_uniform_bound(ctx, spec):
     """S = sup |S_k(v)| and the uniform bound S^2 on every ||P_k||."""
-    _emit(ctx, uniform_norm_bound(resolve_spec(spec)))
+    _emit(ctx, matrices.uniform_norm_bound(fixtures.resolve_spec(spec)))
 
 
 @matrix.command("commute")
@@ -364,7 +336,7 @@ def matrix_uniform_bound(ctx, spec):
 @click.pass_context
 def matrix_commute(ctx, spec, bound):
     """Do all P_i P_j = P_j P_i? Cross-checked against classification."""
-    report = commute_check(build_table(resolve_spec(spec), bound=bound))
+    report = matrices.commute_check(hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound))
     _emit(ctx, report, ok=report.commutes)
 
 
@@ -374,7 +346,7 @@ def matrix_commute(ctx, spec, bound):
 @click.pass_context
 def matrix_regular_rep(ctx, spec, bound):
     """Verify P_i P_j = sum_k p[i,j][k] P_k entrywise."""
-    report = verify_regular_representation(build_table(resolve_spec(spec), bound=bound))
+    report = matrices.verify_regular_representation(hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound))
     _emit(ctx, report, ok=report.passed)
 
 
@@ -383,7 +355,7 @@ def matrix_regular_rep(ctx, spec, bound):
 @click.pass_context
 def matrix_stationary(ctx, spec):
     """pi_G = (|S_0|, ..., |S_M|)/|G| as a fixed vector of every P_k."""
-    report = stationary_check(cy.parse_group_spec(spec))
+    report = matrices.stationary_check(cy.parse_group_spec(spec))
     _emit(ctx, report, ok=report.passed)
 
 
@@ -394,7 +366,7 @@ def matrix_stationary(ctx, spec):
 @click.pass_context
 def matrix_maincoro(ctx, spec, pattern, bound):
     """Check the product of transition matrices against the jump law."""
-    report = verify_maincoro(resolve_spec(spec), _pattern_arg(pattern), bound)
+    report = matrices.verify_maincoro(fixtures.resolve_spec(spec), _pattern_arg(pattern), bound)
     _emit(ctx, report, ok=report.passed)
 
 
@@ -405,16 +377,16 @@ def matrix_maincoro(ctx, spec, pattern, bound):
 @click.pass_context
 def matrix_irreducible(ctx, spec, k, bound):
     """Communicating classes of P_k."""
-    table = build_table(resolve_spec(spec), bound=bound)
-    _emit(ctx, irreducibility(table, k))
+    table = hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound)
+    _emit(ctx, matrices.irreducibility(table, k))
 
 
-@main.group()
-def search():
+@main.group("search")
+def search_group():
     """Counterexample search over small connected graphs."""
 
 
-@search.command("conjecture")
+@search_group.command("conjecture")
 @click.option("--max-vertices", type=int, default=6, show_default=True)
 @click.option("--bases", type=click.Choice(["all", "canonical"]), default="all", show_default=True)
 @click.pass_context
@@ -422,13 +394,13 @@ def search_cmd(ctx, max_vertices, bases):
     """Scan for graphs that satisfy the walk conditions without being hypergroups."""
     if max_vertices > 10:
         raise click.UsageError("--max-vertices capped at 10")
-    report = search_conjecture(max_vertices, base_policy=bases, cap=ctx.obj["cap_graphs"])
+    report = search.search_conjecture(max_vertices, base_policy=bases, cap=ctx.obj["cap_graphs"])
     replay_ok = True
     for entry in report.counterexamples:
-        replayed = replay_counterexample(entry)[3]
+        replayed = search.replay_counterexample(entry)[3]
         if replayed.verdict != entry.verdict:
             replay_ok = False
-    payload = jsonable(report)
+    payload = serialize.jsonable(report)
     payload["replay_verified"] = replay_ok
     _emit(ctx, payload, ok=replay_ok)
 
@@ -437,7 +409,7 @@ def search_cmd(ctx, max_vertices, bases):
 @click.pass_context
 def paper_regression_cmd(ctx):
     """Recompute every published worked example; any mismatch fails the run."""
-    report = paper_regression()
+    report = regression.paper_regression()
     _emit(ctx, report, ok=report.passed)
 
 

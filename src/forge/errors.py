@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by every module.
+"""Exception hierarchy shared by every module, and the default caps
+whose excess raises WindowOverflow or a CapExceeded.
 
 ForgeError is the root; the CLI maps it to exit code 2 (bad input or
 unsatisfiable request), while verification failures are reported through
@@ -62,6 +63,12 @@ class NotGenerating(ForgeError):
 
 class KindMismatch(ForgeError):
     """Group elements from different groups combined."""
+
+
+WINDOW_CAP = 200_000  # vertices of one Cayley window
+ENUMERATION_CAP = 10**8  # step tuples of one brute-force product
+PATTERN_CAP = 10**6  # distance patterns of one joint law
+DEFAULT_GRAPH_CAP = 100_000  # graphs of one conjecture search
 
 
 class WindowOverflow(ForgeError):

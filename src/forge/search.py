@@ -33,11 +33,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import BadParameter, EnumerationCapExceeded, InternalError
+from .errors import DEFAULT_GRAPH_CAP, BadParameter, EnumerationCapExceeded, InternalError
 from .graphs import Graph, bfs_from, build_graph, check_assumptions, point_graph
 from .hypergroup import build_table, check_S1, check_S2, classify
 
-DEFAULT_GRAPH_CAP = 100_000
 # Connected graphs on n = 1, 2, ... vertices up to isomorphism (OEIS A001349).
 CONNECTED_GRAPH_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571)
 

@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 from . import cayley as cy
 from .errors import (
+    ENUMERATION_CAP,
+    PATTERN_CAP,
     BadParameter,
     EmptySphere,
     EnumerationCapExceeded,
@@ -40,8 +42,6 @@ from .hypergroup import (
     sphere_sizes,
 )
 
-ENUMERATION_CAP = 10**8
-PATTERN_CAP = 10**6
 PATTERN_LENGTH_CAP = 64
 MC_BLOCK = 1 << 16  # Monte-Carlo trials walked at once
 Z99 = 2.5758293035489004

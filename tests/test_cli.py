@@ -5,6 +5,7 @@ failed, 2 means the request itself was unusable.
 """
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from click.testing import CliRunner
 from forge import cayley as cy
 from forge import fixtures
 from forge.cli import main
-from forge.errors import WindowOverflow
+from forge.errors import BadParameter, WindowOverflow
 
 
 @pytest.fixture()
@@ -573,17 +574,135 @@ def test_finite_graph_runs_do_not_import_numpy(tmp_path):
     assert _numpy_loaded_at_exit(mc) == (0, "True")
 
 
+LAYERS = ("serialize", "fixtures", "graphs", "cayley", "hypergroup", "matrices", "walks", "search", "regression")
+
+
 def test_importing_the_cli_loads_every_layer_module():
-    # The benchmark's tracer wraps the layer modules that `import forge.cli`
-    # leaves in sys.modules, so none of them may be imported lazily.
-    layers = [
-        "cli", "serialize", "fixtures", "graphs", "cayley",
-        "hypergroup", "matrices", "walks", "search", "regression",
-    ]
-    script = "import sys, forge.cli\nprint(*sorted(sys.modules))\n"
-    done = _python("-c", script)
+    # The benchmark's tracer imports forge.cli, then reads every layer from
+    # sys.modules and wraps the public functions it finds in vars(layer).
+    # The layers are registered lazily: each is in sys.modules from the
+    # start, and vars() runs its code on first access.
+    script = (
+        "import inspect, sys, forge.cli\n"
+        "print(*sorted(sys.modules))\n"
+        "for layer in sys.argv[1:]:\n"
+        "    module = sys.modules[f'forge.{layer}']\n"
+        "    print(layer, *sorted(name for name, value in vars(module).items()\n"
+        "        if inspect.isfunction(value) and value.__module__ == module.__name__))\n"
+    )
+    done = _python("-c", script, *LAYERS)
     assert done.returncode == 0, done.stderr
-    assert {f"forge.{layer}" for layer in layers} <= set(done.stdout.split())
+    loaded, *listings = done.stdout.splitlines()
+    assert {f"forge.{layer}" for layer in ("cli", *LAYERS)} <= set(loaded.split())
+    for layer, listing in zip(LAYERS, listings, strict=True):
+        module = sys.modules[f"forge.{layer}"]
+        functions = sorted(
+            name for name, value in vars(module).items()
+            if inspect.isfunction(value) and value.__module__ == module.__name__
+        )
+        assert functions and listing.split() == [layer, *functions]
+
+
+@pytest.mark.parametrize(
+    "layer, function, args",
+    [
+        ("serialize", "dumps_json", ["hyper", "table", "cycle:5"]),
+        ("fixtures", "resolve_spec", ["graph", "check", "cycle:5"]),
+        ("graphs", "check_assumptions", ["graph", "check", "cycle:5"]),
+        ("cayley", "check_S3", ["cayley", "s3", "zmod:5", "--radius", "2"]),
+        ("hypergroup", "check_S1", ["hyper", "conditions", "cycle:5"]),
+        ("matrices", "norm_bounds", ["matrix", "norms", "cycle:5", "--k", "1"]),
+        ("walks", "jump_distribution", ["product", "j", "cycle:5", "--pattern", "1,1"]),
+        ("search", "search_conjecture", ["search", "conjecture", "--max-vertices", "3"]),
+        ("regression", "paper_regression", ["paper-regression"]),
+    ],
+)
+def test_the_cli_calls_each_layer_function_through_its_module(runner, monkeypatch, layer, function, args):
+    # The tracer wraps a function by rebinding it on its module, so the CLI
+    # must look it up there at call time.
+    def patched(*_args, **_kwargs):
+        raise BadParameter(f"patched {layer}.{function}")
+
+    monkeypatch.setattr(sys.modules[f"forge.{layer}"], function, patched)
+    result = run(runner, args)
+    assert (result.exit_code, result.stderr) == (2, f"error: BadParameter: patched {layer}.{function}\n")
+
+
+def _modules_run(args):
+    """(exit code, sorted names of the forge modules whose code ran) for
+    `import forge.cli` and then, when args are given, `forge args`, in a
+    fresh process.  An audit hook sees the exec of each module's code,
+    whether it was compiled from source or read from bytecode."""
+    script = (
+        "import atexit, importlib.util, os, sys\n"
+        "forge_dir = importlib.util.find_spec('forge').submodule_search_locations[0]\n"
+        "ran = set()\n"
+        "def hook(event, hook_args):\n"
+        "    path = getattr(hook_args[0], 'co_filename', '') if event == 'exec' else ''\n"
+        "    if os.path.dirname(path) == forge_dir:\n"
+        "        ran.add(os.path.basename(path).removesuffix('.py'))\n"
+        "sys.addaudithook(hook)\n"
+        "atexit.register(lambda: print(*sorted(ran), file=sys.stderr))\n"
+        "from forge.cli import main\n"
+        "if sys.argv[1:]:\n"
+        "    main(sys.argv[1:], prog_name='forge')\n"
+    )
+    done = _python("-c", script, *args)
+    return done.returncode, done.stderr.splitlines()[-1].split()
+
+
+IMPORT_CLI = ["__init__", "cli", "errors"]
+
+
+@pytest.mark.parametrize(
+    "args, code, modules",
+    [
+        ([], 0, []),
+        (["hyper", "conditions", "odd:3"], 0, ["cayley", "fixtures", "graphs", "hypergroup", "serialize"]),
+        (["search", "conjecture", "--max-vertices", "4"], 0, ["graphs", "hypergroup", "search", "serialize"]),
+        (
+            ["matrix", "norms", "cycle:5", "--k", "1"],
+            0,
+            ["cayley", "fixtures", "graphs", "hypergroup", "matrices", "serialize", "walks"],
+        ),
+        # The regression suite reads every layer but the search.
+        (
+            ["paper-regression"],
+            1,
+            ["cayley", "fixtures", "graphs", "hypergroup", "matrices", "regression", "serialize", "walks"],
+        ),
+    ],
+)
+def test_a_command_runs_only_the_layers_it_needs(args, code, modules):
+    assert _modules_run(args) == (code, sorted(IMPORT_CLI + modules))
+
+
+def test_the_package_names_resolve_to_their_layer_objects():
+    import forge
+
+    names = (
+        "CayleyGraph ForgeError PointedGraph ProbabilityVector StructureTable associativity_defect"
+        " brute_force_conditional build_cayley build_graph build_table check_S1 check_S2 check_S3"
+        " check_assumptions check_distance_regular classify commute_check conditional_step_identity"
+        " enumerate_connected_graphs index_set irreducibility joint_distance_law jump_distribution"
+        " left_nested_product load_graph_file markov_check monte_carlo_conditional norm_bounds"
+        " paper_regression parse_group_spec permutation_invariance_check product realize_full"
+        " realize_window replay_counterexample resolve_spec search_conjecture sphere_at sphere_sizes"
+        " stationary_check uniform_distribution uniform_norm_bound validate_alpha verify_maincoro"
+        " verify_regular_representation"
+    ).split()
+    assert forge.__all__ == names
+    assert set(names) <= set(dir(forge))
+    star = {}
+    exec("from forge import *", star)
+    for name in names:
+        value = getattr(forge, name)
+        assert value.__module__.startswith("forge.") and value is getattr(sys.modules[value.__module__], name)
+        assert star[name] is value
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        forge.no_such_name
+    with pytest.raises(ImportError):
+        exec("from forge import no_such_name", {})
 
 
 # `--format json` reports pinned as (exit code, sha256 of stdout), taken
