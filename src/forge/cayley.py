@@ -36,7 +36,7 @@ from .errors import (
     NotSymmetric,
     WindowOverflow,
 )
-from .graphs import INFINITE, Graph, PointedGraph, bfs_ball, bfs_from, point_graph
+from .graphs import INFINITE, Graph, PointedGraph, _expect, _int_param, _split_params, bfs_ball, bfs_from, point_graph
 
 
 class GroupKind(NamedTuple):
@@ -143,38 +143,6 @@ class CayleyGraph:
     generators: tuple[GroupElement, ...]
     spec_name: str
     finite: bool
-
-
-def _split_params(params):
-    """Split spec parameters into positional values and key=value pairs."""
-    positional, keyed = [], {}
-    for p in params:
-        if "=" in p:
-            k, _, v = p.partition("=")
-            if not k or not v:
-                raise BadParameter(f"malformed parameter {p!r}")
-            if k in keyed:
-                raise BadParameter(f"parameter {k!r} given more than once")
-            keyed[k] = v
-        else:
-            positional.append(p)
-    return positional, keyed
-
-
-def _int_param(spec, value, minimum, what):
-    try:
-        n = int(value)
-    except (TypeError, ValueError) as exc:
-        raise BadParameter(f"{spec!r}: {what} must be an integer") from exc
-    if n < minimum:
-        raise BadParameter(f"{spec!r}: {what} must be >= {minimum}")
-    return n
-
-
-def _expect(spec, positional, count, what):
-    if len(positional) != count:
-        raise BadParameter(f"{spec!r}: expected {what}")
-    return positional
 
 
 def _radius(spec, keyed):

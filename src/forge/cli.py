@@ -6,11 +6,11 @@ Exit codes: 0 = result produced, 1 = a verified property failed,
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 from fractions import Fraction
-
-import click
 
 # Layer functions are looked up on their modules at call time.  forge's
 # __init__ registers the modules lazily, so a command runs only the layers
@@ -32,42 +32,34 @@ def _tsv_rows(data, prefix=""):
         yield (prefix, "" if data is None or isinstance(data, (dict, list)) else data)
 
 
-def _emit(ctx, payload, ok: bool = True) -> None:
+def _emit(cfg, payload, ok: bool = True) -> None:
     """Write the report; exit 1 after it when a verified property failed."""
-    cfg = ctx.obj
     data = serialize.jsonable(payload)
-    if cfg["format"] == "json":
+    if cfg.format == "json":
         text = serialize.dumps_json(data)
     else:
         text = serialize.dumps_tsv(_tsv_rows(data), header=("field", "value"))
-    if cfg["out"]:
-        with open(cfg["out"], "w", encoding="utf-8") as fh:
+    if cfg.out:
+        with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()
     if not ok:
         sys.exit(FAIL)
 
 
-class _ForgeGroup(click.Group):
-    """The root group: any ForgeError from a subcommand exits 2 with one line."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except ForgeError as exc:
-            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(USAGE)
-
-
 def _pattern_arg(text: str) -> tuple[int, ...]:
     try:
-        pat = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise click.UsageError(f"--pattern must be comma-separated integers: {text!r}")
-    if not pat:
-        raise click.UsageError("--pattern must be nonempty")
-    return pat
+        raise BadParameter(f"--pattern must be comma-separated integers: {text!r}") from None
+
+
+def _out_arg(path: str) -> str:
+    if os.path.isdir(path):
+        raise BadParameter(f"--out {path!r} is a directory")
+    return path
 
 
 def _alpha_arg(text: str):
@@ -103,51 +95,59 @@ def _alpha_arg(text: str):
     return alpha
 
 
-@click.group(cls=_ForgeGroup, context_settings={"help_option_names": ["-h", "--help"]})
-@click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report to a file instead of stdout.")
-@click.option("--format", "fmt", type=click.Choice(["json", "tsv"]), default="json", show_default=True, help="Report serialization.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Monte-Carlo seed.")
-@click.option("--cap-enumeration", type=int, default=ENUMERATION_CAP, help="Max step tuples that `product brute` enumerates.")
-@click.option("--cap-pattern", type=int, default=PATTERN_CAP, help="Max distance patterns in the joint law of `walk joint` and `walk markov`.")
-@click.option("--cap-graphs", type=int, default=DEFAULT_GRAPH_CAP, help="Max graphs that `search conjecture` enumerates.")
-@click.option("--cap-window", type=int, default=WINDOW_CAP, help="Max vertices that `cayley realize` builds; fixtures and other commands keep the 200000 default.")
-@click.pass_context
-def main(ctx, out, fmt, seed, cap_enumeration, cap_pattern, cap_graphs, cap_window):
-    """Exact hypergroup products, walk laws, and operator bounds on pointed graphs."""
-    for name, cap in (
-        ("--cap-enumeration", cap_enumeration),
-        ("--cap-pattern", cap_pattern),
-        ("--cap-graphs", cap_graphs),
-        ("--cap-window", cap_window),
-    ):
-        if cap < 1:
-            raise click.UsageError(f"{name} must be positive")
-    ctx.obj = {
-        "out": out,
-        "format": fmt,
-        "seed": seed,
-        "cap_enumeration": cap_enumeration,
-        "cap_pattern": cap_pattern,
-        "cap_graphs": cap_graphs,
-        "cap_window": cap_window,
-    }
+class Option:
+    """One argument of a command: a positional SPEC, or an option that
+    takes a value (forge has no flags besides --help)."""
+
+    def __init__(self, name, type=str, default=None, help="", required=False, choices=None):
+        self.name, self.type, self.default, self.help, self.required, self.choices = name, type, default, help, required, choices
+        self.dest = name.lstrip("-").replace("-", "_")
 
 
-@main.group()
-def graph():
-    """Pointed-graph loading and assumption checks."""
+SPEC = Option("spec")
+BOUND = Option("--bound", int)
+PATTERN = Option("--pattern", _pattern_arg, required=True)
+
+ROOT_HELP = "Exact hypergroup products, walk laws, and operator bounds on pointed graphs."
+ROOT_OPTIONS = (
+    Option("--out", _out_arg, help="Write the report to a file instead of stdout."),
+    Option("--format", default="json", help="Report serialization.", choices=("json", "tsv")),
+    Option("--seed", int, 0, "Monte-Carlo seed."),
+    Option("--cap-enumeration", int, ENUMERATION_CAP, "Max step tuples that `product brute` enumerates."),
+    Option("--cap-pattern", int, PATTERN_CAP, "Max distance patterns in the joint law of `walk joint` and `walk markov`."),
+    Option("--cap-graphs", int, DEFAULT_GRAPH_CAP, "Max graphs that `search conjecture` enumerates."),
+    Option("--cap-window", int, WINDOW_CAP, "Max vertices that `cayley realize` builds; fixtures and other commands keep the 200000 default."),
+)
+GROUPS = {
+    "graph": "Pointed-graph loading and assumption checks.",
+    "cayley": "Cayley-graph realization and translation checks.",
+    "hyper": "Structure constants, classification, walk conditions.",
+    "product": "m-fold products: left-nested, jump DP, brute force, Monte Carlo.",
+    "walk": "The distance process Z_n of a group random walk.",
+    "matrix": "Transition matrices P_k and operator-norm bounds.",
+    "search": "Counterexample search over small connected graphs.",
+}
+# "group name" or "name" -> (function, its options); the function's
+# docstring is the command's help.
+COMMANDS: dict = {}
 
 
-@graph.command("check")
-@click.argument("spec")
-@click.pass_context
-def graph_check(ctx, spec):
+def _command(path: str, *options: Option):
+    def register(fn):
+        COMMANDS[path] = (fn, options)
+        return fn
+
+    return register
+
+
+@_command("graph check", SPEC)
+def graph_check(cfg, spec):
     """Verify simplicity, connectivity, local finiteness, and condition (iii)."""
     pg = fixtures.resolve_spec(spec)
     report = graphs.check_assumptions(pg)
     indices, top = graphs.index_set(pg)
     _emit(
-        ctx,
+        cfg,
         {
             "graph": pg.name,
             "vertices": pg.vertex_count,
@@ -158,63 +158,38 @@ def graph_check(ctx, spec):
     )
 
 
-@main.group()
-def cayley():
-    """Cayley-graph realization and translation checks."""
-
-
-@cayley.command("realize")
-@click.argument("spec")
-@click.option("--radius", type=int, default=None, help="Window radius; omit to realize a finite group fully.")
-@click.pass_context
-def cayley_realize(ctx, spec, radius):
+@_command("cayley realize", SPEC, Option("--radius", int, help="Window radius; omit to realize a finite group fully."))
+def cayley_realize(cfg, spec, radius):
     """Realize a group window as a pointed-graph JSON object."""
     cg = cy.parse_group_spec(spec)
-    cap = ctx.obj["cap_window"]
     if radius is None:
-        pg = cy.realize_full(cg, cap=cap)
+        pg = cy.realize_full(cg, cap=cfg.cap_window)
     else:
-        pg = cy.realize_window(cg, radius, cap=cap)
-    _emit(ctx, pg)
+        pg = cy.realize_window(cg, radius, cap=cfg.cap_window)
+    _emit(cfg, pg)
 
 
-@cayley.command("s3")
-@click.argument("spec")
-@click.option("--radius", type=int, required=True, help="Window radius for the translation identity check.")
-@click.pass_context
-def cayley_s3(ctx, spec, radius):
+@_command("cayley s3", SPEC, Option("--radius", int, help="Window radius for the translation identity check.", required=True))
+def cayley_s3(cfg, spec, radius):
     """Check d(v, vw) = |w| against raw window BFS."""
     report = cy.check_S3(cy.parse_group_spec(spec), radius)
-    _emit(ctx, report, ok=report.passed)
+    _emit(cfg, report, ok=report.passed)
 
 
-@main.group()
-def hyper():
-    """Structure constants, classification, walk conditions."""
-
-
-@hyper.command("table")
-@click.argument("spec")
-@click.option("--bound", type=int, default=None, help="Largest row index; defaults to the full/certifiable range.")
-@click.pass_context
-def hyper_table(ctx, spec, bound):
+@_command("hyper table", SPEC, Option("--bound", int, help="Largest row index; defaults to the full/certifiable range."))
+def hyper_table(cfg, spec, bound):
     """The table of products x_i o x_j up to the bound."""
-    _emit(ctx, hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound))
+    _emit(cfg, hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound))
 
 
-@hyper.command("classify")
-@click.argument("spec")
-@click.option("--bound", type=int, default=None)
-@click.pass_context
-def hyper_classify(ctx, spec, bound):
+@_command("hyper classify", SPEC, BOUND)
+def hyper_classify(cfg, spec, bound):
     """Hypergroup / PreHypergroupOnly verdict with the first witness."""
-    _emit(ctx, hypergroup.classify(hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound)))
+    _emit(cfg, hypergroup.classify(hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound)))
 
 
-@hyper.command("conditions")
-@click.argument("spec")
-@click.pass_context
-def hyper_conditions(ctx, spec):
+@_command("hyper conditions", SPEC)
+def hyper_conditions(cfg, spec):
     """Assumptions, both walk conditions, and (finite only) distance regularity."""
     pg = fixtures.resolve_spec(spec)
     assumptions = graphs.check_assumptions(pg)
@@ -223,178 +198,116 @@ def hyper_conditions(ctx, spec):
     payload = {"graph": pg.name, "assumptions": assumptions, "S1": s1, "S2": s2}
     if not pg.truncated:
         payload["distance_regular"] = hypergroup.check_distance_regular(pg)
-    _emit(ctx, payload, ok=assumptions.passed and s1.passed and s2.passed)
+    _emit(cfg, payload, ok=assumptions.passed and s1.passed and s2.passed)
 
 
-@main.group()
-def product():
-    """m-fold products: left-nested, jump DP, brute force, Monte Carlo."""
-
-
-@product.command("pl")
-@click.argument("spec")
-@click.option("--pattern", required=True)
-@click.option("--bound", type=int, default=None)
-@click.pass_context
-def product_pl(ctx, spec, pattern, bound):
+@_command("product pl", SPEC, PATTERN, BOUND)
+def product_pl(cfg, spec, pattern, bound):
     """Left-nested product PL(i_1, ..., i_m)."""
-    pat = _pattern_arg(pattern)
     table = hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound)
-    _emit(ctx, {"pattern": pat, "law": walks.left_nested_product(table, pat)})
+    _emit(cfg, {"pattern": pattern, "law": walks.left_nested_product(table, pattern)})
 
 
-@product.command("j")
-@click.argument("spec")
-@click.option("--pattern", required=True)
-@click.pass_context
-def product_j(ctx, spec, pattern):
+@_command("product j", SPEC, PATTERN)
+def product_j(cfg, spec, pattern):
     """Jump distribution J(i_1, ..., i_m)."""
-    pat = _pattern_arg(pattern)
-    _emit(ctx, {"pattern": pat, "law": walks.jump_distribution(fixtures.resolve_spec(spec), pat)})
+    _emit(cfg, {"pattern": pattern, "law": walks.jump_distribution(fixtures.resolve_spec(spec), pattern)})
 
 
-@product.command("brute")
-@click.argument("spec")
-@click.option("--pattern", required=True)
-@click.pass_context
-def product_brute(ctx, spec, pattern):
+@_command("product brute", SPEC, PATTERN)
+def product_brute(cfg, spec, pattern):
     """Exact conditional law by full enumeration (Cayley graphs)."""
-    pat = _pattern_arg(pattern)
     cg = cy.parse_group_spec(spec)
-    law = walks.brute_force_conditional(cg, pat, cap=ctx.obj["cap_enumeration"])
-    _emit(ctx, {"pattern": pat, "law": law})
+    law = walks.brute_force_conditional(cg, pattern, cap=cfg.cap_enumeration)
+    _emit(cfg, {"pattern": pattern, "law": law})
 
 
-@product.command("mc")
-@click.argument("spec")
-@click.option("--pattern", required=True)
-@click.option("--trials", type=int, default=100_000, show_default=True)
-@click.pass_context
-def product_mc(ctx, spec, pattern, trials):
+@_command("product mc", SPEC, PATTERN, Option("--trials", int, 100_000))
+def product_mc(cfg, spec, pattern, trials):
     """Monte-Carlo estimate of the conditional law (Cayley graphs)."""
-    pat = _pattern_arg(pattern)
     cg = cy.parse_group_spec(spec)
-    _emit(ctx, walks.monte_carlo_conditional(cg, pat, trials, seed=ctx.obj["seed"]))
+    _emit(cfg, walks.monte_carlo_conditional(cg, pattern, trials, seed=cfg.seed))
 
 
-@main.group()
-def walk():
-    """The distance process Z_n of a group random walk."""
-
-
-@walk.command("joint")
-@click.argument("spec")
-@click.option("--alpha", default="uniform", show_default=True, help="'uniform' or a JSON file of index -> weight.")
-@click.option("--depth", type=int, default=2, show_default=True)
-@click.pass_context
-def walk_joint(ctx, spec, alpha, depth):
+@_command(
+    "walk joint",
+    SPEC,
+    Option("--alpha", default="uniform", help="'uniform' or a JSON file of index -> weight."),
+    Option("--depth", int, 2),
+)
+def walk_joint(cfg, spec, alpha, depth):
     """Exact joint law of (Z_1, ..., Z_depth) for a finite Cayley walk."""
     cg = cy.parse_group_spec(spec)
-    _emit(ctx, walks.joint_distance_law(cg, _alpha_arg(alpha), depth, pattern_cap=ctx.obj["cap_pattern"]))
+    _emit(cfg, walks.joint_distance_law(cg, _alpha_arg(alpha), depth, pattern_cap=cfg.cap_pattern))
 
 
-@walk.command("markov")
-@click.argument("spec")
-@click.option("--alpha", default="uniform", show_default=True)
-@click.option("--depth", type=int, default=3, show_default=True)
-@click.pass_context
-def walk_markov(ctx, spec, alpha, depth):
+@_command("walk markov", SPEC, Option("--alpha", default="uniform"), Option("--depth", int, 3))
+def walk_markov(cfg, spec, alpha, depth):
     """Markov / i.i.d. verdicts for the distance process."""
     cg = cy.parse_group_spec(spec)
-    law = walks.joint_distance_law(cg, _alpha_arg(alpha), depth, pattern_cap=ctx.obj["cap_pattern"])
+    law = walks.joint_distance_law(cg, _alpha_arg(alpha), depth, pattern_cap=cfg.cap_pattern)
     report = walks.markov_check(law)
-    _emit(ctx, report, ok=report.is_markov)
+    _emit(cfg, report, ok=report.is_markov)
 
 
-@main.group()
-def matrix():
-    """Transition matrices P_k and operator-norm bounds."""
-
-
-@matrix.command("norms")
-@click.argument("spec")
-@click.option("--k", type=int, required=True)
-@click.option("--bound", type=int, default=None)
-@click.pass_context
-def matrix_norms(ctx, spec, k, bound):
+@_command("matrix norms", SPEC, Option("--k", int, required=True), BOUND)
+def matrix_norms(cfg, spec, k, bound):
     """Exact c_k, d_k, and Rayleigh lower bounds for ||P_k||."""
     table = hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound)
-    _emit(ctx, matrices.norm_bounds(table, k))
+    _emit(cfg, matrices.norm_bounds(table, k))
 
 
-@matrix.command("uniform-bound")
-@click.argument("spec")
-@click.pass_context
-def matrix_uniform_bound(ctx, spec):
+@_command("matrix uniform-bound", SPEC)
+def matrix_uniform_bound(cfg, spec):
     """S = sup |S_k(v)| and the uniform bound S^2 on every ||P_k||."""
-    _emit(ctx, matrices.uniform_norm_bound(fixtures.resolve_spec(spec)))
+    _emit(cfg, matrices.uniform_norm_bound(fixtures.resolve_spec(spec)))
 
 
-@matrix.command("commute")
-@click.argument("spec")
-@click.option("--bound", type=int, default=None)
-@click.pass_context
-def matrix_commute(ctx, spec, bound):
+@_command("matrix commute", SPEC, BOUND)
+def matrix_commute(cfg, spec, bound):
     """Do all P_i P_j = P_j P_i? Cross-checked against classification."""
     report = matrices.commute_check(hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound))
-    _emit(ctx, report, ok=report.commutes)
+    _emit(cfg, report, ok=report.commutes)
 
 
-@matrix.command("regular-rep")
-@click.argument("spec")
-@click.option("--bound", type=int, default=None)
-@click.pass_context
-def matrix_regular_rep(ctx, spec, bound):
+@_command("matrix regular-rep", SPEC, BOUND)
+def matrix_regular_rep(cfg, spec, bound):
     """Verify P_i P_j = sum_k p[i,j][k] P_k entrywise."""
     report = matrices.verify_regular_representation(hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound))
-    _emit(ctx, report, ok=report.passed)
+    _emit(cfg, report, ok=report.passed)
 
 
-@matrix.command("stationary")
-@click.argument("spec")
-@click.pass_context
-def matrix_stationary(ctx, spec):
+@_command("matrix stationary", SPEC)
+def matrix_stationary(cfg, spec):
     """pi_G = (|S_0|, ..., |S_M|)/|G| as a fixed vector of every P_k."""
     report = matrices.stationary_check(cy.parse_group_spec(spec))
-    _emit(ctx, report, ok=report.passed)
+    _emit(cfg, report, ok=report.passed)
 
 
-@matrix.command("maincoro")
-@click.argument("spec")
-@click.option("--pattern", required=True)
-@click.option("--bound", type=int, default=None)
-@click.pass_context
-def matrix_maincoro(ctx, spec, pattern, bound):
+@_command("matrix maincoro", SPEC, PATTERN, BOUND)
+def matrix_maincoro(cfg, spec, pattern, bound):
     """Check the product of transition matrices against the jump law."""
-    report = matrices.verify_maincoro(fixtures.resolve_spec(spec), _pattern_arg(pattern), bound)
-    _emit(ctx, report, ok=report.passed)
+    report = matrices.verify_maincoro(fixtures.resolve_spec(spec), pattern, bound)
+    _emit(cfg, report, ok=report.passed)
 
 
-@matrix.command("irreducible")
-@click.argument("spec")
-@click.option("--k", type=int, required=True)
-@click.option("--bound", type=int, default=None)
-@click.pass_context
-def matrix_irreducible(ctx, spec, k, bound):
+@_command("matrix irreducible", SPEC, Option("--k", int, required=True), BOUND)
+def matrix_irreducible(cfg, spec, k, bound):
     """Communicating classes of P_k."""
     table = hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound)
-    _emit(ctx, matrices.irreducibility(table, k))
+    _emit(cfg, matrices.irreducibility(table, k))
 
 
-@main.group("search")
-def search_group():
-    """Counterexample search over small connected graphs."""
-
-
-@search_group.command("conjecture")
-@click.option("--max-vertices", type=int, default=6, show_default=True)
-@click.option("--bases", type=click.Choice(["all", "canonical"]), default="all", show_default=True)
-@click.pass_context
-def search_cmd(ctx, max_vertices, bases):
+@_command(
+    "search conjecture",
+    Option("--max-vertices", int, 6),
+    Option("--bases", default="all", choices=("all", "canonical")),
+)
+def search_cmd(cfg, max_vertices, bases):
     """Scan for graphs that satisfy the walk conditions without being hypergroups."""
     if max_vertices > 10:
-        raise click.UsageError("--max-vertices capped at 10")
-    report = search.search_conjecture(max_vertices, base_policy=bases, cap=ctx.obj["cap_graphs"])
+        raise BadParameter("--max-vertices capped at 10")
+    report = search.search_conjecture(max_vertices, base_policy=bases, cap=cfg.cap_graphs)
     replay_ok = True
     for entry in report.counterexamples:
         replayed = search.replay_counterexample(entry)[3]
@@ -402,15 +315,89 @@ def search_cmd(ctx, max_vertices, bases):
             replay_ok = False
     payload = serialize.jsonable(report)
     payload["replay_verified"] = replay_ok
-    _emit(ctx, payload, ok=replay_ok)
+    _emit(cfg, payload, ok=replay_ok)
 
 
-@main.command("paper-regression")
-@click.pass_context
-def paper_regression_cmd(ctx):
+@_command("paper-regression")
+def paper_regression_cmd(cfg):
     """Recompute every published worked example; any mismatch fails the run."""
     report = regression.paper_regression()
-    _emit(ctx, report, ok=report.passed)
+    _emit(cfg, report, ok=report.passed)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Options are never abbreviated, and a usage error raises BadParameter,
+    so that it exits 2 with one `error:` line like every other bad input."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise BadParameter(message)
+
+
+def _add(parser, option: Option) -> None:
+    if not option.name.startswith("-"):
+        parser.add_argument(option.dest, metavar=option.name.upper())
+        return
+    note = "required" if option.required else f"default: {option.default}"
+    parser.add_argument(option.name, type=option.type, default=option.default, required=option.required,
+                        choices=option.choices, help=f"{option.help} [{note}]".lstrip())
+
+
+def _parser(prog_name: str) -> _Parser:
+    root = _Parser(prog=prog_name, description=ROOT_HELP)
+    for option in ROOT_OPTIONS:
+        _add(root, option)
+    commands = root.add_subparsers(dest="command", required=True)
+    groups = {}
+    for path, (fn, options) in COMMANDS.items():
+        *group, name = path.split()
+        if group and group[0] not in groups:
+            sub = commands.add_parser(group[0], help=GROUPS[group[0]], description=GROUPS[group[0]])
+            groups[group[0]] = sub.add_subparsers(dest="subcommand", required=True)
+        leaf = (groups[group[0]] if group else commands).add_parser(name, help=fn.__doc__, description=fn.__doc__)
+        for option in options:
+            _add(leaf, option)
+        leaf.set_defaults(path=path)
+    return root
+
+
+# Every option takes a value.  Each is joined to its value as --opt=value
+# before parsing, so that a value starting with "-" (the pattern -5,1)
+# stays a value.
+_VALUED = {o.name for o in ROOT_OPTIONS} | {o.name for _, options in COMMANDS.values() for o in options}
+
+
+def _joined(args) -> list[str]:
+    out = []
+    for arg in args:
+        if out and out[-1] in _VALUED:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def main(args=None, prog_name: str = "forge") -> None:
+    """Run `forge <args>` (default sys.argv[1:]): the report on stdout, exit 1
+    when a verified property failed, exit 2 with one `error:` line on stderr
+    for bad usage or input."""
+    try:
+        cfg = _parser(prog_name).parse_args(_joined(sys.argv[1:] if args is None else args))
+        for option in ROOT_OPTIONS:
+            if option.name.startswith("--cap-") and getattr(cfg, option.dest) < 1:
+                raise BadParameter(f"{option.name} must be positive")
+        fn, options = COMMANDS[cfg.path]
+        fn(cfg, **{option.dest: getattr(cfg, option.dest) for option in options})
+    except ForgeError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.exit(USAGE)
+
+
+# perfbench/trace_run.py calls the entry point as click spelled it:
+# main.main(args=..., prog_name="forge", standalone_mode=False).
+main.main = lambda args=None, prog_name="forge", standalone_mode=True: main(args, prog_name)
 
 
 if __name__ == "__main__":

@@ -30,9 +30,9 @@ from itertools import combinations
 from math import comb
 
 from . import cayley as cy
-from .cayley import _expect, _int_param, _split_params
 from .errors import BadParameter, UnknownFixture, WindowOverflow
-from .graphs import Graph, PointedGraph, build_graph, load_graph_file, parse_graph_json, point_graph
+from .graphs import Graph, PointedGraph, _expect, _int_param, _split_params, build_graph, load_graph_file
+from .graphs import parse_graph_json, point_graph
 
 TREE_CAP = 2_000_000
 
@@ -43,17 +43,23 @@ def catalog(spec: str) -> PointedGraph:
     if not spec:
         raise BadParameter("empty fixture spec")
     head, *params = spec.split(":")
-    if head in cy.GROUP_FAMILIES:
-        cg, radius = cy.parse_group(spec)
-        if radius is None and not cg.finite:
-            raise BadParameter(f"{spec!r}: window radius required, e.g. {spec}:r=6")
-        pg = cy.realize_full(cg) if radius is None else cy.realize_window(cg, radius)
-        pg.name = spec
-        return pg
     builder = _BUILDERS.get(head)
-    if builder is None:
+    if builder is not None:
+        return builder(spec, params)
+    if not _group_family(head):
         raise UnknownFixture(f"no fixture named {head!r}")
-    return builder(spec, params)
+    cg, radius = cy.parse_group(spec)
+    if radius is None and not cg.finite:
+        raise BadParameter(f"{spec!r}: window radius required, e.g. {spec}:r=6")
+    pg = cy.realize_full(cg) if radius is None else cy.realize_window(cg, radius)
+    pg.name = spec
+    return pg
+
+
+def _group_family(head: str) -> bool:
+    """Whether head names a Cayley group family.  A head holding "/" or "."
+    cannot, so a graph file is resolved without loading the cayley layer."""
+    return "/" not in head and "." not in head and head in cy.GROUP_FAMILIES
 
 
 def _build_bipartite(spec, params):
@@ -165,7 +171,7 @@ def resolve_spec(spec: str) -> PointedGraph:
     ":" names a family (so perm:dir/gens.txt stays a fixture), else a JSON
     graph file if it looks like a path, else a catalog fixture."""
     head = spec.strip().split(":")[0]
-    if head in cy.GROUP_FAMILIES or head in _BUILDERS:
+    if head in _BUILDERS or _group_family(head):
         return catalog(spec)
     if spec.endswith(".json") or "/" in spec or os.path.isfile(spec):
         return load_graph_file(spec)

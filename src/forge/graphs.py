@@ -480,3 +480,36 @@ def load_graph_file(path: str) -> PointedGraph:
     except json.JSONDecodeError as exc:
         raise BadParameter(f"graph file {path} is not valid JSON: {exc}") from exc
     return parse_graph_json(data, name=path)
+
+
+def _split_params(params):
+    """Split spec parameters (a spec is head:params, params joined by ":")
+    into positional values and key=value pairs."""
+    positional, keyed = [], {}
+    for p in params:
+        if "=" in p:
+            k, _, v = p.partition("=")
+            if not k or not v:
+                raise BadParameter(f"malformed parameter {p!r}")
+            if k in keyed:
+                raise BadParameter(f"parameter {k!r} given more than once")
+            keyed[k] = v
+        else:
+            positional.append(p)
+    return positional, keyed
+
+
+def _int_param(spec, value, minimum, what):
+    try:
+        n = int(value)
+    except (TypeError, ValueError) as exc:
+        raise BadParameter(f"{spec!r}: {what} must be an integer") from exc
+    if n < minimum:
+        raise BadParameter(f"{spec!r}: {what} must be >= {minimum}")
+    return n
+
+
+def _expect(spec, positional, count, what):
+    if len(positional) != count:
+        raise BadParameter(f"{spec!r}: expected {what}")
+    return positional

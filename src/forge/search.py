@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DEFAULT_GRAPH_CAP, BadParameter, EnumerationCapExceeded, InternalError
-from .graphs import Graph, bfs_from, build_graph, check_assumptions, point_graph
+from .graphs import Graph, build_graph, check_assumptions, point_graph
 from .hypergroup import build_table, check_S1, check_S2, classify
 
 # Connected graphs on n = 1, 2, ... vertices up to isomorphism (OEIS A001349).
@@ -180,10 +180,32 @@ def _edges_from_neighbors(neighbors) -> tuple:
     )
 
 
-def _eccentricities(graph: Graph) -> list[int]:
-    """Each vertex's eccentricity, the largest entry of its BFS row (the
-    graph must be connected)."""
-    return [max(bfs_from(graph, v)) for v in range(graph.vertex_count)]
+def _eccentricities(neighbors) -> list[int]:
+    """Each vertex's eccentricity in the connected graph with these
+    neighbour sets: how often its ball grows over the neighbour bitsets
+    until it holds every vertex."""
+    rows = [sum(1 << u for u in nbrs) for nbrs in neighbors]
+    everything = (1 << len(rows)) - 1
+    eccentricities = []
+    for v in range(len(rows)):
+        ball = frontier = 1 << v
+        radius = 0
+        while ball != everything:
+            frontier = _neighbourhood(rows, frontier) & ~ball
+            ball |= frontier
+            radius += 1
+        eccentricities.append(radius)
+    return eccentricities
+
+
+def _neighbourhood(rows, bits: int) -> int:
+    """The union of the adjacency bitsets rows of the vertices in bits."""
+    grown = 0
+    while bits:
+        low = bits & -bits
+        grown |= rows[low.bit_length() - 1]
+        bits ^= low
+    return grown
 
 
 def _orbit_minima(n: int, generators):
@@ -217,12 +239,7 @@ def _is_cut_vertex(rows, u: int) -> bool:
     rest = (1 << len(rows)) - 1 ^ 1 << u
     reach = frontier = rest & -rest
     while frontier:
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            grown |= rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & rest & ~reach
+        frontier = _neighbourhood(rows, frontier) & rest & ~reach
         reach |= frontier
     return reach != rest
 
@@ -382,18 +399,18 @@ def search_conjecture(
         graph_counts[n] = graph_counts.get(n, 0) + 1
         bases = [first] if base_policy == "canonical" else range(n)
         examined += len(bases)
-        # The enumerator's graphs are simple and connected: no validation.
-        graph = Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
         degree = len(neighbors[0])
         if any(len(nbrs) != degree for nbrs in neighbors):
             # (iii) holds exactly at the bases of least eccentricity, and
             # (S1) fails there at index 1 since the degrees differ.
-            ecc = _eccentricities(graph)
+            ecc = _eccentricities(neighbors)
             radius = min(ecc)
             off_centre = sum([ecc[base] > radius for base in bases])
             rejected_condition += off_centre
             rejected_walk += len(bases) - off_centre
             continue
+        # The enumerator's graphs are simple and connected: no validation.
+        graph = Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
         for base in bases:
             pg = point_graph(graph, base)
             if not check_assumptions(pg).passed:

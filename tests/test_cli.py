@@ -8,26 +8,26 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
-import click
 import pytest
-from click.testing import CliRunner
+from conftest import run_forge
 
 from forge import cayley as cy
 from forge import fixtures
-from forge.cli import main
+from forge.cli import COMMANDS, ROOT_OPTIONS, SPEC
 from forge.errors import BadParameter, WindowOverflow
 
 
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return run_forge
 
 
-def run(runner, args, **kwargs):
-    return runner.invoke(main, args, catch_exceptions=False, **kwargs)
+def run(runner, args):
+    return runner(args)
 
 
 def payload(result):
@@ -135,11 +135,16 @@ def test_product_commands_agree(runner):
     assert payload(brute)["law"] == payload(j)["law"]
 
 
+def assert_one_error_line(result, line):
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {line}\n")
+
+
 def test_product_pattern_validation(runner):
     result = run(runner, ["product", "j", "prism:3", "--pattern", "1,x"])
-    assert result.exit_code == 2
+    assert_one_error_line(result, "BadParameter: --pattern must be comma-separated integers: '1,x'")
     result = run(runner, ["product", "j", "prism:3", "--pattern", "9"])
     assert result.exit_code == 2
+    assert result.stderr.startswith("error: IndexOutOfRange: ") and result.stderr.count("\n") == 1
 
 
 def test_product_mc_respects_seed(runner):
@@ -273,7 +278,7 @@ def test_search_conjecture(runner):
     assert data["counterexamples"] == []
     assert data["replay_verified"] is True
     result = run(runner, ["search", "conjecture", "--max-vertices", "11"])
-    assert result.exit_code == 2
+    assert_one_error_line(result, "BadParameter: --max-vertices capped at 10")
 
 
 def test_paper_regression_reports_known_mismatches(runner):
@@ -358,7 +363,7 @@ def test_tsv_format(runner):
 
 def test_bad_cap_rejected(runner):
     result = run(runner, ["--cap-window", "0", "graph", "check", "cycle:4"])
-    assert result.exit_code == 2
+    assert_one_error_line(result, "BadParameter: --cap-window must be positive")
 
 
 def test_perm_fixture_with_generator_file_in_a_subdirectory(runner, tmp_path, monkeypatch):
@@ -392,27 +397,19 @@ def test_a_group_above_the_window_cap_exits_2_with_one_line(runner, tmp_path, mo
     assert cy.realize_full(cg).vertex_count == 120
 
 
-def _leaf_commands(group, path=()):
-    for name, command in sorted(group.commands.items()):
-        if isinstance(command, click.Group):
-            yield from _leaf_commands(command, (*path, name))
-        else:
-            yield (*path, name), command
-
-
-def _unknown_spec_args(path, command):
+def _unknown_spec_args(path, options):
     """The command on an unknown fixture, with "1" for each required option."""
-    args = [*path, "nosuch:1"]
-    for param in command.params:
-        if isinstance(param, click.Option) and param.required:
-            args += [param.opts[0], "1"]
+    args = [*path.split(), "nosuch:1"]
+    for option in options:
+        if option.required:
+            args += [option.name, "1"]
     return args
 
 
 SPEC_COMMANDS = [
-    _unknown_spec_args(path, command)
-    for path, command in _leaf_commands(main)
-    if any(param.name == "spec" for param in command.params)
+    _unknown_spec_args(path, options)
+    for path, (_, options) in sorted(COMMANDS.items())
+    if SPEC in options
 ]
 
 
@@ -521,34 +518,35 @@ def test_search_max_vertices_below_one_exits_2(runner, max_vertices):
     assert result.stdout == ""
 
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def _python(*args):
     """Run a fresh interpreter with this checkout's src first on the path."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    src = os.path.join(REPO, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def test_numpy_is_imported_only_when_needed():
     script = (
-        "import sys\n"
-        "from click.testing import CliRunner\n"
+        "import os, sys\n"
         "import forge.cli\n"
         "print('numpy' in sys.modules)\n"
-        "args = ['search', 'conjecture', '--max-vertices', '4']\n"
-        "result = CliRunner().invoke(forge.cli.main, args, catch_exceptions=False)\n"
-        "print(result.exit_code, 'numpy' in sys.modules)\n"
+        "forge.cli.main(['--out', os.devnull, 'search', 'conjecture', '--max-vertices', '4'])\n"
+        "print('numpy' in sys.modules)\n"
     )
     done = _python("-c", script)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "0", "False"]
+    assert done.stdout.split() == ["False", "False"]
 
 
-def _numpy_loaded_at_exit(args):
-    """(exit code, whether numpy was imported) for `forge args` run as its
-    own process, read by an exit hook after click has exited."""
+def _loaded_at_exit(args, module="numpy"):
+    """(exit code, whether module was imported) for `forge args` run as its
+    own process, read by an exit hook after the CLI has exited."""
     script = (
         "import atexit, sys\n"
-        "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr))\n"
+        f"atexit.register(lambda: print({module!r} in sys.modules, file=sys.stderr))\n"
         "from forge.cli import main\n"
         "main(sys.argv[1:], prog_name='forge')\n"
     )
@@ -567,11 +565,78 @@ def test_finite_graph_runs_do_not_import_numpy(tmp_path):
         + [[5 + u, 5 + (u + 2) % 5] for u in range(5)],
         "base": 0,
     }))
-    assert _numpy_loaded_at_exit(["hyper", "conditions", str(petersen)]) == (0, "False")
-    assert _numpy_loaded_at_exit(["hyper", "conditions", "prism:3"]) == (1, "False")
-    assert _numpy_loaded_at_exit(["paper-regression"]) == (1, "False")
+    assert _loaded_at_exit(["hyper", "conditions", str(petersen)]) == (0, "False")
+    assert _loaded_at_exit(["hyper", "conditions", "prism:3"]) == (1, "False")
+    assert _loaded_at_exit(["paper-regression"]) == (1, "False")
     mc = ["product", "mc", "zmod:5", "--pattern", "1,2", "--trials", "10"]
-    assert _numpy_loaded_at_exit(mc) == (0, "True")
+    assert _loaded_at_exit(mc) == (0, "True")
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["hyper", "conditions", "odd:3"], 0),
+        (["product", "mc", "zmod:5", "--pattern", "1,2", "--trials", "10"], 0),
+        (["paper-regression"], 1),
+        (["product", "j", "prism:3", "--pattern", "1,x"], 2),
+        (["--help"], 0),
+    ],
+    ids=["hyper", "mc", "paper-regression", "usage-error", "help"],
+)
+def test_no_command_imports_click(args, code):
+    # The CLI parses with the standard library's argparse.
+    assert _loaded_at_exit(args, "click") == (code, "False")
+
+
+@pytest.mark.parametrize("path", ["", *sorted(COMMANDS)])
+def test_help_lists_every_option_with_its_default_and_help(runner, monkeypatch, path):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per option
+    result = run(runner, [*path.split(), "--help"])
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert result.stdout.startswith(f"usage: forge {path}".rstrip() + " ")
+    # Each option's entry: its line and the indented lines below it.
+    entries = re.split(r"\n(?=  -)", result.stdout.split("\noptions:\n")[1])
+    options = COMMANDS[path][1] if path else ROOT_OPTIONS
+    for option in options:
+        if option is SPEC:
+            assert "SPEC" in result.stdout.splitlines()[0]
+            continue
+        (entry,) = [e for e in entries if e.startswith(f"  {option.name} ")]
+        text = " ".join(entry.split())
+        assert option.help in text
+        assert ("[required]" if option.required else f"[default: {option.default}]") in text
+
+
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (["product", "j", "prism:3", "--pattern", "1,x"], "--pattern must be comma-separated integers: '1,x'"),
+        (["search", "conjecture", "--max-vertices", "11"], "--max-vertices capped at 10"),
+        (["--cap-window", "0", "graph", "check", "cycle:4"], "--cap-window must be positive"),
+        (["graph", "check", "cycle:4", "--bound", "1"], "unrecognized arguments: --bound=1"),
+        (["hyper", "table", "cycle:4", "--bou", "1"], "unrecognized arguments: --bou 1"),
+        (["graph", "check"], "the following arguments are required: SPEC"),
+        (["--format", "xml", "graph", "check", "cycle:4"], "argument --format: invalid choice: 'xml' (choose from 'json', 'tsv')"),
+        (["matrix", "norms", "cycle:5", "--k", "x"], "argument --k: invalid int value: 'x'"),
+        (["graph", "draw", "cycle:4"], "argument subcommand: invalid choice: 'draw' (choose from 'check')"),
+        (["product", "j", "prism:3"], "the following arguments are required: --pattern"),
+    ],
+    ids=[
+        "pattern", "max-vertices", "cap", "unknown-option", "abbreviated-option",
+        "missing-spec", "format", "integer", "unknown-command", "missing-option",
+    ],
+)
+def test_usage_errors_exit_2_with_one_error_line(runner, args, line):
+    assert_one_error_line(run(runner, args), f"BadParameter: {line}")
+
+
+def test_an_option_value_may_start_with_a_dash(runner, tmp_path):
+    result = run(runner, ["product", "brute", "free:2", "--pattern", "-5,1"])
+    assert_one_error_line(result, "IndexOutOfRange: pattern index -5 outside 0..inf")
+    assert_one_error_line(
+        run(runner, ["--out", str(tmp_path), "graph", "check", "cycle:4"]),
+        f"BadParameter: --out {str(tmp_path)!r} is a directory",
+    )
 
 
 LAYERS = ("serialize", "fixtures", "graphs", "cayley", "hypergroup", "matrices", "walks", "search", "regression")
@@ -658,7 +723,8 @@ IMPORT_CLI = ["__init__", "cli", "errors"]
     "args, code, modules",
     [
         ([], 0, []),
-        (["hyper", "conditions", "odd:3"], 0, ["cayley", "fixtures", "graphs", "hypergroup", "serialize"]),
+        # Finite fixtures and graph files never load the Cayley layer.
+        (["hyper", "conditions", "odd:3"], 0, ["fixtures", "graphs", "hypergroup", "serialize"]),
         (["search", "conjecture", "--max-vertices", "4"], 0, ["graphs", "hypergroup", "search", "serialize"]),
         (
             ["matrix", "norms", "cycle:5", "--k", "1"],
@@ -671,6 +737,8 @@ IMPORT_CLI = ["__init__", "cli", "errors"]
             1,
             ["cayley", "fixtures", "graphs", "hypergroup", "matrices", "regression", "serialize", "walks"],
         ),
+        (["graph", "check", os.path.join(REPO, "tools", "cubic20.json")], 0, ["fixtures", "graphs", "serialize"]),
+        (["hyper", "conditions", "prism:3"], 1, ["cayley", "fixtures", "graphs", "hypergroup", "serialize"]),
     ],
 )
 def test_a_command_runs_only_the_layers_it_needs(args, code, modules):

@@ -5,6 +5,8 @@ from math import prod
 
 import pytest
 
+from forge import cayley as cy
+from forge import fixtures
 from forge.cayley import parse_group
 from forge.errors import BadParameter, UnknownFixture
 from forge.fixtures import resolve_spec
@@ -140,6 +142,36 @@ def test_infinite_group_fixtures_need_a_radius(spec):
 def test_unknown_fixture():
     with pytest.raises(UnknownFixture):
         resolve_spec("mobius:5")
+
+
+def test_fixture_builders_and_group_families_are_disjoint():
+    # catalog tries the builders before the group families.
+    assert fixtures._BUILDERS.keys().isdisjoint(cy.GROUP_FAMILIES)
+
+
+class NoFamilyLookup(dict):
+    def __contains__(self, head):
+        raise AssertionError(f"group families consulted for {head!r}")
+
+
+def test_a_head_with_a_slash_or_a_dot_names_no_group_family(tmp_path, monkeypatch):
+    """Such a head is read as a path without consulting the group families,
+    so a graph file never loads the cayley layer."""
+    assert not any("/" in head or "." in head for head in cy.GROUP_FAMILIES)
+    (tmp_path / "d").mkdir()
+    graph = '{"vertices": 3, "edges": [[0, 1], [1, 2]], "base": 1}'
+    (tmp_path / "d" / "path3").write_text(graph)
+    (tmp_path / "path3.json").write_text(graph)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cy, "GROUP_FAMILIES", NoFamilyLookup(cy.GROUP_FAMILIES))
+    for spec in ("d/path3", "path3.json", str(tmp_path / "path3.json")):
+        assert resolve_spec(spec).vertex_count == 3
+    with pytest.raises(UnknownFixture, match="no fixture named 'mobius.5'"):
+        resolve_spec("mobius.5:3")
+    for spec in ("odd:3", "bipartite:2,2", "tree:binary:2", "figure:4"):
+        resolve_spec(spec)
+    with pytest.raises(AssertionError, match="'perm'"):
+        resolve_spec("perm:d/gens.txt")
 
 
 @pytest.mark.parametrize(

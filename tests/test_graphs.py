@@ -6,10 +6,9 @@ import os
 
 import networkx as nx
 import pytest
-from click.testing import CliRunner
+from conftest import run_forge
 from hypothesis import given, settings, strategies as st
 
-from forge.cli import main
 
 from forge.errors import (
     BadParameter,
@@ -190,7 +189,7 @@ def test_graph_json_truncated_key_sets_the_exact_radius():
     [(["free:2", "--radius", "3"], 3), (["zmod:3,3", "--radius", "1"], 1), (["zmod:4"], INFINITE)],
 )
 def test_cayley_realize_output_reads_back_with_its_scope(args, radius):
-    result = CliRunner().invoke(main, ["cayley", "realize", *args])
+    result = run_forge(["cayley", "realize", *args])
     assert result.exit_code == 0, result.output
     data = json.loads(result.output)
     pg = parse_graph_json(data)

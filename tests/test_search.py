@@ -28,7 +28,9 @@ eccentricities.  It is checked against the search that pointed the graph
 at every base and ran the checks there (kept here as
 reference_search_conjecture) up to 7 vertices, and the eccentricity rule
 against check_assumptions, check_S1 and networkx.eccentricity on random
-connected non-regular graphs.
+connected non-regular graphs; the eccentricities, grown over neighbour
+bitsets, against networkx.eccentricity on every enumerated graph up to
+7 vertices.
 """
 
 import hashlib
@@ -39,11 +41,10 @@ import random
 import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
-from click.testing import CliRunner
+from conftest import run_forge
 from hypothesis import assume, given, settings, strategies as st
 
 from forge import search
-from forge.cli import main
 from forge.errors import BadParameter, EnumerationCapExceeded, InternalError
 from forge.graphs import Graph, check_assumptions, make_graph, point_graph
 from forge.hypergroup import build_table, check_S1, check_S2, classify
@@ -641,7 +642,7 @@ SEARCH_6_SHA256 = {
 @pytest.mark.parametrize("bases", sorted(SEARCH_6_SHA256))
 def test_search_report_bytes_are_pinned(bases):
     args = ["--format", "json", "search", "conjecture", "--max-vertices", "6", "--bases", bases]
-    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    result = run_forge(args)
     assert result.exit_code == 0
     digest = hashlib.sha256(result.output.encode("utf-8")).hexdigest()
     assert digest == SEARCH_6_SHA256[bases]
@@ -658,7 +659,7 @@ SEARCH_7_SHA256 = {
 @pytest.mark.parametrize("bases", sorted(SEARCH_7_SHA256))
 def test_seven_vertex_search_report_bytes_are_pinned(bases):
     args = ["--format", "json", "search", "conjecture", "--max-vertices", "7", "--bases", bases]
-    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    result = run_forge(args)
     assert result.exit_code == 0
     digest = hashlib.sha256(result.output.encode("utf-8")).hexdigest()
     assert digest == SEARCH_7_SHA256[bases]
@@ -675,7 +676,7 @@ SEARCH_8_SHA256 = {
 @pytest.mark.parametrize("bases", sorted(SEARCH_8_SHA256))
 def test_eight_vertex_search_report_bytes_are_pinned(bases):
     args = ["--format", "json", "search", "conjecture", "--max-vertices", "8", "--bases", bases]
-    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    result = run_forge(args)
     assert result.exit_code == 0
     digest = hashlib.sha256(result.output.encode("utf-8")).hexdigest()
     assert digest == SEARCH_8_SHA256[bases]
@@ -763,7 +764,7 @@ def connected_non_regular_graphs(draw):
 def test_eccentricity_rule_decides_non_regular_graphs(case):
     n, edges = case
     graph = make_graph(edges, vertex_count=n)
-    ecc = search._eccentricities(graph)
+    ecc = search._eccentricities(graph.adjacency)
     reference = nx.Graph(edges)
     assert ecc == [nx.eccentricity(reference, v) for v in range(n)]
     for base in range(n):
@@ -772,6 +773,18 @@ def test_eccentricity_rule_decides_non_regular_graphs(case):
         # (S1) fails at index 1, where it compares the degrees.
         s1 = check_S1(pg)
         assert not s1.passed and s1.witness[0] == 1
+
+
+def test_eccentricities_match_networkx_on_every_enumerated_graph():
+    # The bitset ball growth against networkx on every class up to 7
+    # vertices (996 graphs, 980 of them not regular).
+    checked = 0
+    for n, neighbors, _first in enumerate_connected_graphs(7):
+        reference = nx.Graph(search._edges_from_neighbors(neighbors))
+        reference.add_nodes_from(range(n))
+        assert search._eccentricities(neighbors) == [nx.eccentricity(reference, v) for v in range(n)]
+        checked += 1
+    assert checked == 996
 
 
 def generated_group(n, generators):
@@ -833,7 +846,7 @@ def test_cli_refuses_nine_vertices_under_the_default_cap(monkeypatch):
         raise AssertionError("the search enumerated graphs")
 
     monkeypatch.setattr(search, "enumerate_connected_graphs", no_enumeration)
-    result = CliRunner().invoke(main, ["search", "conjecture", "--max-vertices", "9"])
+    result = run_forge(["search", "conjecture", "--max-vertices", "9"])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"error: EnumerationCapExceeded: more than {DEFAULT_GRAPH_CAP} graphs\n"

@@ -26,14 +26,13 @@ from operator import or_
 
 import networkx as nx
 import pytest
-from click.testing import CliRunner
+from conftest import run_forge
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from forge import cayley as cy
 from forge import graphs, hypergroup
 from forge.cayley import parse_group_spec, realize_full, realize_window
-from forge.cli import main
 from forge.errors import (
     DisconnectedGraph,
     EmptySphere,
@@ -691,7 +690,7 @@ def test_a_cayley_window_reads_the_spheres_of_its_graph_json(tmp_path, spec, arg
     """A Cayley window and its graph-JSON round trip take the one window
     path: the same counts at every vertex and the same reports."""
     path = tmp_path / "window.json"
-    result = CliRunner().invoke(main, ["--out", str(path), "cayley", "realize", *args])
+    result = run_forge(["--out", str(path), "cayley", "realize", *args])
     assert result.exit_code == 0, result.output
     window, loaded = resolve_spec(spec), load_graph_file(str(path))
     assert window.cayley is not None and loaded.cayley is None
