@@ -40,8 +40,11 @@ def _emit(cfg, payload, ok: bool = True) -> None:
     else:
         text = serialize.dumps_tsv(_tsv_rows(data), header=("field", "value"))
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise BadParameter(f"cannot write --out {cfg.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -96,15 +99,20 @@ def _alpha_arg(text: str):
 
 
 class Option:
-    """One argument of a command: a positional SPEC, or an option that
-    takes a value (forge has no flags besides --help)."""
+    """One argument of a command: an option that takes a value (forge has
+    no flags besides --help), or the positional SPEC, which `reads` turns
+    into the object the command receives."""
 
-    def __init__(self, name, type=str, default=None, help="", required=False, choices=None):
+    def __init__(self, name, type=str, default=None, help="", required=False, choices=None, reads=None):
         self.name, self.type, self.default, self.help, self.required, self.choices = name, type, default, help, required, choices
-        self.dest = name.lstrip("-").replace("-", "_")
+        self.dest, self.reads = name.lstrip("-").replace("-", "_"), reads
 
 
-SPEC = Option("spec")
+# A command's SPEC, by what the command is called with: the pointed
+# graph, its table cut at --bound, or the group.
+GRAPH = Option("spec", reads=lambda cfg: fixtures.resolve_spec(cfg.spec))
+TABLE = Option("spec", reads=lambda cfg: hypergroup.build_table(GRAPH.reads(cfg), bound=cfg.bound))
+GROUP = Option("spec", reads=lambda cfg: cy.parse_group_spec(cfg.spec))
 BOUND = Option("--bound", int)
 PATTERN = Option("--pattern", _pattern_arg, required=True)
 
@@ -140,10 +148,9 @@ def _command(path: str, *options: Option):
     return register
 
 
-@_command("graph check", SPEC)
-def graph_check(cfg, spec):
+@_command("graph check", GRAPH)
+def graph_check(cfg, pg):
     """Verify simplicity, connectivity, local finiteness, and condition (iii)."""
-    pg = fixtures.resolve_spec(spec)
     report = graphs.check_assumptions(pg)
     indices, top = graphs.index_set(pg)
     _emit(
@@ -158,40 +165,38 @@ def graph_check(cfg, spec):
     )
 
 
-@_command("cayley realize", SPEC, Option("--radius", int, help="Window radius; omit to realize a finite group fully."))
-def cayley_realize(cfg, spec, radius):
+@_command("cayley realize", GROUP, Option("--radius", int, help="Window radius; omit to realize a finite group fully."))
+def cayley_realize(cfg, cg):
     """Realize a group window as a pointed-graph JSON object."""
-    cg = cy.parse_group_spec(spec)
-    if radius is None:
+    if cfg.radius is None:
         pg = cy.realize_full(cg, cap=cfg.cap_window)
     else:
-        pg = cy.realize_window(cg, radius, cap=cfg.cap_window)
+        pg = cy.realize_window(cg, cfg.radius, cap=cfg.cap_window)
     _emit(cfg, pg)
 
 
-@_command("cayley s3", SPEC, Option("--radius", int, help="Window radius for the translation identity check.", required=True))
-def cayley_s3(cfg, spec, radius):
+@_command("cayley s3", GROUP, Option("--radius", int, help="Window radius for the translation identity check.", required=True))
+def cayley_s3(cfg, cg):
     """Check d(v, vw) = |w| against raw window BFS."""
-    report = cy.check_S3(cy.parse_group_spec(spec), radius)
+    report = cy.check_S3(cg, cfg.radius)
     _emit(cfg, report, ok=report.passed)
 
 
-@_command("hyper table", SPEC, Option("--bound", int, help="Largest row index; defaults to the full/certifiable range."))
-def hyper_table(cfg, spec, bound):
+@_command("hyper table", TABLE, Option("--bound", int, help="Largest row index; defaults to the full/certifiable range."))
+def hyper_table(cfg, table):
     """The table of products x_i o x_j up to the bound."""
-    _emit(cfg, hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound))
+    _emit(cfg, table)
 
 
-@_command("hyper classify", SPEC, BOUND)
-def hyper_classify(cfg, spec, bound):
+@_command("hyper classify", TABLE, BOUND)
+def hyper_classify(cfg, table):
     """Hypergroup / PreHypergroupOnly verdict with the first witness."""
-    _emit(cfg, hypergroup.classify(hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound)))
+    _emit(cfg, hypergroup.classify(table))
 
 
-@_command("hyper conditions", SPEC)
-def hyper_conditions(cfg, spec):
+@_command("hyper conditions", GRAPH)
+def hyper_conditions(cfg, pg):
     """Assumptions, both walk conditions, and (finite only) distance regularity."""
-    pg = fixtures.resolve_spec(spec)
     assumptions = graphs.check_assumptions(pg)
     s1 = hypergroup.check_S1(pg)
     s2 = hypergroup.check_S2(pg)
@@ -201,101 +206,94 @@ def hyper_conditions(cfg, spec):
     _emit(cfg, payload, ok=assumptions.passed and s1.passed and s2.passed)
 
 
-@_command("product pl", SPEC, PATTERN, BOUND)
-def product_pl(cfg, spec, pattern, bound):
+@_command("product pl", TABLE, PATTERN, BOUND)
+def product_pl(cfg, table):
     """Left-nested product PL(i_1, ..., i_m)."""
-    table = hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound)
-    _emit(cfg, {"pattern": pattern, "law": walks.left_nested_product(table, pattern)})
+    _emit(cfg, {"pattern": cfg.pattern, "law": walks.left_nested_product(table, cfg.pattern)})
 
 
-@_command("product j", SPEC, PATTERN)
-def product_j(cfg, spec, pattern):
+@_command("product j", GRAPH, PATTERN)
+def product_j(cfg, pg):
     """Jump distribution J(i_1, ..., i_m)."""
-    _emit(cfg, {"pattern": pattern, "law": walks.jump_distribution(fixtures.resolve_spec(spec), pattern)})
+    _emit(cfg, {"pattern": cfg.pattern, "law": walks.jump_distribution(pg, cfg.pattern)})
 
 
-@_command("product brute", SPEC, PATTERN)
-def product_brute(cfg, spec, pattern):
+@_command("product brute", GROUP, PATTERN)
+def product_brute(cfg, cg):
     """Exact conditional law by full enumeration (Cayley graphs)."""
-    cg = cy.parse_group_spec(spec)
-    law = walks.brute_force_conditional(cg, pattern, cap=cfg.cap_enumeration)
-    _emit(cfg, {"pattern": pattern, "law": law})
+    law = walks.brute_force_conditional(cg, cfg.pattern, cap=cfg.cap_enumeration)
+    _emit(cfg, {"pattern": cfg.pattern, "law": law})
 
 
-@_command("product mc", SPEC, PATTERN, Option("--trials", int, 100_000))
-def product_mc(cfg, spec, pattern, trials):
+@_command("product mc", GROUP, PATTERN, Option("--trials", int, 100_000))
+def product_mc(cfg, cg):
     """Monte-Carlo estimate of the conditional law (Cayley graphs)."""
-    cg = cy.parse_group_spec(spec)
-    _emit(cfg, walks.monte_carlo_conditional(cg, pattern, trials, seed=cfg.seed))
+    _emit(cfg, walks.monte_carlo_conditional(cg, cfg.pattern, cfg.trials, seed=cfg.seed))
 
 
 @_command(
     "walk joint",
-    SPEC,
+    GROUP,
     Option("--alpha", default="uniform", help="'uniform' or a JSON file of index -> weight."),
     Option("--depth", int, 2),
 )
-def walk_joint(cfg, spec, alpha, depth):
+def walk_joint(cfg, cg):
     """Exact joint law of (Z_1, ..., Z_depth) for a finite Cayley walk."""
-    cg = cy.parse_group_spec(spec)
-    _emit(cfg, walks.joint_distance_law(cg, _alpha_arg(alpha), depth, pattern_cap=cfg.cap_pattern))
+    _emit(cfg, walks.joint_distance_law(cg, _alpha_arg(cfg.alpha), cfg.depth, pattern_cap=cfg.cap_pattern))
 
 
-@_command("walk markov", SPEC, Option("--alpha", default="uniform"), Option("--depth", int, 3))
-def walk_markov(cfg, spec, alpha, depth):
+@_command("walk markov", GROUP, Option("--alpha", default="uniform"), Option("--depth", int, 3))
+def walk_markov(cfg, cg):
     """Markov / i.i.d. verdicts for the distance process."""
-    cg = cy.parse_group_spec(spec)
-    law = walks.joint_distance_law(cg, _alpha_arg(alpha), depth, pattern_cap=cfg.cap_pattern)
+    law = walks.joint_distance_law(cg, _alpha_arg(cfg.alpha), cfg.depth, pattern_cap=cfg.cap_pattern)
     report = walks.markov_check(law)
     _emit(cfg, report, ok=report.is_markov)
 
 
-@_command("matrix norms", SPEC, Option("--k", int, required=True), BOUND)
-def matrix_norms(cfg, spec, k, bound):
+@_command("matrix norms", TABLE, Option("--k", int, required=True), BOUND)
+def matrix_norms(cfg, table):
     """Exact c_k, d_k, and Rayleigh lower bounds for ||P_k||."""
-    table = hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound)
-    _emit(cfg, matrices.norm_bounds(table, k))
+    _emit(cfg, matrices.norm_bounds(table, cfg.k))
 
 
-@_command("matrix uniform-bound", SPEC)
-def matrix_uniform_bound(cfg, spec):
+@_command("matrix uniform-bound", GRAPH)
+def matrix_uniform_bound(cfg, pg):
     """S = sup |S_k(v)| and the uniform bound S^2 on every ||P_k||."""
-    _emit(cfg, matrices.uniform_norm_bound(fixtures.resolve_spec(spec)))
+    _emit(cfg, matrices.uniform_norm_bound(pg))
 
 
-@_command("matrix commute", SPEC, BOUND)
-def matrix_commute(cfg, spec, bound):
+@_command("matrix commute", TABLE, BOUND)
+def matrix_commute(cfg, table):
     """Do all P_i P_j = P_j P_i? Cross-checked against classification."""
-    report = matrices.commute_check(hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound))
+    report = matrices.commute_check(table)
     _emit(cfg, report, ok=report.commutes)
 
 
-@_command("matrix regular-rep", SPEC, BOUND)
-def matrix_regular_rep(cfg, spec, bound):
+@_command("matrix regular-rep", TABLE, BOUND)
+def matrix_regular_rep(cfg, table):
     """Verify P_i P_j = sum_k p[i,j][k] P_k entrywise."""
-    report = matrices.verify_regular_representation(hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound))
+    report = matrices.verify_regular_representation(table)
     _emit(cfg, report, ok=report.passed)
 
 
-@_command("matrix stationary", SPEC)
-def matrix_stationary(cfg, spec):
+@_command("matrix stationary", GROUP)
+def matrix_stationary(cfg, cg):
     """pi_G = (|S_0|, ..., |S_M|)/|G| as a fixed vector of every P_k."""
-    report = matrices.stationary_check(cy.parse_group_spec(spec))
+    report = matrices.stationary_check(cg)
     _emit(cfg, report, ok=report.passed)
 
 
-@_command("matrix maincoro", SPEC, PATTERN, BOUND)
-def matrix_maincoro(cfg, spec, pattern, bound):
+@_command("matrix maincoro", GRAPH, PATTERN, BOUND)
+def matrix_maincoro(cfg, pg):
     """Check the product of transition matrices against the jump law."""
-    report = matrices.verify_maincoro(fixtures.resolve_spec(spec), pattern, bound)
+    report = matrices.verify_maincoro(pg, cfg.pattern, cfg.bound)
     _emit(cfg, report, ok=report.passed)
 
 
-@_command("matrix irreducible", SPEC, Option("--k", int, required=True), BOUND)
-def matrix_irreducible(cfg, spec, k, bound):
+@_command("matrix irreducible", TABLE, Option("--k", int, required=True), BOUND)
+def matrix_irreducible(cfg, table):
     """Communicating classes of P_k."""
-    table = hypergroup.build_table(fixtures.resolve_spec(spec), bound=bound)
-    _emit(cfg, matrices.irreducibility(table, k))
+    _emit(cfg, matrices.irreducibility(table, cfg.k))
 
 
 @_command(
@@ -303,11 +301,11 @@ def matrix_irreducible(cfg, spec, k, bound):
     Option("--max-vertices", int, 6),
     Option("--bases", default="all", choices=("all", "canonical")),
 )
-def search_cmd(cfg, max_vertices, bases):
+def search_cmd(cfg):
     """Scan for graphs that satisfy the walk conditions without being hypergroups."""
-    if max_vertices > 10:
+    if cfg.max_vertices > 10:
         raise BadParameter("--max-vertices capped at 10")
-    report = search.search_conjecture(max_vertices, base_policy=bases, cap=cfg.cap_graphs)
+    report = search.search_conjecture(cfg.max_vertices, base_policy=cfg.bases, cap=cfg.cap_graphs)
     replay_ok = True
     for entry in report.counterexamples:
         replayed = search.replay_counterexample(entry)[3]
@@ -366,7 +364,7 @@ def _parser(prog_name: str) -> _Parser:
 # Every option takes a value.  Each is joined to its value as --opt=value
 # before parsing, so that a value starting with "-" (the pattern -5,1)
 # stays a value.
-_VALUED = {o.name for o in ROOT_OPTIONS} | {o.name for _, options in COMMANDS.values() for o in options}
+_VALUED = {o.name for o in ROOT_OPTIONS} | {o.name for _, opts in COMMANDS.values() for o in opts if o.name.startswith("--")}
 
 
 def _joined(args) -> list[str]:
@@ -389,7 +387,7 @@ def main(args=None, prog_name: str = "forge") -> None:
             if option.name.startswith("--cap-") and getattr(cfg, option.dest) < 1:
                 raise BadParameter(f"{option.name} must be positive")
         fn, options = COMMANDS[cfg.path]
-        fn(cfg, **{option.dest: getattr(cfg, option.dest) for option in options})
+        fn(cfg, *(option.reads(cfg) for option in options if option.reads))
     except ForgeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         sys.exit(USAGE)

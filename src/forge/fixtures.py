@@ -37,31 +37,6 @@ from .graphs import parse_graph_json, point_graph
 TREE_CAP = 2_000_000
 
 
-def catalog(spec: str) -> PointedGraph:
-    """Build the named fixture; UnknownFixture for heads outside the grammar."""
-    spec = spec.strip()
-    if not spec:
-        raise BadParameter("empty fixture spec")
-    head, *params = spec.split(":")
-    builder = _BUILDERS.get(head)
-    if builder is not None:
-        return builder(spec, params)
-    if not _group_family(head):
-        raise UnknownFixture(f"no fixture named {head!r}")
-    cg, radius = cy.parse_group(spec)
-    if radius is None and not cg.finite:
-        raise BadParameter(f"{spec!r}: window radius required, e.g. {spec}:r=6")
-    pg = cy.realize_full(cg) if radius is None else cy.realize_window(cg, radius)
-    pg.name = spec
-    return pg
-
-
-def _group_family(head: str) -> bool:
-    """Whether head names a Cayley group family.  A head holding "/" or "."
-    cannot, so a graph file is resolved without loading the cayley layer."""
-    return "/" not in head and "." not in head and head in cy.GROUP_FAMILIES
-
-
 def _build_bipartite(spec, params):
     positional, keyed = _split_params(params)
     (arg,) = _expect(spec, positional, 1, "parameters bipartite:<n>,<m>")
@@ -167,12 +142,26 @@ _BUILDERS = {
 
 
 def resolve_spec(spec: str) -> PointedGraph:
-    """Resolve a CLI target: a catalog fixture if the head before the first
-    ":" names a family (so perm:dir/gens.txt stays a fixture), else a JSON
-    graph file if it looks like a path, else a catalog fixture."""
-    head = spec.strip().split(":")[0]
-    if head in _BUILDERS or _group_family(head):
-        return catalog(spec)
+    """Resolve a CLI target by the head before its first ":": a fixture
+    builder, else a Cayley group family (so perm:dir/gens.txt stays a
+    group), else a JSON graph file if the spec looks like a path, else
+    UnknownFixture."""
+    name = spec.strip()
+    head, *params = name.split(":")
+    builder = _BUILDERS.get(head)
+    if builder is not None:
+        return builder(name, params)
+    # A head holding "/" or "." names no group family, so a graph file is
+    # resolved without loading the cayley layer.
+    if "/" not in head and "." not in head and head in cy.GROUP_FAMILIES:
+        cg, radius = cy.parse_group(name)
+        if radius is None and not cg.finite:
+            raise BadParameter(f"{name!r}: window radius required, e.g. {name}:r=6")
+        pg = cy.realize_full(cg) if radius is None else cy.realize_window(cg, radius)
+        pg.name = name
+        return pg
     if spec.endswith(".json") or "/" in spec or os.path.isfile(spec):
         return load_graph_file(spec)
-    return catalog(spec)
+    if not name:
+        raise BadParameter("empty fixture spec")
+    raise UnknownFixture(f"no fixture named {head!r}")

@@ -36,6 +36,7 @@ from .graphs import INFINITE, PointedGraph, sphere_at
 from .hypergroup import (
     ProbabilityVector,
     StructureTable,
+    _first_difference,
     build_table,
     check_S2,
     convex_combination,
@@ -221,6 +222,8 @@ def monte_carlo_conditional(
         raise NotCayley("Monte-Carlo products need a Cayley graph")
     if trials < 1:
         raise BadParameter("trials must be >= 1")
+    if seed < 0:
+        raise BadParameter("seed must be >= 0")
     pg, pat = _pattern_window(cg, pattern)
     data = pg.cayley
     import numpy as np
@@ -532,13 +535,8 @@ def permutation_invariance_check(
     variants = sorted(set(permutations(pat)))
     reference = left_nested_product(table, variants[0], extended=True)
     for other in variants[1:]:
-        value = left_nested_product(table, other, extended=True)
-        if value != reference:
-            k = next(
-                k
-                for k in sorted(set(reference.support) | set(value.support))
-                if reference.coefficient(k) != value.coefficient(k)
-            )
-            witness = PermutationWitness(variants[0], other, k)
+        diff = _first_difference(reference, left_nested_product(table, other, extended=True))
+        if diff is not None:
+            witness = PermutationWitness(variants[0], other, diff[0])
             return PermutationReport(False, pat, len(variants), hypothesis, witness)
     return PermutationReport(True, pat, len(variants), hypothesis, None)

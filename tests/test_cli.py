@@ -16,8 +16,8 @@ import pytest
 from conftest import run_forge
 
 from forge import cayley as cy
-from forge import fixtures
-from forge.cli import COMMANDS, ROOT_OPTIONS, SPEC
+from forge import cli, fixtures, hypergroup
+from forge.cli import COMMANDS, ROOT_OPTIONS
 from forge.errors import BadParameter, WindowOverflow
 
 
@@ -397,9 +397,9 @@ def test_a_group_above_the_window_cap_exits_2_with_one_line(runner, tmp_path, mo
     assert cy.realize_full(cg).vertex_count == 120
 
 
-def _unknown_spec_args(path, options):
-    """The command on an unknown fixture, with "1" for each required option."""
-    args = [*path.split(), "nosuch:1"]
+def _spec_args(path, options, spec):
+    """The command on a spec, with "1" for each required option."""
+    args = [*path.split(), spec]
     for option in options:
         if option.required:
             args += [option.name, "1"]
@@ -407,9 +407,9 @@ def _unknown_spec_args(path, options):
 
 
 SPEC_COMMANDS = [
-    _unknown_spec_args(path, options)
+    _spec_args(path, options, "nosuch:1")
     for path, (_, options) in sorted(COMMANDS.items())
-    if SPEC in options
+    if any(option.reads for option in options)
 ]
 
 
@@ -598,7 +598,7 @@ def test_help_lists_every_option_with_its_default_and_help(runner, monkeypatch, 
     entries = re.split(r"\n(?=  -)", result.stdout.split("\noptions:\n")[1])
     options = COMMANDS[path][1] if path else ROOT_OPTIONS
     for option in options:
-        if option is SPEC:
+        if option.reads:
             assert "SPEC" in result.stdout.splitlines()[0]
             continue
         (entry,) = [e for e in entries if e.startswith(f"  {option.name} ")]
@@ -628,6 +628,12 @@ def test_help_lists_every_option_with_its_default_and_help(runner, monkeypatch, 
 )
 def test_usage_errors_exit_2_with_one_error_line(runner, args, line):
     assert_one_error_line(run(runner, args), f"BadParameter: {line}")
+
+
+def test_a_spec_is_never_joined_to_the_next_argument(runner):
+    # Only the -- options take the next argument as their value.
+    assert all(name.startswith("--") for name in cli._VALUED)
+    assert_one_error_line(run(runner, ["hyper", "table", "spec", "--bound", "1"]), "UnknownFixture: no fixture named 'spec'")
 
 
 def test_an_option_value_may_start_with_a_dash(runner, tmp_path):
@@ -1146,10 +1152,78 @@ def test_specs_refuse_a_repeated_keyword(runner, command, key):
 def test_group_commands_build_no_fixture(runner, monkeypatch):
     """A spec that is not a group is refused before any graph is built."""
 
-    def catalog(spec):
+    def resolve_spec(spec):
         raise AssertionError(f"fixture {spec!r} built")
 
-    monkeypatch.setattr(fixtures, "catalog", catalog)
+    monkeypatch.setattr(fixtures, "resolve_spec", resolve_spec)
     result = run(runner, ["product", "mc", "tree:binary:18", "--pattern", "1"])
     assert result.exit_code == 2
     assert result.stderr == "error: BadParameter: unknown group spec 'tree:binary:18'\n"
+
+
+def test_out_into_a_missing_directory_exits_2_and_writes_nothing(runner, tmp_path):
+    out = tmp_path / "no-such-dir" / "r.json"
+    result = run(runner, ["--out", str(out), "hyper", "table", "cycle:4"])
+    assert_one_error_line(result, f"BadParameter: cannot write --out {str(out)!r}: No such file or directory")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_negative_seed_exits_2_only_where_the_seed_is_read(runner):
+    mc = ["product", "mc", "zmod:3", "--pattern", "1", "--trials", "10"]
+    assert_one_error_line(run(runner, ["--seed", "-1", *mc]), "BadParameter: seed must be >= 0")
+    for args in (["hyper", "classify", "prism:3"], ["product", "brute", "zmod:3", "--pattern", "1"]):
+        assert run(runner, ["--seed", "-1", *args]) == run(runner, args)
+
+
+def _readme_command_lines():
+    """The lines of README's command block, below "## Command-line tool"."""
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Command-line tool\n")[1]
+    return section.split("```\n")[1].splitlines()
+
+
+@pytest.mark.parametrize("path", sorted(COMMANDS))
+def test_readme_lists_every_command_with_its_options(path):
+    (line,) = [line for line in _readme_command_lines() if line.startswith(f"forge {path} ")]
+    for option in COMMANDS[path][1]:
+        if option.reads:
+            # A group command names its SPEC <group>, every other one <spec>.
+            assert ("<group>" if option is cli.GROUP else "<spec>") in line
+        else:
+            assert re.search(rf"{option.name}(?![\w-])", line), option.name
+
+
+def test_table_commands_read_the_table_and_no_graph(runner, monkeypatch):
+    """The seven table commands print the same from a prebuilt table whose
+    rows past its bound cannot be extended, with no spec resolvable."""
+    commands = [_spec_args(path, options, "prism:5") for path, (_, options) in COMMANDS.items() if cli.TABLE in options]
+    assert len(commands) == 7
+    expected = [run(runner, args) for args in commands]
+    assert all(result.exit_code in (0, 1) and result.stdout for result in expected)
+    table = hypergroup.build_table(fixtures.resolve_spec("prism:5"))
+
+    def no_graph(*args):
+        raise AssertionError("a graph was read")
+
+    table.extend = no_graph
+    monkeypatch.setattr(cli.TABLE, "reads", lambda cfg: table)
+    monkeypatch.setattr(fixtures, "resolve_spec", no_graph)
+    assert [run(runner, args) for args in commands] == expected
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        _spec_args(path, options, "prism:5")
+        for path, (_, options) in sorted(COMMANDS.items())
+        if any(option.reads for option in options)
+    ],
+    ids=" ".join,
+)
+def test_each_spec_command_resolves_its_spec_once(runner, monkeypatch, args):
+    calls = []
+    for module, name in ((fixtures, "resolve_spec"), (cy, "parse_group_spec")):
+        monkeypatch.setattr(module, name, lambda spec, fn=getattr(module, name): calls.append(spec) or fn(spec))
+    result = run(runner, args)
+    assert result.exit_code in (0, 1) and result.stderr == ""
+    assert calls == ["prism:5"]

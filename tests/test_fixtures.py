@@ -1,5 +1,6 @@
 """Named fixture specs: shapes, window scopes, and parameter validation."""
 
+import re
 from itertools import combinations
 from math import prod
 
@@ -144,8 +145,27 @@ def test_unknown_fixture():
         resolve_spec("mobius:5")
 
 
+@pytest.mark.parametrize(
+    "spec, error, message",
+    [
+        ("", BadParameter, "empty fixture spec"),
+        ("  ", BadParameter, "empty fixture spec"),
+        (":x", UnknownFixture, "no fixture named ''"),
+        ("lattice:1", BadParameter, "'lattice:1': window radius required, e.g. lattice:1:r=6"),
+    ],
+)
+def test_specs_that_name_no_graph_keep_their_error(spec, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        resolve_spec(spec)
+
+
+def test_a_spec_is_resolved_without_its_surrounding_blanks():
+    assert resolve_spec(" cycle:4 ").name == "cycle:4"
+    assert resolve_spec(" odd:3").name == "odd:3"
+
+
 def test_fixture_builders_and_group_families_are_disjoint():
-    # catalog tries the builders before the group families.
+    # resolve_spec tries the builders before the group families.
     assert fixtures._BUILDERS.keys().isdisjoint(cy.GROUP_FAMILIES)
 
 

@@ -180,6 +180,15 @@ def test_pattern_is_checked_before_the_window_is_built(monkeypatch, pattern, err
         monte_carlo_conditional(cg, pattern, 10)
 
 
+def test_monte_carlo_refuses_a_negative_seed_before_the_window_is_built(monkeypatch):
+    def no_window(cg, pattern):
+        raise AssertionError("the window was built")
+
+    monkeypatch.setattr(walks, "_pattern_window", no_window)
+    with pytest.raises(BadParameter, match="^seed must be >= 0$"):
+        monte_carlo_conditional(parse_group_spec("zmod:3"), (1,), 10, seed=-1)
+
+
 def test_brute_force_needs_cayley_graph():
     with pytest.raises(NotCayley):
         brute_force_conditional(resolve_spec("prism:3"), (1, 1))
@@ -305,6 +314,8 @@ def test_permutation_invariance_fails_on_plane():
     assert not report.passed and not report.hypothesis_met
     pat_a, pat_b, k = report.witness
     assert sorted(pat_a) == sorted(pat_b) == [1, 1, 2]
+    # The least index where PL(1, 1, 2) and PL(1, 2, 1) differ.
+    assert report.witness == ((1, 1, 2), (1, 2, 1), 2)
 
 
 def test_joint_law_that_loses_mass_raises_internal_error(monkeypatch):
