@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -135,14 +134,11 @@ def _cycle_str(mapping: tuple[int, ...]) -> str:
     return "".join(cycles) if cycles else "e"
 
 
-@dataclass(eq=False)
 class CayleyGraph:
     """A group kind with a validated symmetric generating set."""
 
-    kind: GroupKind
-    generators: tuple[GroupElement, ...]
-    spec_name: str
-    finite: bool
+    def __init__(self, kind: GroupKind, generators: tuple[GroupElement, ...], spec_name: str, finite: bool):
+        self.kind, self.generators, self.spec_name, self.finite = kind, generators, spec_name, finite
 
 
 def _radius(spec, keyed):
@@ -400,7 +396,6 @@ def build_cayley(
     return CayleyGraph(kind, gens, name, finite)
 
 
-@dataclass(eq=False)
 class WindowData:
     """Cayley bookkeeping attached to a realized window.
 
@@ -413,12 +408,8 @@ class WindowData:
     joint law; no sphere query of the window's PointedGraph reads it.
     """
 
-    cg: CayleyGraph
-    saturated: bool
-    radius: int
-    right: list
-    via: list
-    dist: tuple[int, ...]
+    def __init__(self, cg: CayleyGraph, saturated: bool, radius: int, right: list, via: list, dist: tuple[int, ...]):
+        self.cg, self.saturated, self.radius, self.right, self.via, self.dist = cg, saturated, radius, right, via, dist
 
     def word(self, v: int) -> list[int]:
         """g_v's geodesic word as generator indices, read back along via."""

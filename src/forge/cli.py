@@ -52,16 +52,29 @@ def _emit(cfg, payload, ok: bool = True) -> None:
         sys.exit(FAIL)
 
 
+def _int_arg(text: str) -> int:
+    """An integer as the CLI reads it: ASCII digits after an optional '-'."""
+    if not (text.isascii() and text.removeprefix("-").isdecimal()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _pattern_arg(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
+        return tuple(_int_arg(x) for x in text.split(","))
+    except argparse.ArgumentTypeError:
         raise BadParameter(f"--pattern must be comma-separated integers: {text!r}") from None
 
 
 def _out_arg(path: str) -> str:
+    """Refuse, before anything is computed, a path that is a directory or
+    whose parent is not one."""
     if os.path.isdir(path):
         raise BadParameter(f"--out {path!r} is a directory")
+    try:  # "<parent>/." exists only when the parent is a directory
+        os.stat(os.path.join(os.path.dirname(path.rstrip("/")), "."))
+    except OSError as exc:
+        raise BadParameter(f"cannot write --out {path!r}: {exc.strerror}") from None
     return path
 
 
@@ -81,8 +94,8 @@ def _alpha_arg(text: str):
     alpha = {}
     for key, value in raw.items():
         try:
-            idx = int(key)
-        except ValueError:
+            idx = _int_arg(key)
+        except argparse.ArgumentTypeError:
             raise BadParameter(f"alpha file key {key!r} is not an integer index")
         if idx in alpha:
             raise BadParameter(f"alpha file names index {idx} twice")
@@ -113,18 +126,18 @@ class Option:
 GRAPH = Option("spec", reads=lambda cfg: fixtures.resolve_spec(cfg.spec))
 TABLE = Option("spec", reads=lambda cfg: hypergroup.build_table(GRAPH.reads(cfg), bound=cfg.bound))
 GROUP = Option("spec", reads=lambda cfg: cy.parse_group_spec(cfg.spec))
-BOUND = Option("--bound", int)
+BOUND = Option("--bound", _int_arg)
 PATTERN = Option("--pattern", _pattern_arg, required=True)
 
 ROOT_HELP = "Exact hypergroup products, walk laws, and operator bounds on pointed graphs."
 ROOT_OPTIONS = (
     Option("--out", _out_arg, help="Write the report to a file instead of stdout."),
     Option("--format", default="json", help="Report serialization.", choices=("json", "tsv")),
-    Option("--seed", int, 0, "Monte-Carlo seed."),
-    Option("--cap-enumeration", int, ENUMERATION_CAP, "Max step tuples that `product brute` enumerates."),
-    Option("--cap-pattern", int, PATTERN_CAP, "Max distance patterns in the joint law of `walk joint` and `walk markov`."),
-    Option("--cap-graphs", int, DEFAULT_GRAPH_CAP, "Max graphs that `search conjecture` enumerates."),
-    Option("--cap-window", int, WINDOW_CAP, "Max vertices that `cayley realize` builds; fixtures and other commands keep the 200000 default."),
+    Option("--seed", _int_arg, 0, "Monte-Carlo seed."),
+    Option("--cap-enumeration", _int_arg, ENUMERATION_CAP, "Max step tuples that `product brute` enumerates."),
+    Option("--cap-pattern", _int_arg, PATTERN_CAP, "Max distance patterns in the joint law of `walk joint` and `walk markov`."),
+    Option("--cap-graphs", _int_arg, DEFAULT_GRAPH_CAP, "Max graphs that `search conjecture` enumerates."),
+    Option("--cap-window", _int_arg, WINDOW_CAP, "Max vertices that `cayley realize` builds; fixtures and other commands keep the 200000 default."),
 )
 GROUPS = {
     "graph": "Pointed-graph loading and assumption checks.",
@@ -165,7 +178,7 @@ def graph_check(cfg, pg):
     )
 
 
-@_command("cayley realize", GROUP, Option("--radius", int, help="Window radius; omit to realize a finite group fully."))
+@_command("cayley realize", GROUP, Option("--radius", _int_arg, help="Window radius; omit to realize a finite group fully."))
 def cayley_realize(cfg, cg):
     """Realize a group window as a pointed-graph JSON object."""
     if cfg.radius is None:
@@ -175,14 +188,14 @@ def cayley_realize(cfg, cg):
     _emit(cfg, pg)
 
 
-@_command("cayley s3", GROUP, Option("--radius", int, help="Window radius for the translation identity check.", required=True))
+@_command("cayley s3", GROUP, Option("--radius", _int_arg, help="Window radius for the translation identity check.", required=True))
 def cayley_s3(cfg, cg):
     """Check d(v, vw) = |w| against raw window BFS."""
     report = cy.check_S3(cg, cfg.radius)
     _emit(cfg, report, ok=report.passed)
 
 
-@_command("hyper table", TABLE, Option("--bound", int, help="Largest row index; defaults to the full/certifiable range."))
+@_command("hyper table", TABLE, Option("--bound", _int_arg, help="Largest row index; defaults to the full/certifiable range."))
 def hyper_table(cfg, table):
     """The table of products x_i o x_j up to the bound."""
     _emit(cfg, table)
@@ -225,7 +238,7 @@ def product_brute(cfg, cg):
     _emit(cfg, {"pattern": cfg.pattern, "law": law})
 
 
-@_command("product mc", GROUP, PATTERN, Option("--trials", int, 100_000))
+@_command("product mc", GROUP, PATTERN, Option("--trials", _int_arg, 100_000))
 def product_mc(cfg, cg):
     """Monte-Carlo estimate of the conditional law (Cayley graphs)."""
     _emit(cfg, walks.monte_carlo_conditional(cg, cfg.pattern, cfg.trials, seed=cfg.seed))
@@ -235,14 +248,14 @@ def product_mc(cfg, cg):
     "walk joint",
     GROUP,
     Option("--alpha", default="uniform", help="'uniform' or a JSON file of index -> weight."),
-    Option("--depth", int, 2),
+    Option("--depth", _int_arg, 2),
 )
 def walk_joint(cfg, cg):
     """Exact joint law of (Z_1, ..., Z_depth) for a finite Cayley walk."""
     _emit(cfg, walks.joint_distance_law(cg, _alpha_arg(cfg.alpha), cfg.depth, pattern_cap=cfg.cap_pattern))
 
 
-@_command("walk markov", GROUP, Option("--alpha", default="uniform"), Option("--depth", int, 3))
+@_command("walk markov", GROUP, Option("--alpha", default="uniform"), Option("--depth", _int_arg, 3))
 def walk_markov(cfg, cg):
     """Markov / i.i.d. verdicts for the distance process."""
     law = walks.joint_distance_law(cg, _alpha_arg(cfg.alpha), cfg.depth, pattern_cap=cfg.cap_pattern)
@@ -250,7 +263,7 @@ def walk_markov(cfg, cg):
     _emit(cfg, report, ok=report.is_markov)
 
 
-@_command("matrix norms", TABLE, Option("--k", int, required=True), BOUND)
+@_command("matrix norms", TABLE, Option("--k", _int_arg, required=True), BOUND)
 def matrix_norms(cfg, table):
     """Exact c_k, d_k, and Rayleigh lower bounds for ||P_k||."""
     _emit(cfg, matrices.norm_bounds(table, cfg.k))
@@ -290,7 +303,7 @@ def matrix_maincoro(cfg, pg):
     _emit(cfg, report, ok=report.passed)
 
 
-@_command("matrix irreducible", TABLE, Option("--k", int, required=True), BOUND)
+@_command("matrix irreducible", TABLE, Option("--k", _int_arg, required=True), BOUND)
 def matrix_irreducible(cfg, table):
     """Communicating classes of P_k."""
     _emit(cfg, matrices.irreducibility(table, cfg.k))
@@ -298,7 +311,7 @@ def matrix_irreducible(cfg, table):
 
 @_command(
     "search conjecture",
-    Option("--max-vertices", int, 6),
+    Option("--max-vertices", _int_arg, 6),
     Option("--bases", default="all", choices=("all", "canonical")),
 )
 def search_cmd(cfg):
@@ -343,13 +356,15 @@ def _add(parser, option: Option) -> None:
                         choices=option.choices, help=f"{option.help} [{note}]".lstrip())
 
 
-def _parser(prog_name: str) -> _Parser:
+def _parser(prog_name: str, only: str | None = None) -> _Parser:
+    """The command tree, or only the branch of the command path `only`."""
     root = _Parser(prog=prog_name, description=ROOT_HELP)
     for option in ROOT_OPTIONS:
         _add(root, option)
     commands = root.add_subparsers(dest="command", required=True)
     groups = {}
-    for path, (fn, options) in COMMANDS.items():
+    for path in (only,) if only else COMMANDS:
+        fn, options = COMMANDS[path]
         *group, name = path.split()
         if group and group[0] not in groups:
             sub = commands.add_parser(group[0], help=GROUPS[group[0]], description=GROUPS[group[0]])
@@ -364,7 +379,8 @@ def _parser(prog_name: str) -> _Parser:
 # Every option takes a value.  Each is joined to its value as --opt=value
 # before parsing, so that a value starting with "-" (the pattern -5,1)
 # stays a value.
-_VALUED = {o.name for o in ROOT_OPTIONS} | {o.name for _, opts in COMMANDS.values() for o in opts if o.name.startswith("--")}
+_ROOT_NAMES = {o.name for o in ROOT_OPTIONS}
+_VALUED = _ROOT_NAMES | {o.name for _, opts in COMMANDS.values() for o in opts if o.name.startswith("--")}
 
 
 def _joined(args) -> list[str]:
@@ -377,12 +393,24 @@ def _joined(args) -> list[str]:
     return out
 
 
+def _named_path(args) -> str | None:
+    """The command path that the joined args name right after the root
+    options (each one --opt=value token), unless a token could be read as
+    the help flag.  Otherwise None: the whole tree lists every command."""
+    if any(arg.startswith(("-h", "--h")) for arg in args):
+        return None
+    i = next((i for i, arg in enumerate(args) if arg.split("=")[0] not in _ROOT_NAMES), len(args))
+    named = (" ".join(args[i : i + 2]), " ".join(args[i : i + 1]))
+    return next((path for path in named if path in COMMANDS), None)
+
+
 def main(args=None, prog_name: str = "forge") -> None:
     """Run `forge <args>` (default sys.argv[1:]): the report on stdout, exit 1
     when a verified property failed, exit 2 with one `error:` line on stderr
     for bad usage or input."""
     try:
-        cfg = _parser(prog_name).parse_args(_joined(sys.argv[1:] if args is None else args))
+        args = _joined(sys.argv[1:] if args is None else args)
+        cfg = _parser(prog_name, _named_path(args)).parse_args(args)
         for option in ROOT_OPTIONS:
             if option.name.startswith("--cap-") and getattr(cfg, option.dest) < 1:
                 raise BadParameter(f"{option.name} must be positive")

@@ -25,7 +25,6 @@ import json
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import accumulate
 from operator import or_, xor
@@ -65,7 +64,6 @@ class Graph(NamedTuple):
         return str(v)
 
 
-@dataclass(eq=False)
 class PointedGraph:
     """A graph with a base vertex, its BFS layers, and an exactness scope.
 
@@ -73,23 +71,20 @@ class PointedGraph:
     vertices at distance n from the base.  For truncated windows,
     exact_radius bounds the region where sphere queries are honest;
     finite complete graphs use exact_radius = INFINITE, and a graph is
-    truncated exactly when its exact_radius is finite.
+    truncated exactly when its exact_radius is finite.  Two pointed
+    graphs are equal only when they are the same object.
     """
 
-    graph: Graph
-    base: int
-    dist: tuple[int, ...]
-    spheres: dict[int, tuple[int, ...]]
-    exact_radius: float = INFINITE
-    name: str = "graph"
-    # On Cayley graphs, pg.cayley.sphere_oracle, which perfbench's tracer
-    # wraps here; no sphere query reads it.
-    _sphere_oracle: object = field(default=None, repr=False)
-    _count_cache: dict = field(default_factory=dict, repr=False)
-    # sphere_bitsets' levels and outermost balls; no balls once all are whole.
-    _shells: list = field(default_factory=list, repr=False)
-    _balls: list | None = field(default=None, repr=False)
-    cayley: object = field(default=None, repr=False)
+    def __init__(self, graph: Graph, base: int, dist: tuple[int, ...], spheres: dict[int, tuple[int, ...]],
+                 exact_radius: float = INFINITE, name: str = "graph", cayley=None):
+        self.graph, self.base, self.dist, self.spheres = graph, base, dist, spheres
+        self.exact_radius, self.name, self.cayley = exact_radius, name, cayley
+        # On Cayley graphs, pg.cayley.sphere_oracle, which perfbench's tracer
+        # wraps here; no sphere query reads it.
+        self._sphere_oracle = None
+        self._count_cache = {}
+        # sphere_bitsets' levels and outermost balls; no balls once all are whole.
+        self._shells, self._balls = [], None
 
     @property
     def vertex_count(self) -> int:

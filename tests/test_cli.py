@@ -4,8 +4,10 @@ Exit code 0 means a result was produced, 1 means a verified property
 failed, 2 means the request itself was unusable.
 """
 
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import os
 import re
@@ -16,7 +18,7 @@ import pytest
 from conftest import run_forge
 
 from forge import cayley as cy
-from forge import cli, fixtures, hypergroup
+from forge import cli, fixtures, hypergroup, search
 from forge.cli import COMMANDS, ROOT_OPTIONS
 from forge.errors import BadParameter, WindowOverflow
 
@@ -541,12 +543,14 @@ def test_numpy_is_imported_only_when_needed():
     assert done.stdout.split() == ["False", "False"]
 
 
-def _loaded_at_exit(args, module="numpy"):
-    """(exit code, whether module was imported) for `forge args` run as its
-    own process, read by an exit hook after the CLI has exited."""
+def _loaded_at_exit(args, *modules):
+    """(exit code, whether any of modules, by default numpy, was imported)
+    for `forge args` run as its own process, read by an exit hook after the
+    CLI has exited."""
+    modules = modules or ("numpy",)
     script = (
         "import atexit, sys\n"
-        f"atexit.register(lambda: print({module!r} in sys.modules, file=sys.stderr))\n"
+        f"atexit.register(lambda: print(any(m in sys.modules for m in {modules!r}), file=sys.stderr))\n"
         "from forge.cli import main\n"
         "main(sys.argv[1:], prog_name='forge')\n"
     )
@@ -586,6 +590,24 @@ def test_finite_graph_runs_do_not_import_numpy(tmp_path):
 def test_no_command_imports_click(args, code):
     # The CLI parses with the standard library's argparse.
     assert _loaded_at_exit(args, "click") == (code, "False")
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["hyper", "conditions", "odd:3"], 0),
+        (["search", "conjecture", "--max-vertices", "4"], 0),
+        (["paper-regression"], 1),
+        (["cayley", "realize", "free:2", "--radius", "2"], 0),
+        (["--help"], 0),
+        (["product", "j", "prism:3", "--pattern", "1,x"], 2),
+    ],
+    ids=["hyper", "search", "paper-regression", "cayley", "help", "usage-error"],
+)
+def test_no_command_imports_dataclasses_or_inspect(args, code):
+    # No forge class is a dataclass, so no job pays for importing
+    # dataclasses and, through it, inspect, ast, dis and tokenize.
+    assert _loaded_at_exit(args, "dataclasses", "inspect") == (code, "False")
 
 
 @pytest.mark.parametrize("path", ["", *sorted(COMMANDS)])
@@ -643,6 +665,114 @@ def test_an_option_value_may_start_with_a_dash(runner, tmp_path):
         run(runner, ["--out", str(tmp_path), "graph", "check", "cycle:4"]),
         f"BadParameter: --out {str(tmp_path)!r} is a directory",
     )
+
+
+def _valid_args(path, options):
+    """The command with every option given: "prism:5" as its SPEC, a
+    choice's last value, "1" for any other option."""
+    args = ["--format", "tsv", "--seed", "3", *path.split()]
+    for option in options:
+        if option.reads:
+            args.append("prism:5")
+        else:
+            args += [option.name, option.choices[-1] if option.choices else "1"]
+    return cli._joined(args)
+
+
+def _parsed(args, only=None):
+    """What the parser (the whole tree, or the branch of `only`) makes of
+    args: the Namespace, the --help text, or the usage error."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return vars(cli._parser("forge", only).parse_args(args))
+    except SystemExit:
+        return out.getvalue()
+    except BadParameter as exc:
+        return f"error: {exc}"
+
+
+@pytest.mark.parametrize("path", sorted(COMMANDS))
+def test_one_branch_parses_like_the_whole_tree(monkeypatch, path):
+    monkeypatch.setenv("COLUMNS", "80")
+    options = COMMANDS[path][1]
+    valid = _valid_args(path, options)
+    assert cli._named_path(valid) == path
+    runs = [valid, [*path.split(), "--help"], [*valid, "--nosuch=1"], ["--format=xml", *valid[2:]]]
+    if any(option.reads for option in options):
+        runs.append([arg for arg in valid if arg != "prism:5"])  # no SPEC
+    runs += [[*valid, f"{option.name}=x"] for option in options if option.choices]
+    for args in runs:
+        assert _parsed(args, path) == _parsed(args), args
+    assert isinstance(_parsed(valid, path), dict)
+
+
+@pytest.mark.parametrize(
+    "args, path",
+    [
+        (["--format", "tsv", "--out", "r.json", "hyper", "table", "cycle:4"], "hyper table"),
+        (["paper-regression", "extra"], "paper-regression"),
+        (["hyper", "table", "table"], "hyper table"),
+        (["--help", "hyper", "conditions", "odd:3"], None),
+        (["hyper", "classify", "cycle:4", "--help"], None),
+        (["hyper", "classify", "cycle:4", "-h"], None),
+        (["hyper", "--bound=3", "classify", "cycle:4"], None),
+        (["hyper", "nosuch", "cycle:4"], None),
+        (["nosuch"], None),
+        (["--bound=3", "hyper", "table", "cycle:4"], None),
+        ([], None),
+    ],
+)
+def test_main_builds_one_branch_only_for_a_named_command_without_help(runner, monkeypatch, args, path):
+    built = []
+    monkeypatch.setattr(cli, "_parser", lambda prog, only=None, parser=cli._parser: built.append(only) or parser(prog, only))
+    monkeypatch.setattr(fixtures, "resolve_spec", lambda spec: sys.exit(0))  # stop after parsing
+    run(runner, args)
+    assert built == [path]
+
+
+def test_root_help_lists_every_command_wherever_help_is_asked():
+    assert run_forge(["--help", "hyper", "conditions", "odd:3"]) == run_forge(["--help"])
+
+
+@pytest.mark.parametrize("value", [" 1", "+1", "1_0", "\u0663", "1 ", "", "-", "--1"])
+def test_integer_options_read_ascii_digits_only(runner, value):
+    result = run(runner, ["hyper", "classify", "cycle:4", "--bound", value])
+    assert_one_error_line(result, f"BadParameter: argument --bound: invalid int value: {value!r}")
+
+
+def test_integer_options_keep_a_leading_minus(runner):
+    assert_one_error_line(run(runner, ["hyper", "classify", "cycle:4", "--bound", "-1"]), "BadParameter: bound must be >= 0")
+    assert run(runner, ["hyper", "classify", "cycle:4", "--bound", "01"]) == run(runner, ["hyper", "classify", "cycle:4", "--bound", "1"])
+
+
+@pytest.mark.parametrize("pattern", ["+1", "1,1_0", "1, 2", "\u0663"])
+def test_pattern_entries_read_ascii_digits_only(runner, pattern):
+    result = run(runner, ["product", "j", "prism:3", "--pattern", pattern])
+    assert_one_error_line(result, f"BadParameter: --pattern must be comma-separated integers: {pattern!r}")
+
+
+@pytest.mark.parametrize("key", ["+1", " 1", "1_0", "\u0661"])
+def test_alpha_keys_read_ascii_digits_only(runner, tmp_path, key):
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps({key: "1"}))
+    result = run(runner, ["walk", "joint", "zmod:4", "--alpha", str(path)])
+    assert_one_error_line(result, f"BadParameter: alpha file key {key!r} is not an integer index")
+
+
+def test_out_into_a_missing_directory_is_refused_before_the_search(runner, tmp_path, monkeypatch):
+    def search_conjecture(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(search, "search_conjecture", search_conjecture)
+    out = tmp_path / "missing" / "r.json"
+    result = run(runner, ["--out", str(out), "search", "conjecture", "--max-vertices", "8"])
+    assert_one_error_line(result, f"BadParameter: cannot write --out {str(out)!r}: No such file or directory")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker / "r.json", blocker / "sub" / "r.json"):
+        result = run(runner, ["--out", str(out), "search", "conjecture", "--max-vertices", "8"])
+        assert_one_error_line(result, f"BadParameter: cannot write --out {str(out)!r}: Not a directory")
 
 
 LAYERS = ("serialize", "fixtures", "graphs", "cayley", "hypergroup", "matrices", "walks", "search", "regression")

@@ -1,10 +1,11 @@
 """The contract of forge's result records.
 
 Immutable results are NamedTuples, ProbabilityVector (an integer row)
-among them; only three classes stay dataclasses: the mutable
-PointedGraph, CayleyGraph and WindowData.  A dataclass definition costs
-about a millisecond of every process's start-up, so the last test fails
-when a new one appears.
+among them; the mutable PointedGraph, CayleyGraph and WindowData are
+plain classes.  No class is a dataclass: importing `dataclasses` loads
+`inspect` and its dependencies, about 6 ms of every process's start-up,
+and a definition adds about a millisecond more, so the last test fails
+when one appears.
 
 Every record serializes as its fields in declaration order, then the
 properties its own class defines; the key lists below are the report
@@ -70,7 +71,7 @@ MODULES = (
     "regression",
     "errors",
 )
-DATACLASSES = {"PointedGraph", "CayleyGraph", "WindowData"}
+DATACLASSES = set()
 
 # Top-level keys of jsonable(record), in order, for every record class.
 KEYS = {
