@@ -35,7 +35,7 @@ from .errors import (
     NotSymmetric,
     WindowOverflow,
 )
-from .graphs import INFINITE, Graph, PointedGraph, _expect, _int_param, _split_params, bfs_ball, bfs_from, point_graph
+from .graphs import INFINITE, Graph, PointedGraph, _expect, _int_param, _int_token, _split_params, bfs_ball, bfs_from, point_graph
 
 
 class GroupKind(NamedTuple):
@@ -198,7 +198,7 @@ def _zmod(spec, positional, keyed):
     (mods,) = _expect(spec, positional, 1, "zmod:<m1>[,<m2>...][:r=<R>]")
     radius = _radius(spec, keyed)
     try:
-        moduli = tuple(int(m) for m in mods.split(","))
+        moduli = tuple(_int_token(m) for m in mods.split(","))
     except ValueError as exc:
         raise BadParameter(f"bad zmod spec {spec!r}") from exc
     if min(moduli) < 2:
@@ -292,10 +292,10 @@ def parse_perm_file(path: str) -> tuple[list[tuple[int, ...]], int]:
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
-        if not re.fullmatch(r"(\(\s*\d+(\s+\d+)*\s*\))+", text):
+        if not re.fullmatch(r"(\(\s*\d+(\s+\d+)*\s*\))+", text, re.ASCII):
             raise BadParameter(f"{path}:{ln}: not cycle notation: {text!r}")
         cycles = [
-            [int(tok) for tok in body.split()]
+            [_int_token(tok) for tok in body.split()]
             for body in re.findall(r"\(([^()]*)\)", text)
         ]
         for cyc in cycles:

@@ -7,6 +7,7 @@ Exit codes: 0 = result produced, 1 = a verified property failed,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -53,10 +54,11 @@ def _emit(cfg, payload, ok: bool = True) -> None:
 
 
 def _int_arg(text: str) -> int:
-    """An integer as the CLI reads it: ASCII digits after an optional '-'."""
-    if not (text.isascii() and text.removeprefix("-").isdecimal()):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    """An integer as every input is read (graphs._int_token)."""
+    try:
+        return graphs._int_token(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _pattern_arg(text: str) -> tuple[int, ...]:
@@ -67,12 +69,14 @@ def _pattern_arg(text: str) -> tuple[int, ...]:
 
 
 def _out_arg(path: str) -> str:
-    """Refuse, before anything is computed, a path that is a directory or
-    whose parent is not one."""
+    """Refuse, before anything is computed, a path that is a directory,
+    names one by its trailing "/", or whose parent is not one."""
     if os.path.isdir(path):
         raise BadParameter(f"--out {path!r} is a directory")
     try:  # "<parent>/." exists only when the parent is a directory
         os.stat(os.path.join(os.path.dirname(path.rstrip("/")), "."))
+        if path.endswith("/"):  # open() would refuse it only after the run
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
     except OSError as exc:
         raise BadParameter(f"cannot write --out {path!r}: {exc.strerror}") from None
     return path
@@ -166,26 +170,18 @@ def graph_check(cfg, pg):
     """Verify simplicity, connectivity, local finiteness, and condition (iii)."""
     report = graphs.check_assumptions(pg)
     indices, top = graphs.index_set(pg)
-    _emit(
-        cfg,
-        {
-            "graph": pg.name,
-            "vertices": pg.vertex_count,
-            "index_set": {"indices": indices, "top": top},
-            "assumptions": report,
-        },
-        ok=report.passed,
-    )
+    index_set = {"indices": indices, "top": top}
+    payload = {"graph": pg.name, "vertices": pg.vertex_count, "index_set": index_set, "assumptions": report}
+    _emit(cfg, payload, ok=report.passed)
 
 
 @_command("cayley realize", GROUP, Option("--radius", _int_arg, help="Window radius; omit to realize a finite group fully."))
 def cayley_realize(cfg, cg):
     """Realize a group window as a pointed-graph JSON object."""
     if cfg.radius is None:
-        pg = cy.realize_full(cg, cap=cfg.cap_window)
+        _emit(cfg, cy.realize_full(cg, cap=cfg.cap_window))
     else:
-        pg = cy.realize_window(cg, cfg.radius, cap=cfg.cap_window)
-    _emit(cfg, pg)
+        _emit(cfg, cy.realize_window(cg, cfg.radius, cap=cfg.cap_window))
 
 
 @_command("cayley s3", GROUP, Option("--radius", _int_arg, help="Window radius for the translation identity check.", required=True))
@@ -319,11 +315,7 @@ def search_cmd(cfg):
     if cfg.max_vertices > 10:
         raise BadParameter("--max-vertices capped at 10")
     report = search.search_conjecture(cfg.max_vertices, base_policy=cfg.bases, cap=cfg.cap_graphs)
-    replay_ok = True
-    for entry in report.counterexamples:
-        replayed = search.replay_counterexample(entry)[3]
-        if replayed.verdict != entry.verdict:
-            replay_ok = False
+    replay_ok = all([search.replay_counterexample(e)[3].verdict == e.verdict for e in report.counterexamples])
     payload = serialize.jsonable(report)
     payload["replay_verified"] = replay_ok
     _emit(cfg, payload, ok=replay_ok)

@@ -31,14 +31,13 @@ from math import comb
 
 from . import cayley as cy
 from .errors import BadParameter, UnknownFixture, WindowOverflow
-from .graphs import Graph, PointedGraph, _expect, _int_param, _split_params, build_graph, load_graph_file
-from .graphs import parse_graph_json, point_graph
+from .graphs import Graph, PointedGraph, _expect, _int_param, _int_token, _split_params, build_graph
+from .graphs import load_graph_file, parse_graph_json, point_graph
 
 TREE_CAP = 2_000_000
 
 
-def _build_bipartite(spec, params):
-    positional, keyed = _split_params(params)
+def _build_bipartite(spec, positional, keyed):
     (arg,) = _expect(spec, positional, 1, "parameters bipartite:<n>,<m>")
     _expect(spec, list(keyed), 0, "no keyword parameters")
     pieces = arg.split(",")
@@ -50,8 +49,7 @@ def _build_bipartite(spec, params):
     return build_graph(edges, base=0, vertex_count=n + m, name=spec)
 
 
-def _build_odd(spec, params):
-    positional, keyed = _split_params(params)
+def _build_odd(spec, positional, keyed):
     (n,) = _expect(spec, positional, 1, "one parameter: odd:<n>")
     n = _int_param(spec, n, 2, "n")
     _expect(spec, list(keyed), 0, "no keyword parameters")
@@ -71,8 +69,7 @@ def _build_odd(spec, params):
     return point_graph(Graph(count, tuple(adjacency), labels), 0, name=spec)
 
 
-def _build_tree(spec, params):
-    positional, keyed = _split_params(params)
+def _build_tree(spec, positional, keyed):
     shape_depth = _expect(spec, positional, 2, "tree:binary:<depth>")
     if shape_depth[0] != "binary":
         raise UnknownFixture(f"{spec!r}: only tree:binary is available")
@@ -99,8 +96,7 @@ def _figure_data(number: int) -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-def _build_figure(spec, params):
-    positional, keyed = _split_params(params)
+def _build_figure(spec, positional, keyed):
     (num,) = _expect(spec, positional, 1, "figure:<n>[:base=<b>]")
     number = _int_param(spec, num, 0, "figure number")
     data = _figure_data(number)
@@ -117,18 +113,17 @@ def _build_figure(spec, params):
 def _resolve_base(data, base_arg, spec):
     named = data.get("bases", {})
     if base_arg in named:
-        return int(named[base_arg])
-    labels = data.get("labels", {})
-    for vid, text in labels.items():
+        return named[base_arg]
+    for vid, text in data.get("labels", {}).items():
         if text == base_arg:
-            return int(vid)
+            return vid
     try:
-        vid = int(base_arg)
+        vid = _int_token(base_arg)
     except ValueError:
         raise BadParameter(
             f"{spec!r}: base {base_arg!r} is neither a named base, a label, nor a vertex id"
         ) from None
-    if not 0 <= vid < int(data["vertices"]):
+    if not 0 <= vid < data["vertices"]:
         raise BadParameter(f"{spec!r}: base vertex {vid} out of range")
     return vid
 
@@ -150,7 +145,7 @@ def resolve_spec(spec: str) -> PointedGraph:
     head, *params = name.split(":")
     builder = _BUILDERS.get(head)
     if builder is not None:
-        return builder(name, params)
+        return builder(name, *_split_params(params))
     # A head holding "/" or "." names no group family, so a graph file is
     # resolved without loading the cayley layer.
     if "/" not in head and "." not in head and head in cy.GROUP_FAMILIES:

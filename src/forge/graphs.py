@@ -407,9 +407,11 @@ def check_assumptions(pg: PointedGraph) -> AssumptionReport:
 
 
 def _int_field(value, what: str) -> int:
-    """An integer field of a graph JSON: a whole number or a string of one,
-    never a boolean, which int() would also accept."""
+    """An integer field of a graph JSON: a whole number or a string that
+    _int_token reads, never a boolean, which int() would also accept."""
     try:
+        if isinstance(value, str):
+            return _int_token(value)
         if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
             raise ValueError(value)
         return int(value)
@@ -494,10 +496,19 @@ def _split_params(params):
     return positional, keyed
 
 
+def _int_token(text: str) -> int:
+    """The one reader of an integer in a spec, an option or a file: ASCII
+    digits after an optional "-", else ValueError.  int() would also take
+    "+", "_", blanks and any Unicode digit: many spellings of one graph."""
+    if not (text.isascii() and text.removeprefix("-").isdecimal()):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _int_param(spec, value, minimum, what):
     try:
-        n = int(value)
-    except (TypeError, ValueError) as exc:
+        n = _int_token(value)
+    except ValueError as exc:
         raise BadParameter(f"{spec!r}: {what} must be an integer") from exc
     if n < minimum:
         raise BadParameter(f"{spec!r}: {what} must be >= {minimum}")

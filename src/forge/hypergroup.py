@@ -104,10 +104,15 @@ def sphere_sizes(pg: PointedGraph) -> tuple[int, ...]:
     return tuple(len(pg.spheres[n]) for n in sorted(pg.spheres))
 
 
-def _validate_index(pg: PointedGraph, n: int, what: str) -> int:
+def _require_int(n, what: str) -> int:
+    """n when it is an int other than a bool; anything else is refused, not converted."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise BadParameter(f"{what} must be an integer, got {n!r}")
-    if n < 0:
+    return n
+
+
+def _validate_index(pg: PointedGraph, n: int, what: str) -> int:
+    if _require_int(n, what) < 0:
         raise BadParameter(f"{what} must be >= 0, got {n}")
     if not pg.truncated and n not in pg.spheres:
         top = max(pg.spheres)

@@ -376,7 +376,7 @@ class MaincoroReport(NamedTuple):
 def verify_maincoro(pg: PointedGraph, pattern, bound: int | None = None) -> MaincoroReport:
     """Check the product of transition matrices against the jump law on pg's table."""
     table = build_table(pg, bound)
-    pat = tuple(int(i) for i in pattern)
+    pat = tuple(pattern)  # jump_distribution checks each entry before pat is read
     hypothesis = (
         check_S1(pg).passed and check_S2(pg).passed and classify(table).verdict == "Hypergroup"
     )

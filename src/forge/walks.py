@@ -37,6 +37,7 @@ from .hypergroup import (
     ProbabilityVector,
     StructureTable,
     _first_difference,
+    _require_int,
     build_table,
     check_S2,
     convex_combination,
@@ -50,7 +51,7 @@ Z99 = 2.5758293035489004
 
 def validate_pattern(pattern, top_index: float) -> tuple[int, ...]:
     """Normalize a jump pattern and bound-check each index."""
-    pat = tuple(int(i) for i in pattern)
+    pat = tuple(_require_int(i, "pattern index") for i in pattern)
     if not pat:
         raise BadParameter("pattern must have at least one index")
     if len(pat) > PATTERN_LENGTH_CAP:
@@ -283,7 +284,7 @@ def validate_alpha(pg: PointedGraph, alpha) -> dict[int, Fraction]:
     sum_i alpha_i |S_i| = 1 exactly."""
     cleaned = {}
     for i, w in dict(alpha).items():
-        i = int(i)
+        i = _require_int(i, "alpha index")
         if i not in pg.spheres:
             raise IndexOutOfRange(f"alpha index {i} outside the index set")
         w = Fraction(w)

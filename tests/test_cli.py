@@ -775,6 +775,17 @@ def test_out_into_a_missing_directory_is_refused_before_the_search(runner, tmp_p
         assert_one_error_line(result, f"BadParameter: cannot write --out {str(out)!r}: Not a directory")
 
 
+def test_out_naming_a_new_directory_is_refused_before_the_search(runner, tmp_path, monkeypatch):
+    def search_conjecture(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(search, "search_conjecture", search_conjecture)
+    out = f"{tmp_path / 'newdir'}/"
+    result = run(runner, ["--out", out, "search", "conjecture", "--max-vertices", "8"])
+    assert_one_error_line(result, f"BadParameter: cannot write --out {out!r}: Is a directory")
+    assert not os.path.exists(out)
+
+
 LAYERS = ("serialize", "fixtures", "graphs", "cayley", "hypergroup", "matrices", "walks", "search", "regression")
 
 

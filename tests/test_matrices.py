@@ -35,6 +35,7 @@ import forge
 from forge import errors, matrices
 from forge.cayley import parse_group_spec, realize_full
 from forge.errors import (
+    BadParameter,
     EmptySphere,
     IndexOutOfRange,
     InternalError,
@@ -234,6 +235,11 @@ def test_maincoro_window_scope():
     assert verify_maincoro(line, (1, 2, 3), 6).passed
     with pytest.raises(RadiusExceeded):
         verify_maincoro(line, (3, 3, 1), 6)
+
+
+def test_maincoro_refuses_a_pattern_entry_that_is_not_an_int():
+    with pytest.raises(BadParameter, match="pattern index must be an integer, got '1'"):
+        verify_maincoro(resolve_spec("cycle:6"), ["1", 2.2])
 
 
 def test_broken_invariants_raise_internal_error(monkeypatch):

@@ -54,6 +54,25 @@ def test_validate_pattern():
         validate_pattern((4,), 3)
 
 
+# A pattern entry or an alpha index is an int: a float or a bool is
+# refused, not truncated to one.
+def test_jump_distribution_refuses_a_pattern_entry_that_is_not_an_int():
+    with pytest.raises(BadParameter, match="pattern index must be an integer, got 1.9"):
+        jump_distribution(resolve_spec("cycle:6"), [1.9, True])
+    with pytest.raises(BadParameter, match="got True"):
+        jump_distribution(resolve_spec("cycle:6"), [1, True])
+
+
+def test_left_nested_product_refuses_a_pattern_entry_that_is_not_an_int():
+    with pytest.raises(BadParameter, match="pattern index must be an integer, got 2.5"):
+        left_nested_product(build_table(resolve_spec("cycle:6")), [2.5])
+
+
+def test_validate_alpha_refuses_an_index_that_is_not_an_int():
+    with pytest.raises(BadParameter, match="alpha index must be an integer, got 1.7"):
+        validate_alpha(resolve_spec("cycle:6"), {0: 0, 1.7: "1/2"})
+
+
 def test_prism_pl_differs_from_jump_law():
     prism = resolve_spec("prism:3")
     table = build_table(prism)
