@@ -103,15 +103,15 @@ def _alpha_arg(text: str):
             raise BadParameter(f"alpha file key {key!r} is not an integer index")
         if idx in alpha:
             raise BadParameter(f"alpha file names index {idx} twice")
-        if isinstance(value, str):
-            alpha[idx] = serialize.parse_frac(value)
-        elif isinstance(value, int) and not isinstance(value, bool):
-            alpha[idx] = Fraction(value)
-        else:
-            try:
+        try:
+            if isinstance(value, str):
+                alpha[idx] = serialize.parse_frac(value)
+            elif isinstance(value, int) and not isinstance(value, bool):
+                alpha[idx] = Fraction(value)
+            else:
                 alpha[idx] = Fraction(str(value))
-            except ValueError:
-                raise BadParameter(f"alpha weight {value!r} of index {idx} is not a rational")
+        except (BadParameter, ValueError):
+            raise BadParameter(f"alpha weight {value!r} of index {idx} is not a rational") from None
     return alpha
 
 

@@ -66,13 +66,14 @@ class KindMismatch(ForgeError):
 
 
 WINDOW_CAP = 200_000  # vertices of one Cayley window
+FINITE_CAP = 2_000_000  # vertices, or bipartite edges, of one finite graph built here
 ENUMERATION_CAP = 10**8  # step tuples of one brute-force product
 PATTERN_CAP = 10**6  # distance patterns of one joint law
 DEFAULT_GRAPH_CAP = 100_000  # graphs of one conjecture search
 
 
 class WindowOverflow(ForgeError):
-    """Window realization would exceed the vertex cap."""
+    """A window or a finite graph would exceed its size cap."""
 
 
 class CapExceeded(ForgeError):

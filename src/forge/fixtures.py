@@ -30,11 +30,9 @@ from itertools import combinations
 from math import comb
 
 from . import cayley as cy
-from .errors import BadParameter, UnknownFixture, WindowOverflow
+from .errors import FINITE_CAP, BadParameter, UnknownFixture, WindowOverflow
 from .graphs import Graph, PointedGraph, _expect, _int_param, _int_token, _split_params, build_graph
 from .graphs import load_graph_file, parse_graph_json, point_graph
-
-TREE_CAP = 2_000_000
 
 
 def _build_bipartite(spec, positional, keyed):
@@ -45,6 +43,8 @@ def _build_bipartite(spec, positional, keyed):
         raise BadParameter(f"{spec!r}: expected two part sizes n,m")
     n = _int_param(spec, pieces[0], 1, "n")
     m = _int_param(spec, pieces[1], 1, "m")
+    if n * m > FINITE_CAP:
+        raise WindowOverflow(f"{spec!r}: {n * m} edges exceeds the cap")
     edges = [(a, n + b) for a in range(n) for b in range(m)]
     return build_graph(edges, base=0, vertex_count=n + m, name=spec)
 
@@ -54,7 +54,7 @@ def _build_odd(spec, positional, keyed):
     n = _int_param(spec, n, 2, "n")
     _expect(spec, list(keyed), 0, "no keyword parameters")
     count = comb(2 * n - 1, n - 1)
-    if count > TREE_CAP:
+    if count > FINITE_CAP:
         raise WindowOverflow(f"{spec!r}: {count} vertices exceeds the cap")
     ground = range(2 * n - 1)
     subsets = list(combinations(ground, n - 1))
@@ -76,7 +76,7 @@ def _build_tree(spec, positional, keyed):
     depth = _int_param(spec, shape_depth[1], 1, "depth")
     _expect(spec, list(keyed), 0, "no keyword parameters")
     count = 2 ** (depth + 1) - 1
-    if count > TREE_CAP:
+    if count > FINITE_CAP:
         raise WindowOverflow(f"{spec!r}: {count} vertices exceeds the cap")
     # Vertex v has parent (v - 1) // 2 and children 2v + 1 and 2v + 2, so
     # its path from the root is the binary digits of v + 1 after the first.

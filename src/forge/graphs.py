@@ -31,11 +31,13 @@ from operator import or_, xor
 from typing import NamedTuple
 
 from .errors import (
+    FINITE_CAP,
     BadParameter,
     DisconnectedGraph,
     DuplicateEdge,
     RadiusExceeded,
     SelfLoop,
+    WindowOverflow,
 )
 
 INFINITE = math.inf
@@ -428,6 +430,8 @@ def parse_graph_json(data: dict, name: str = "file") -> PointedGraph:
         if key not in data:
             raise BadParameter(f"graph JSON missing {key!r}")
     vertex_count = _int_field(data["vertices"], "vertices")
+    if vertex_count > FINITE_CAP:
+        raise WindowOverflow(f"graph JSON: {vertex_count} vertices exceeds the cap {FINITE_CAP}")
     labels = None
     if "labels" in data and data["labels"] is not None:
         raw = data["labels"]

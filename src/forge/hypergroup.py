@@ -16,12 +16,15 @@ regularity.  The products, (S1) and (S2) reduce over the integer counts
 |S_n(v) ∩ S_k| that graphs.sphere_counts returns, read once per vertex.
 
 A structure table is its rows plus a row source for rows past its
-bound; only build_table reads a graph to fill one.
+bound; only build_table reads a graph to fill one.  It multiplies laws
+by the basis: left(h, law) is x_h o law and right(law, j) is law o x_j.
+Both sides of associativity, the left-nested product PL, the matrix
+identities and the step identity are these products.
 
 A probability vector is its integer row in lowest terms, and one
 kernel, convex_combination, sums every exact law on those rows: the
-product rows (mixtures of the rows of the v in S_i), both sides of
-associativity, the left-nested product PL and the jump law J in walks.
+product rows (mixtures of the rows of the v in S_i), the two table
+products, and the jump law J and the enumeration in walks.
 """
 
 from __future__ import annotations
@@ -185,6 +188,18 @@ class StructureTable:
             self.rows[i, j] = self.extend(i, j)
         return self.rows[i, j]
 
+    def left(self, h: int, law) -> ProbabilityVector:
+        """x_h o law for an integer row law: the rows (h, l) mixed by its
+        weights, read in the order of its support."""
+        den, weights = law
+        return convex_combination(den, [(a, self.row_extended(h, l)) for l, a in weights])
+
+    def right(self, law, j: int) -> ProbabilityVector:
+        """law o x_j for an integer row law: the rows (l, j) mixed by its
+        weights, read in the order of its support."""
+        den, weights = law
+        return convex_combination(den, [(a, self.row_extended(l, j)) for l, a in weights])
+
     @property
     def indices(self) -> range:
         return range(self.bound + 1)
@@ -265,26 +280,13 @@ def _first_difference(left, right):
     return None
 
 
-def _associativity_sides(table: StructureTable, h: int, i: int, j: int):
-    """Both sides of (x_h o x_i) o x_j = x_h o (x_i o x_j).
-
-    The left side is formed first, and each side reads its rows in the
-    order of its outer row's support, so a side past a window's exact
-    radius raises RadiusExceeded after the same rows were computed.
-    """
-    row = table.row_extended
-    den, weights = row(h, i)
-    left = convex_combination(den, [(a, row(l, j)) for l, a in weights])
-    den, weights = row(i, j)
-    right = convex_combination(den, [(a, row(h, l)) for l, a in weights])
-    return left, right
-
-
 def associativity_defect(table: StructureTable, h: int, i: int, j: int):
-    """Both sides of (x_h o x_i) o x_j = x_h o (x_i o x_j)."""
-    table.row(h, i)  # both outer rows lie inside the bound
-    table.row(i, j)
-    return _associativity_sides(table, h, i, j)
+    """Both sides of (x_h o x_i) o x_j = x_h o (x_i o x_j), once both outer
+    rows are found inside the bound.  The left side is formed first, so a
+    side past a window's exact radius raises RadiusExceeded after the same
+    rows were computed."""
+    hi, ij = table.row(h, i), table.row(i, j)
+    return table.right(hi, j), table.left(h, ij)
 
 
 def classify(table: StructureTable) -> ClassificationReport:
@@ -316,7 +318,7 @@ def classify(table: StructureTable) -> ClassificationReport:
         for i in table.indices:
             for j in table.indices:
                 try:
-                    left, right = _associativity_sides(table, h, i, j)
+                    left, right = associativity_defect(table, h, i, j)
                 except RadiusExceeded:
                     skipped += 1
                     continue

@@ -2,13 +2,14 @@
 
 Row-vector convention: (xi P)_j = sum_i xi_i P[i][j], so P_k realizes
 left multiplication by x_k on coefficient rows, and row i of P_k is the
-table row x_k o x_i.  P_k is those rows; no dense matrix is built.  Row
-a of P_i P_j mixes the table rows (j, c) by row (i, a), so the four
-verdicts read integer rows through convex_combination: a product row is
+table row x_k o x_i.  P_k is those rows; no dense matrix is built.  The
+four verdicts act on integer rows through the table's two products: xi
+P_k is table.left(k, xi), so row a of P_i P_j is x_j o (x_i o x_a), and
+row a of sum_k L_k P_k is table.right(L, a) = L o x_a.  A product row is
 exact iff each intermediate row stays inside the bound, and only exact
 rows, cut to the bound, are compared.  The norm bounds read the rows'
-entries and supports and form xi P_k through _image, and
-irreducibility reads their supports.
+entries and supports and form xi P_k for Fraction vectors through
+_image, and irreducibility reads their supports.
 """
 
 from __future__ import annotations
@@ -88,22 +89,15 @@ class RegRepReport(NamedTuple):
 
 
 def _product_row(table: StructureTable, pattern, a: int):
-    """Row a of P_{i_1} ... P_{i_m} as an integer row: each factor mixes
-    the rows (i_t, c) by the row so far.  None (not exact) when a row
-    before the last factor leaves the bound, as unseen columns feed it."""
+    """Row a of P_{i_1} ... P_{i_m} as an integer row: each factor maps the
+    row so far to x_{i_t} o row.  None (not exact) when a row before the
+    last factor leaves the bound, as unseen columns feed it."""
     row = table.row(pattern[0], a)
     for i_t in pattern[1:]:
-        den, weights = row
-        if weights[-1][0] > table.bound:
+        if row.entries[-1][0] > table.bound:
             return None
-        row = convex_combination(den, [(w, table.row(i_t, c)) for c, w in weights])
+        row = table.left(i_t, row)
     return row
-
-
-def _combination_row(table: StructureTable, law, a: int):
-    """Row a of sum_k (n_k / d) P_k for an integer law (d, ((k, n_k), ...))."""
-    den, weights = law
-    return convex_combination(den, [(w, table.row(k, a)) for k, w in weights])
 
 
 def _compare_rows(table: StructureTable, sides):
@@ -131,7 +125,7 @@ def verify_regular_representation(table: StructureTable) -> RegRepReport:
     rows, witness = _compare_rows(
         table,
         (
-            ((*ij, a), _product_row(table, ij, a), _combination_row(table, law, a))
+            ((*ij, a), _product_row(table, ij, a), table.right(law, a))
             for ij, law in inside
             for a in table.indices
         ),
@@ -312,12 +306,7 @@ def stationary_check(cg) -> StationaryReport:
     # and pi times it are one mixture: the rows pi weighted by pi.
     idempotent = pi_fixed = convex_combination(order, [(n, pi_row) for n in sizes]) == pi_row
     table = build_table(pg)
-    witness = None
-    for k in table.indices:
-        terms = [(n, table.row(k, i)) for i, n in enumerate(sizes)]
-        if convex_combination(order, terms) != pi_row:
-            witness = k
-            break
+    witness = next((k for k in table.indices if table.left(k, pi_row) != pi_row), None)
     return StationaryReport(pi, idempotent, pi_fixed, witness is None, witness)
 
 
@@ -390,7 +379,7 @@ def verify_maincoro(pg: PointedGraph, pattern, bound: int | None = None) -> Main
     rows, witness = _compare_rows(
         table,
         (
-            ((a,), _product_row(table, pat, a), _combination_row(table, tilde, a))
+            ((a,), _product_row(table, pat, a), table.right(tilde, a))
             for a in table.indices
         ),
     )

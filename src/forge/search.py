@@ -378,12 +378,12 @@ def search_conjecture(
     hypergroup.  base_policy "all" examines every vertex as base;
     "canonical" only the first vertex of the canonical ordering.
 
-    The enumerated graphs are simple and connected.  On one whose degrees
-    differ, (iii) holds at a base b iff no vertex has a smaller
-    eccentricity than b, and wherever it holds (S1) fails at index 1, so
-    each base is counted as rejected on condition or on the walk without
-    a pointed graph.  Only regular graphs are pointed, checked and
-    classified."""
+    The enumerated graphs are simple and connected, so (iii) holds at a
+    base b iff no vertex has a smaller eccentricity than b, and a base is
+    rejected on condition without a pointed graph.  On a graph whose
+    degrees differ, (S1) fails at index 1 wherever (iii) holds, so those
+    bases are rejected on the walk.  Only regular graphs are pointed,
+    checked and classified."""
     if base_policy not in ("all", "canonical"):
         raise BadParameter(f"unknown base policy {base_policy!r}")
     if max_vertices < 1:
@@ -399,23 +399,20 @@ def search_conjecture(
         graph_counts[n] = graph_counts.get(n, 0) + 1
         bases = [first] if base_policy == "canonical" else range(n)
         examined += len(bases)
+        # (iii) holds exactly at the bases of least eccentricity.
+        ecc = _eccentricities(neighbors)
+        radius = min(ecc)
+        centre = [base for base in bases if ecc[base] == radius]
+        rejected_condition += len(bases) - len(centre)
         degree = len(neighbors[0])
         if any(len(nbrs) != degree for nbrs in neighbors):
-            # (iii) holds exactly at the bases of least eccentricity, and
-            # (S1) fails there at index 1 since the degrees differ.
-            ecc = _eccentricities(neighbors)
-            radius = min(ecc)
-            off_centre = sum([ecc[base] > radius for base in bases])
-            rejected_condition += off_centre
-            rejected_walk += len(bases) - off_centre
+            # (S1) fails at index 1 at every base, since the degrees differ.
+            rejected_walk += len(centre)
             continue
         # The enumerator's graphs are simple and connected: no validation.
         graph = Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in neighbors))
-        for base in bases:
+        for base in centre:
             pg = point_graph(graph, base)
-            if not check_assumptions(pg).passed:
-                rejected_condition += 1
-                continue
             if not (check_S1(pg).passed and check_S2(pg).passed):
                 rejected_walk += 1
                 continue

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from . import graphs
 from .errors import BadParameter
 
 
@@ -14,7 +15,13 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(text: str) -> Fraction:
+    """A rational spelled <int>, <int>/<int> or <int>.<digits>, within
+    blanks.  Every integer in it is one that graphs._int_token reads, so
+    no "+", "_", exponent or non-ASCII digit gets through; Fraction then
+    refuses a zero or signed denominator and any other arrangement."""
     try:
+        for piece in text.strip().replace("/", ".").split("."):
+            graphs._int_token(piece)
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise BadParameter(f"not a rational: {text!r}") from exc

@@ -4,8 +4,9 @@ Three routes to the law of |v_1 ... v_m| are computed and cross-checked:
 the left-nested algebra product PL over a structure table, the exact
 jump law J over vertex distributions, and (on Cayley graphs) the literal
 conditional probability by tuple enumeration or Monte-Carlo sampling,
-both walking geodesic words through the window's integer table.  PL, J
-and the enumeration sum on integer rows by hypergroup.convex_combination.
+both walking geodesic words through the window's integer table.  PL
+folds the table's right product law o x_i; J and the enumeration sum
+on integer rows by hypergroup.convex_combination.
 The joint law of the distance process Z_n = |X_n| under a per-element
 step distribution alpha supports Markov and i.i.d. checks.
 """
@@ -75,15 +76,14 @@ def left_nested_product(
     pat = validate_pattern(pattern, table.bound)
     law = ProbabilityVector.point(pat[0])
     for t, i_t in enumerate(pat[1:], start=2):
-        den, weights = law
         if not extended:
-            for l, _ in weights:
+            for l in law.support:
                 if l > table.bound:
                     raise RadiusExceeded(
                         f"intermediate support index {l} exceeds bound {table.bound} "
                         f"before step {t}"
                     )
-        law = convex_combination(den, [(a, table.row_extended(l, i_t)) for l, a in weights])
+        law = table.right(law, i_t)
     return law
 
 
@@ -476,28 +476,15 @@ def conditional_step_identity(cg: cy.CayleyGraph, alpha, i: int, j: int) -> Step
     first = law.marginal(1)
     if first.get(i, Fraction(0)) == 0:
         raise ZeroProbabilityCondition(f"P(Z_1 = {i}) = 0 under this alpha")
-    joint_ij = sum(
-        (p for pattern, p in law.law.items() if pattern == (i, j)), Fraction(0)
-    )
-    lhs = joint_ij / first[i]
-    table = build_table(pg)
+    lhs = law.law.get((i, j), Fraction(0)) / first[i]
+    # rhs is entry j of x_i o L for the law L = sum_k alpha_k |S_k| x_k,
+    # held as an integer row.
     sizes = sphere_sizes(pg)
-    rhs = sum(
-        (
-            table.entry(i, k, j) * alpha.get(k, Fraction(0)) * sizes[k]
-            for k in range(top + 1)
-        ),
-        Fraction(0),
-    )
-    uniform = all(
-        alpha.get(k, Fraction(0)) == Fraction(1, pg.vertex_count)
-        for k in range(top + 1)
-    )
-    sphere_identity = None
-    if uniform:
-        sphere_identity = sizes[j] == sum(
-            (table.entry(i, k, j) * sizes[k] for k in range(top + 1)), Fraction(0)
-        )
+    scale = lcm(*(w.denominator for w in alpha.values()))
+    mixture = (scale, tuple((k, int(w * scale) * sizes[k]) for k, w in sorted(alpha.items())))
+    rhs = build_table(pg).left(i, mixture).coefficient(j)
+    uniform = alpha == uniform_distribution(pg)
+    sphere_identity = rhs * pg.vertex_count == sizes[j] if uniform else None
     return StepIdentityReport(i, j, lhs, rhs, lhs == rhs, uniform, sphere_identity)
 
 

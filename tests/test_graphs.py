@@ -10,7 +10,9 @@ from conftest import run_forge
 from hypothesis import given, settings, strategies as st
 
 
+from forge import fixtures, graphs
 from forge.errors import (
+    FINITE_CAP,
     BadParameter,
     DisconnectedGraph,
     DuplicateEdge,
@@ -247,3 +249,38 @@ def test_simplicity_is_reported_at_every_base(adjacency):
             report = check_assumptions(point_graph(graph, base))
             assert report.simple is simple, base
             assert simple or not report.passed
+
+
+def _refused_before_building(monkeypatch, args, line):
+    """`forge args` exits 2 with one error line without building a graph."""
+
+    def build(*_args, **_kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(graphs, "make_graph", build)
+    monkeypatch.setattr(fixtures, "build_graph", build)
+    result = run_forge(args)
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("vertices", [FINITE_CAP + 1, 10**9])
+def test_a_graph_file_over_the_vertex_cap_is_refused_before_it_is_built(tmp_path, monkeypatch, vertices):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": [[0, 1]], "base": 0}), encoding="utf-8")
+    line = f"WindowOverflow: graph JSON: {vertices} vertices exceeds the cap {FINITE_CAP}"
+    _refused_before_building(monkeypatch, ["graph", "check", str(path)], line)
+
+
+def test_a_graph_file_endpoint_past_its_vertices_is_refused_before_allocation(tmp_path):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"vertices": 3, "edges": [[0, 10**12]], "base": 0}), encoding="utf-8")
+    result = run_forge(["graph", "check", str(path)])
+    line = f"error: BadParameter: edge endpoint {10**12} outside vertex range 0..2\n"
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", line)
+
+
+@pytest.mark.parametrize("n, m", [(1415, 1414), (100000, 100000)])
+def test_a_bipartite_spec_over_the_edge_cap_is_refused_before_it_is_built(monkeypatch, n, m):
+    spec = f"bipartite:{n},{m}"
+    line = f"WindowOverflow: {spec!r}: {n * m} edges exceeds the cap"
+    _refused_before_building(monkeypatch, ["hyper", "table", spec], line)

@@ -189,3 +189,20 @@ def test_one_malformed_integer_token_exits_2_with_one_error_line(spelling, kind,
         i = slots[slot % len(slots)]
         parts = [*parts[:i], MALFORMED[kind](parts[i]), *parts[i + 1 :]]
     assert_refused(_run("".join(parts), seed))
+
+
+# An alpha-file weight is <int>, <int>/<int> or <int>.<digits>, within
+# blanks, with the integers of the grammar above.  Fraction reads most
+# spellings below; each is refused with one line.
+@pytest.mark.parametrize(
+    "weight", ["١/٤", "+1/4", "0_1/4", "1/4_0", ".25", "2.5e-1", "1/ 4", "-1/-4", "abc", "1/0", "1.", ""]
+)
+def test_an_alpha_weight_outside_the_grammar_is_refused(tmp_path, weight):
+    alpha = tmp_path / "alpha.json"
+    runs = {}
+    for text in (0.25, "1/4", " 2/8 ", "0.25", "00.250", weight):
+        alpha.write_text(json.dumps({"0": "1/4", "1": text, "2": 1 / 4}), encoding="utf-8")
+        runs[text] = run_forge(["walk", "joint", "zmod:4", "--depth", "2", "--alpha", str(alpha)])
+    bad = runs.pop(weight)
+    assert bad == (2, "", f"error: BadParameter: alpha weight {weight!r} of index 1 is not a rational\n")
+    assert len(set(runs.values())) == 1 and runs[0.25].exit_code == 0
